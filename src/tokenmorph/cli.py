@@ -166,8 +166,10 @@ def _build_parser() -> _Parser:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--max-iter", type=int, default=100,
+                   help="fixed-point sweep cap (barycenter and --init linear-init only)")
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="fixed-point stop threshold (barycenter and --init linear-init only)")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -195,12 +197,11 @@ def _tokens_writer(fmt: str):
     return tokens_to_json_bytes if fmt == "json" else tokens_to_binary_bytes
 
 
-def _input_entry(path: str) -> dict:
-    data = Path(path).read_bytes()
-    tokens = read_tokens(path)
+def _input_entry(path: str, tokens: TokenSet) -> dict:
+    """Manifest record of an input file; ``tokens`` is its parsed content."""
     return {
         "file": Path(path).name,
-        "sha256": hashlib.sha256(data).hexdigest(),
+        "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
         "n": tokens.n,
         "d": tokens.m,
     }
@@ -240,7 +241,10 @@ def _cmd_barycenter(args) -> int:
             "tol": args.tol,
             "format": args.format,
         },
-        "inputs": {"source": _input_entry(args.source), "target": _input_entry(args.target)},
+        "inputs": {
+            "source": _input_entry(args.source, source),
+            "target": _input_entry(args.target, target),
+        },
         "outputs": [{"file": f"barycenter.{ext}", "sha256": digest}],
         "diagnostics": {
             "iterations_used": result.iterations_used,
@@ -313,7 +317,10 @@ def _cmd_morph(args) -> int:
             "tol": args.tol,
             "format": args.format,
         },
-        "inputs": {"source": _input_entry(args.source), "target": _input_entry(args.target)},
+        "inputs": {
+            "source": _input_entry(args.source, source),
+            "target": _input_entry(args.target, target),
+        },
         "betas": list(trajectory.betas),
         "frames": frame_entries,
         "step_w2": list(trajectory.step_w2),
@@ -350,9 +357,9 @@ def _cmd_texture_select(args) -> int:
         "command": "texture-select",
         "parameters": {"tau": args.tau, "format": args.format},
         "inputs": {
-            "blended": _input_entry(args.blended),
-            "source": _input_entry(args.source),
-            "target": _input_entry(args.target),
+            "blended": _input_entry(args.blended, blended),
+            "source": _input_entry(args.source, source),
+            "target": _input_entry(args.target, target),
         },
         "outputs": [
             {"file": f"selected.{ext}", "sha256": digest},
@@ -413,7 +420,10 @@ def _cmd_sweep_tau(args) -> int:
             "tol": args.tol,
             "format": args.format,
         },
-        "inputs": {"source": _input_entry(args.source), "target": _input_entry(args.target)},
+        "inputs": {
+            "source": _input_entry(args.source, source),
+            "target": _input_entry(args.target, target),
+        },
         "outputs": outputs,
     })
     print(out_dir)

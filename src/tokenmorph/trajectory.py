@@ -1,14 +1,18 @@
 """Morphing trajectories between two token sets.
 
 A trajectory has J+2 frames at blend values beta = alpha / (J+1). Each
-frame is a pairwise barycenter; the initialization of its support is
-what distinguishes the modes:
+frame is the W2 barycenter of source and target with weights
+(1 - beta, beta); the modes differ in how they reach it:
 
-* ``sequential`` warm-starts every frame with the previous frame's
-  converged support (frame 0 starts from the source), which keeps steps
-  even and avoids jumps between distant configurations.
-* ``linear_init`` optimizes every frame independently from the
-  index-wise lerp of source and target.
+* ``sequential`` is McCann's displacement interpolation: one optimal
+  assignment sigma from source to target, then every frame in closed
+  form as ``(1 - beta) * x_i + beta * y_sigma(i)``. This is the point
+  the fixed-point barycenter reaches when each frame is warm-started
+  from the previous one, computed with the same float operations as
+  that solver's first sweep, so the frames are bit-identical to it.
+* ``linear_init`` optimizes every frame independently with the
+  fixed-point barycenter, starting from the index-wise lerp of source
+  and target.
 * ``naive_lerp`` skips optimization entirely and emits the raw lerp.
 """
 
@@ -33,7 +37,11 @@ INIT_MODES = ("sequential", "linear_init", "naive_lerp")
 
 @dataclass(frozen=True)
 class MorphConfig:
-    """Trajectory shape: number of intermediate frames and init mode."""
+    """Trajectory shape: number of intermediate frames and init mode.
+
+    ``barycenter_config`` is read only by ``linear_init``, the one mode
+    that runs the fixed-point solver.
+    """
 
     J: int = 6
     init_mode: str = "sequential"
@@ -82,8 +90,11 @@ def morph_geometry(
     Raises:
         DimensionMismatchError: on size or dimension mismatch.
         InvalidWeightsError: if either set has non-uniform weights.
-        SolverFailureError: if any frame's optimization fails; the
-            message names the failing frame index.
+        SolverFailureError: if an OT solve fails. In ``linear_init`` and
+            ``naive_lerp`` mode the message names the failing frame as
+            ``frame alpha=<k> failed: ...``; in ``sequential`` mode the
+            single source-to-target assignment's error propagates
+            unchanged, since no frame has been built yet.
     """
     if config is None:
         config = MorphConfig()
@@ -99,9 +110,55 @@ def morph_geometry(
     steps = config.J + 1
     betas = tuple(alpha / steps for alpha in range(config.J + 2))
 
+    if config.init_mode == "sequential":
+        frames, diagnostics = _displacement_frames(source, target, betas)
+    else:
+        frames, diagnostics = _optimized_frames(source, target, betas, config)
+
+    steps_w2 = _consecutive_w2(frames)
+    return MorphTrajectory(
+        frames=tuple(frames),
+        betas=betas,
+        frame_diagnostics=tuple(diagnostics),
+        step_w2=steps_w2,
+        init_mode=config.init_mode,
+    )
+
+
+def _displacement_frames(
+    source: TokenSet, target: TokenSet, betas: tuple[float, ...]
+) -> tuple[list[TokenSet], list[FrameDiagnostics]]:
+    """Closed-form frames along one optimal assignment sigma.
+
+    Each frame repeats the fixed-point solver's update, a zero-initialized
+    sum of the weighted barycentric projections, so its bits (signed
+    zeros included) match what that solver converges to.
+    """
+    plan = solve_exact_ot(source, target)
+    sigma = np.argmax(plan.coupling, axis=1)
+    matched = target.points[sigma]
     frames: list[TokenSet] = []
     diagnostics: list[FrameDiagnostics] = []
-    previous: TokenSet | None = None
+    for beta in betas:
+        support = np.zeros_like(source.points)
+        support += (1.0 - beta) * source.points
+        support += beta * matched
+        frames.append(TokenSet(support))
+        # (1-b)*W2^2(Z, X) + b*W2^2(Z, Y) at Z on the geodesic.
+        diagnostics.append(
+            FrameDiagnostics(0, True, beta * (1.0 - beta) * plan.total_cost)
+        )
+    return frames, diagnostics
+
+
+def _optimized_frames(
+    source: TokenSet,
+    target: TokenSet,
+    betas: tuple[float, ...],
+    config: MorphConfig,
+) -> tuple[list[TokenSet], list[FrameDiagnostics]]:
+    frames: list[TokenSet] = []
+    diagnostics: list[FrameDiagnostics] = []
     for alpha, beta in enumerate(betas):
         try:
             if config.init_mode == "naive_lerp":
@@ -109,10 +166,7 @@ def morph_geometry(
                 objective = _blend_objective(source, target, frame, beta)
                 diag = FrameDiagnostics(0, True, objective)
             else:
-                if config.init_mode == "sequential":
-                    init = source if previous is None else previous
-                else:
-                    init = index_lerp(source, target, beta)
+                init = index_lerp(source, target, beta)
                 result = pairwise_barycenter(
                     source, target, beta, init, config.barycenter_config
                 )
@@ -124,16 +178,7 @@ def morph_geometry(
             raise SolverFailureError(f"frame alpha={alpha} failed: {exc}") from exc
         frames.append(frame)
         diagnostics.append(diag)
-        previous = frame
-
-    steps_w2 = _consecutive_w2(frames)
-    return MorphTrajectory(
-        frames=tuple(frames),
-        betas=betas,
-        frame_diagnostics=tuple(diagnostics),
-        step_w2=steps_w2,
-        init_mode=config.init_mode,
-    )
+    return frames, diagnostics
 
 
 def step_lengths(trajectory: MorphTrajectory) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tokenmorph.cli as cli_module
 from tokenmorph import TokenSet, read_tokens, write_tokens
 from tokenmorph.cli import (
     EXIT_DIMENSION,
@@ -146,6 +148,35 @@ class TestOtherCommands:
             report = json.loads((out / f"sweep_tau_{tau}.json").read_text())
             assert report["tau"] == tau
             assert len(report["per_frame"]) == 8
+
+    @pytest.mark.parametrize("command, extra", [
+        ("morph", ["--frames", "1"]),
+        ("barycenter", ["--beta", "0.5"]),
+        ("texture-select", ["--tau", "0.3"]),
+        ("sweep-tau", ["--frames", "1", "--grid", "0.3"]),
+    ])
+    def test_each_input_is_read_once(self, command, extra, token_files, tmp_path,
+                                     monkeypatch):
+        source_path, target_path = token_files
+        inputs = [source_path, target_path]
+        if command == "texture-select":
+            inputs = [source_path, *inputs]
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_tokens(path)
+
+        monkeypatch.setattr(cli_module, "read_tokens", counted)
+        out = tmp_path / "out"
+        argv = [command, *map(str, inputs), *extra, "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert reads == [str(path) for path in inputs]
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry, path in zip(manifest["inputs"].values(), inputs):
+            assert entry["file"] == path.name
+            assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+            assert (entry["n"], entry["d"]) == (6, 3)
 
     def test_gen_synthetic_single_and_pair(self, tmp_path):
         out = tmp_path / "gen"

@@ -13,6 +13,7 @@ from tokenmorph import (
     gen_synthetic,
     index_lerp,
     morph_geometry,
+    pairwise_barycenter,
     step_lengths,
     w2_distance,
 )
@@ -134,7 +135,71 @@ class TestMorphGeometry:
         rng = np.random.default_rng(103)
         ts = random_tokenset(rng, 3, 2)
         with pytest.raises(SolverFailureError, match="alpha=0"):
+            morph_geometry(ts, ts, MorphConfig(J=1, init_mode="linear_init"))
+
+    def test_sequential_solver_failure_propagates(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise SolverFailureError("synthetic failure")
+
+        monkeypatch.setattr(trajectory_module, "solve_exact_ot", boom)
+        rng = np.random.default_rng(103)
+        ts = random_tokenset(rng, 3, 2)
+        with pytest.raises(SolverFailureError, match="synthetic failure"):
             morph_geometry(ts, ts, MorphConfig(J=1))
+
+
+class TestSequentialClosedForm:
+    """The closed-form sequential path against the fixed-point solver."""
+
+    @pytest.mark.parametrize("n, m", [(12, 4), (33, 5), (64, 2)])
+    def test_frames_match_warm_started_fixed_point_bitwise(self, n, m):
+        rng = np.random.default_rng(131 + n)
+        source = random_tokenset(rng, n, m)
+        target = random_tokenset(rng, n, m)
+        traj = morph_geometry(source, target, MorphConfig(J=6))
+        for k in range(1, len(traj.frames)):
+            reference = pairwise_barycenter(
+                source, target, traj.betas[k], traj.frames[k - 1]
+            ).support
+            np.testing.assert_array_equal(
+                traj.frames[k].points.view(np.uint64),
+                reference.points.view(np.uint64),
+            )
+
+    def test_one_assignment_per_morph(self, monkeypatch):
+        calls = {"solve_exact_ot": 0, "w2_distance": 0, "pairwise_barycenter": 0}
+
+        def counted(name):
+            original = getattr(trajectory_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(trajectory_module, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        rng = np.random.default_rng(137)
+        source = random_tokenset(rng, 9, 3)
+        target = random_tokenset(rng, 9, 3)
+        morph_geometry(source, target, MorphConfig(J=6))
+        assert calls == {"solve_exact_ot": 1, "w2_distance": 7, "pairwise_barycenter": 0}
+
+    def test_objective_is_closed_form_value(self):
+        rng = np.random.default_rng(139)
+        source = random_tokenset(rng, 20, 4)
+        target = random_tokenset(rng, 20, 4)
+        sigma = scipy_assignment_permutation(source.points, target.points)
+        w2_squared = float(
+            np.mean(np.sum((source.points - target.points[sigma]) ** 2, axis=1))
+        )
+        traj = morph_geometry(source, target, MorphConfig(J=6))
+        for beta, diag in zip(traj.betas, traj.frame_diagnostics):
+            expected = beta * (1.0 - beta) * w2_squared
+            assert diag.objective == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert diag.iterations_used == 0
+            assert diag.converged
 
 
 class TestDiagnostics:
