@@ -273,11 +273,13 @@ def _cmd_morph(args) -> int:
     writer = _tokens_writer(args.format)
 
     frame_entries = []
+    frame_bytes = []
     for k, (frame, beta, diag) in enumerate(
         zip(trajectory.frames, trajectory.betas, trajectory.frame_diagnostics)
     ):
         name = f"frame_{k:03d}.{ext}"
-        digest = _write(out_dir, name, writer(frame))
+        frame_bytes.append(writer(frame))
+        digest = _write(out_dir, name, frame_bytes[-1])
         frame_entries.append({
             "file": name,
             "sha256": digest,
@@ -298,7 +300,10 @@ def _cmd_morph(args) -> int:
         texture_entries = []
         for k, report in enumerate(reports):
             name = f"texture_{k:03d}.{ext}"
-            digest = _write(out_dir, name, writer(report.output))
+            # A frame that kept every token is returned as is: reuse its bytes.
+            unchanged = report.output is trajectory.frames[k]
+            data = frame_bytes[k] if unchanged else writer(report.output)
+            digest = _write(out_dir, name, data)
             copied = sum(1 for d in report.decisions if not d.kept_barycenter)
             texture_entries.append({
                 "file": name,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
+from .ot import squared_distances
 from .tokens import TokenSet
 
 _NORM_FLOOR = 1e-12
@@ -46,14 +47,17 @@ def nearest_token(point: np.ndarray, tokens: TokenSet) -> int:
     """Index of the closest token by squared Euclidean distance.
 
     Ties are broken toward the smallest index.
+
+    Raises:
+        DimensionMismatchError: if the point and token dimensions differ.
+        InvalidParameterError: if a squared distance overflows float64.
     """
     p = np.asarray(point, dtype=np.float64).reshape(-1)
     if p.shape[0] != tokens.m:
         raise DimensionMismatchError(
             f"point dimension {p.shape[0]} differs from token dimension {tokens.m}"
         )
-    diff = tokens.points - p[None, :]
-    return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    return int(_nearest_indices(p[None, :], tokens.points)[0])
 
 
 def selective_texture_tokens(
@@ -69,8 +73,13 @@ def selective_texture_tokens(
             1 - cos(nearest source, nearest target) > tau and replaced by
             its nearest source token otherwise.
 
+    Returns:
+        SelectionReport; when every token is kept, its ``output`` is
+        ``blended`` itself.
+
     Raises:
-        InvalidParameterError: if tau is outside [0, 1].
+        InvalidParameterError: if tau is outside [0, 1], or if a squared
+            distance overflows float64.
         DimensionMismatchError: if the embedding dimensions differ.
     """
     if not (0.0 <= tau <= 1.0):
@@ -96,13 +105,17 @@ def selective_texture_tokens(
     sims[ok & np.all(x == y, axis=1)] = 1.0
 
     kept = (1.0 - sims) > tau
-    out_points = np.where(kept[:, None], blended.points, x)
+    if kept.all():
+        # np.where would rebuild the same bits; callers may rely on
+        # ``output is blended`` to reuse work done for the blended frame.
+        output = blended
+    else:
+        output = TokenSet(np.where(kept[:, None], blended.points, x), blended.weights)
 
     decisions = tuple(
         TokenDecision(int(src_idx[k]), int(tgt_idx[k]), float(sims[k]), bool(kept[k]))
         for k in range(blended.n)
     )
-    output = TokenSet(out_points, blended.weights)
     return SelectionReport(output=output, decisions=decisions, tau=float(tau))
 
 
@@ -120,9 +133,7 @@ def morph_texture(trajectory, source: TokenSet, target: TokenSet, tau: float = D
 def _nearest_indices(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Row index of the nearest candidate for every query row.
 
-    Uses the same difference-based distances as nearest_token so both
-    paths agree exactly, including on ties.
+    Distances come from the cost matrix's row-blocked kernel; ties go to
+    the smallest index.
     """
-    diff = queries[:, None, :] - candidates[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return np.argmin(d2, axis=1)
+    return np.argmin(squared_distances(queries, candidates), axis=1)

@@ -10,6 +10,9 @@ frame is the W2 barycenter of source and target with weights
   the fixed-point barycenter reaches when each frame is warm-started
   from the previous one, computed with the same float operations as
   that solver's first sweep, so the frames are bit-identical to it.
+  Consecutive frames on that geodesic are optimally matched index by
+  index, so ``step_w2`` is read off that matching (``identity_w2``)
+  instead of solved for.
 * ``linear_init`` optimizes every frame independently with the
   fixed-point barycenter, starting from the index-wise lerp of source
   and target.
@@ -29,7 +32,7 @@ from .errors import (
     InvalidWeightsError,
     SolverFailureError,
 )
-from .ot import solve_exact_ot, w2_distance
+from .ot import identity_w2, solve_exact_ot, w2_distance
 from .tokens import TokenSet, index_lerp
 
 INIT_MODES = ("sequential", "linear_init", "naive_lerp")
@@ -112,10 +115,13 @@ def morph_geometry(
 
     if config.init_mode == "sequential":
         frames, diagnostics = _displacement_frames(source, target, betas)
+        # Consecutive frames on one geodesic are optimally matched index
+        # by index, so each step's W2 needs no further OT solve.
+        steps_w2 = tuple(identity_w2(a, b) for a, b in zip(frames, frames[1:]))
     else:
         frames, diagnostics = _optimized_frames(source, target, betas, config)
+        steps_w2 = _consecutive_w2(frames)
 
-    steps_w2 = _consecutive_w2(frames)
     return MorphTrajectory(
         frames=tuple(frames),
         betas=betas,
@@ -182,7 +188,7 @@ def _optimized_frames(
 
 
 def step_lengths(trajectory: MorphTrajectory) -> np.ndarray:
-    """W2 distances between consecutive frames."""
+    """W2 distances between consecutive frames, each from a full OT solve."""
     if len(trajectory.frames) < 2:
         raise InvalidParameterError("trajectory must have at least 2 frames")
     return np.asarray(_consecutive_w2(list(trajectory.frames)))

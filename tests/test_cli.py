@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import tokenmorph.cli as cli_module
-from tokenmorph import TokenSet, read_tokens, write_tokens
+from tokenmorph import TokenSet, gen_synthetic, read_tokens, write_tokens
 from tokenmorph.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
@@ -110,6 +111,52 @@ class TestMorph:
                 "--frames", "1", "--init", flag, "--out-dir", str(out),
             ])
             assert code == EXIT_OK
+
+
+class TestTextureReuse:
+    """``morph --tau`` writes an unchanged frame's bytes once, not twice."""
+
+    def _morph(self, tmp_path, monkeypatch, tau):
+        source, target = gen_synthetic("two_cluster_swap_pair", 16, 4, 0)
+        paths = [tmp_path / "source.json", tmp_path / "target.json"]
+        write_tokens(source, paths[0])
+        write_tokens(target, paths[1])
+        encodes = []
+        writer = cli_module.tokens_to_json_bytes
+
+        def counted(tokens):
+            encodes.append(tokens)
+            return writer(tokens)
+
+        monkeypatch.setattr(cli_module, "tokens_to_json_bytes", counted)
+        out = tmp_path / f"run_{tau}"
+        argv = ["morph", *map(str, paths), "--tau", str(tau), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        return out, manifest, len(encodes), source
+
+    def test_nothing_copied_writes_frame_bytes(self, tmp_path, monkeypatch):
+        out, manifest, encodes, _ = self._morph(tmp_path, monkeypatch, 0.0)
+        assert all(t["copied_from_source"] == 0 for t in manifest["texture_frames"])
+        for k in range(8):
+            texture = (out / f"texture_{k:03d}.json").read_bytes()
+            assert texture == (out / f"frame_{k:03d}.json").read_bytes()
+            assert manifest["texture_frames"][k]["sha256"] == manifest["frames"][k]["sha256"]
+        assert encodes == 8
+
+    def test_copied_tokens_keep_the_per_token_invariants(self, tmp_path, monkeypatch):
+        out, manifest, encodes, source = self._morph(tmp_path, monkeypatch, 0.01)
+        copied = [t["copied_from_source"] for t in manifest["texture_frames"]]
+        assert all(0 < c < 16 for c in copied[1:])
+        source_rows = {row.tobytes() for row in source.points}
+        for k in range(1, 8):
+            frame = read_tokens(out / f"frame_{k:03d}.json").points
+            texture = read_tokens(out / f"texture_{k:03d}.json").points
+            changed = [i for i in range(16) if frame[i].tobytes() != texture[i].tobytes()]
+            assert 0 < len(changed) <= copied[k]
+            assert all(texture[i].tobytes() in source_rows for i in changed)
+        # Every texture frame copies something, so each one is encoded.
+        assert encodes == 16
 
 
 class TestOtherCommands:
@@ -257,6 +304,54 @@ class TestErrorPaths:
         assert main([
             "sweep-tau", str(source_path), str(target_path), "--grid", "a,b",
         ]) == EXIT_INVALID_VALUE
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process; the timeout turns a hang into a failure."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "tokenmorph.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+class TestOverflowingCoordinates:
+    """Squared distances beyond float64 end in exit 6, never nan or a hang."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        files = {
+            "plus": TokenSet([[1e200], [-1e200]]),
+            "minus": TokenSet([[-1e200], [1e200]]),
+            "weighted": TokenSet([[1e200], [-1e200]], [0.3, 0.7]),
+            "weighted3": TokenSet([[-1e200], [0.0], [1e200]], [0.2, 0.5, 0.3]),
+        }
+        for name, tokens in files.items():
+            write_tokens(tokens, tmp_path / f"{name}.json")
+        return {name: str(tmp_path / f"{name}.json") for name in files}
+
+    def _assert_invalid_value(self, result):
+        assert result.returncode == EXIT_INVALID_VALUE, result.stdout
+        assert result.stderr.startswith("tokenmorph: error[invalid-value]:")
+        assert "overflow" in result.stderr
+        assert "nan" not in result.stdout
+
+    def test_dist_assignment_route(self, huge):
+        self._assert_invalid_value(_run_cli("dist", huge["plus"], huge["minus"]))
+
+    def test_barycenter_simplex_route(self, huge, tmp_path):
+        self._assert_invalid_value(_run_cli(
+            "barycenter", huge["weighted"], huge["weighted3"], "--beta", "0.5",
+            "--out-dir", str(tmp_path / "bc"),
+        ))
+
+    def test_texture_select(self, huge, tmp_path):
+        self._assert_invalid_value(_run_cli(
+            "texture-select", huge["plus"], huge["minus"], huge["plus"],
+            "--out-dir", str(tmp_path / "sel"),
+        ))
 
 
 def test_console_entry_point(token_files):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from tokenmorph import (
     sorted_1d_ot,
     w2_distance,
 )
+
+import tokenmorph.ot as ot_module
 
 from conftest import random_tokenset
 
@@ -45,6 +49,65 @@ class TestCostMatrix:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             cost_matrix(TokenSet([[0.0]]), TokenSet([[0.0, 1.0]]))
+
+
+def _one_shot_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _rows_per_block(n_cand: int, m: int) -> int:
+    return max(1, ot_module._BLOCK_BYTES // (8 * n_cand * m))
+
+
+class TestSquaredDistances:
+    """The row-blocked distance kernel behind cost matrices and nearest tokens."""
+
+    @pytest.mark.parametrize("n, n_cand, m", [
+        (150, 64, 8),     # three full blocks and a partial one
+        (5, 1000, 40),    # one row is larger than a block: single-row blocks
+        (1, 37, 3),       # n = 1
+        (300, 200, 1),    # m = 1, partial last block
+    ])
+    def test_bitwise_equal_to_one_shot_einsum(self, n, n_cand, m):
+        rows = _rows_per_block(n_cand, m)
+        assert n == 1 or rows == 1 or n % rows != 0, "shape must cross a block boundary"
+        rng = np.random.default_rng(n * 7 + m)
+        a = 3.0 * rng.normal(size=(n, m))
+        b = rng.normal(size=(n_cand, m))
+        np.testing.assert_array_equal(
+            ot_module.squared_distances(a, b).view(np.uint64),
+            _one_shot_sq_distances(a, b).view(np.uint64),
+        )
+
+    def test_cost_matrix_memory_is_bounded_by_the_block(self):
+        rng = np.random.default_rng(5)
+        a = random_tokenset(rng, 1024, 64)
+        b = random_tokenset(rng, 1024, 64)
+        block = max(ot_module._BLOCK_BYTES, 8 * b.n * b.m)
+        tracemalloc.start()
+        try:
+            cm = cost_matrix(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A one-shot n x n' x m difference would take 512 MiB here.
+        assert peak < cm.values.nbytes + 4 * block
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_overflowing_distances_raise(self, scale):
+        a = TokenSet([[scale], [-scale]])
+        b = TokenSet([[-scale], [scale]])
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            cost_matrix(a, b)
+        for method in ("assignment", "simplex"):
+            with pytest.raises(InvalidParameterError, match="overflow"):
+                solve_exact_ot(a, b, method=method)
+
+    def test_largest_finite_distance_is_accepted(self):
+        a = TokenSet([[6e153], [-6e153]])
+        cm = cost_matrix(a, a)
+        assert np.isfinite(cm.values).all() and cm.values.max() > 1e307
 
 
 class TestSolveExactOT:

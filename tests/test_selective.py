@@ -30,6 +30,10 @@ class TestNearestToken:
         with pytest.raises(DimensionMismatchError):
             nearest_token([1.0], TokenSet([[0.0, 0.0]]))
 
+    def test_overflowing_distance_raises(self):
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            nearest_token([1e200, 0.0], TokenSet([[-1e200, 0.0], [0.0, 1.0]]))
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 5), st.integers(0, 10_000))
     def test_matches_linear_scan(self, n, m, seed):
@@ -137,6 +141,19 @@ class TestSelectiveTextureTokens:
         assert all(not d.kept_barycenter for d in report.decisions)
         report_neg = selective_texture_tokens(aligned, source, target, 1.0)
         assert all(d.kept_barycenter for d in report_neg.decisions)
+
+    def test_all_kept_returns_the_blended_set_itself(self):
+        blended = TokenSet([[0.5, 0.5], [0.25, 0.75]])
+        report = selective_texture_tokens(
+            blended, TokenSet([[1.0, 0.0]]), TokenSet([[0.0, 1.0]]), 0.3
+        )
+        assert all(d.kept_barycenter for d in report.decisions)
+        assert report.output is blended
+
+    def test_overflowing_coordinates_raise(self):
+        blended = TokenSet([[1e200], [-1e200]])
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            selective_texture_tokens(blended, TokenSet([[-1e200]]), TokenSet([[1.0]]))
 
     def test_determinism(self):
         rng = np.random.default_rng(151)

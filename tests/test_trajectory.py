@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenmorph import (
     BarycenterConfig,
@@ -184,7 +186,40 @@ class TestSequentialClosedForm:
         source = random_tokenset(rng, 9, 3)
         target = random_tokenset(rng, 9, 3)
         morph_geometry(source, target, MorphConfig(J=6))
-        assert calls == {"solve_exact_ot": 1, "w2_distance": 7, "pairwise_barycenter": 0}
+        assert calls == {"solve_exact_ot": 1, "w2_distance": 0, "pairwise_barycenter": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["gaussian_blob", "ring", "two_cluster_swap_pair"]),
+        st.integers(1, 24),
+        st.integers(1, 6),
+        st.integers(0, 8),
+        st.integers(0, 10_000),
+    )
+    def test_step_w2_equals_recomputed_step_lengths_bitwise(self, kind, half, m, J, seed):
+        # Distinct tokens: the identity between consecutive frames is the
+        # unique optimal matching, so the stored steps equal a full solve.
+        if kind == "two_cluster_swap_pair":
+            source, target = gen_synthetic(kind, 2 * half, m, seed)
+        else:
+            m = max(m, 2) if kind == "ring" else m
+            source = gen_synthetic(kind, half, m, seed)
+            target = gen_synthetic(kind, half, m, seed + 1)
+        traj = morph_geometry(source, target, MorphConfig(J=J))
+        np.testing.assert_array_equal(
+            np.asarray(traj.step_w2).view(np.uint64), step_lengths(traj).view(np.uint64)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(1, 3), st.integers(0, 10_000))
+    def test_step_w2_with_duplicate_tokens(self, n, m, seed):
+        # Duplicates admit equal-cost matchings that sum the same costs in
+        # another order, so only the last bits may differ.
+        rng = np.random.default_rng(seed)
+        source = TokenSet(rng.integers(-2, 3, size=(n, m)).astype(float))
+        target = TokenSet(rng.integers(-2, 3, size=(n, m)).astype(float))
+        traj = morph_geometry(source, target, MorphConfig(J=6))
+        np.testing.assert_allclose(traj.step_w2, step_lengths(traj), rtol=1e-15, atol=0.0)
 
     def test_objective_is_closed_form_value(self):
         rng = np.random.default_rng(139)
