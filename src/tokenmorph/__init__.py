@@ -24,14 +24,10 @@ from .errors import (
     TruncatedPayloadError,
 )
 from .ot import (
-    AssignmentResult,
     CostMatrix,
     TransportPlan,
-    brute_force_ot_uniform,
     cost_matrix,
-    solve_assignment,
     solve_exact_ot,
-    sorted_1d_ot,
     w2_distance,
 )
 from .selective import (
@@ -39,7 +35,6 @@ from .selective import (
     SelectionReport,
     TokenDecision,
     morph_texture,
-    nearest_token,
     selective_texture_tokens,
 )
 from .synth import gen_synthetic
@@ -58,7 +53,6 @@ from .trajectory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentResult",
     "BadMagicError",
     "BarycenterConfig",
     "BarycenterResult",
@@ -79,7 +73,6 @@ __all__ = [
     "ToyShape",
     "TransportPlan",
     "TruncatedPayloadError",
-    "brute_force_ot_uniform",
     "cost_matrix",
     "decode_tokens_to_shape",
     "endpoint_errors",
@@ -88,14 +81,11 @@ __all__ = [
     "index_lerp",
     "morph_geometry",
     "morph_texture",
-    "nearest_token",
     "pairwise_barycenter",
     "read_tokens",
     "render_trajectory_svg",
     "selective_texture_tokens",
-    "solve_assignment",
     "solve_exact_ot",
-    "sorted_1d_ot",
     "step_lengths",
     "w2_distance",
     "write_tokens",

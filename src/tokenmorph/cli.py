@@ -31,11 +31,7 @@ from .errors import (
 )
 from .selective import DEFAULT_TAU, morph_texture, selective_texture_tokens
 from .synth import KINDS, gen_synthetic
-from .tokenio import (
-    read_tokens,
-    tokens_to_binary_bytes,
-    tokens_to_json_bytes,
-)
+from .tokenio import read_tokens, tokens_to_binary_bytes, tokens_to_json_bytes
 from .tokens import TokenSet, index_lerp
 from .toydemo import decode_tokens_to_shape, render_trajectory_svg
 from .trajectory import MorphConfig, morph_geometry
@@ -76,9 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail("missing-file", str(exc), EXIT_MISSING_FILE)
-    except IsADirectoryError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         return _fail("missing-file", str(exc), EXIT_MISSING_FILE)
     except (FormatError, InvalidWeightsError) as exc:
         return _fail("format", str(exc), EXIT_FORMAT)
@@ -159,7 +153,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=6, metavar="J")
     p.add_argument("--points", type=int, default=24, help="tokens per shape")
     p.add_argument("--tau", type=float, default=None)
-    _add_output_flags(p)
+    _add_output_flags(p, with_format=False)
     p.set_defaults(func=_cmd_demo)
 
     return parser
@@ -172,10 +166,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="fixed-point stop threshold (barycenter and --init linear-init only)")
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, with_format: bool = True) -> None:
     p.add_argument("--out-dir", default=None,
                    help=f"output directory (default ${OUT_DIR_ENV} or ./{DEFAULT_OUT_DIR})")
-    p.add_argument("--format", choices=tuple(_EXTENSIONS), default="json")
+    if with_format:
+        p.add_argument("--format", choices=tuple(_EXTENSIONS), default="json")
 
 
 def _resolve_out_dir(arg: str | None) -> Path:
@@ -188,41 +183,62 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write(out_dir: Path, name: str, data: bytes) -> str:
+def _write(out_dir: Path, name: str, data: bytes) -> dict:
+    """Write one output file; returns its manifest entry (name and digest)."""
     (out_dir / name).write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    return {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _tokens_writer(fmt: str):
     return tokens_to_json_bytes if fmt == "json" else tokens_to_binary_bytes
 
 
-def _input_entry(path: str, tokens: TokenSet) -> dict:
-    """Manifest record of an input file; ``tokens`` is its parsed content."""
-    return {
-        "file": Path(path).name,
-        "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
-        "n": tokens.n,
-        "d": tokens.m,
+def _read_inputs(args, *names: str) -> dict[str, TokenSet]:
+    """Parse the token files named by the positional arguments ``names``."""
+    return {name: read_tokens(getattr(args, name)) for name in names}
+
+
+def _finish(args, out_dir: Path, inputs: dict[str, TokenSet], body: dict,
+            shown: Path | None = None) -> int:
+    """Write the run's ``manifest.json`` and print ``shown`` (default ``out_dir``).
+
+    The manifest holds the command's own ``body`` fields plus its name,
+    every parsed flag except ``--out-dir`` as ``parameters``, and the
+    file name, digest and shape of each input in ``inputs``.
+    """
+    skip = {"command", "func", "out_dir", *inputs}
+    manifest = {
+        **body,
+        "manifest": "tokenmorph-run/1",
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in skip},
     }
+    for name, tokens in inputs.items():
+        path = Path(getattr(args, name))
+        manifest.setdefault("inputs", {})[name] = {
+            "file": path.name,
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "n": tokens.n,
+            "d": tokens.m,
+        }
+    _write(out_dir, "manifest.json", _json_bytes(manifest))
+    print(shown or out_dir)
+    return EXIT_OK
 
 
-def _write_manifest(out_dir: Path, body: dict) -> None:
-    body = dict(body)
-    body["manifest"] = "tokenmorph-run/1"
-    _write(out_dir, "manifest.json", _json_bytes(body))
+def _copied(report) -> int:
+    return sum(not d.kept_barycenter for d in report.decisions)
 
 
 def _cmd_dist(args) -> int:
-    source = read_tokens(args.source)
-    target = read_tokens(args.target)
+    source, target = _read_inputs(args, "source", "target").values()
     print(w2_distance(source, target))
     return EXIT_OK
 
 
 def _cmd_barycenter(args) -> int:
-    source = read_tokens(args.source)
-    target = read_tokens(args.target)
+    inputs = _read_inputs(args, "source", "target")
+    source, target = inputs.values()
     init = {"source": source, "target": target}.get(args.init)
     if init is None:
         init = index_lerp(source, target, args.beta)
@@ -230,35 +246,20 @@ def _cmd_barycenter(args) -> int:
     result = pairwise_barycenter(source, target, args.beta, init, config)
 
     out_dir = _resolve_out_dir(args.out_dir)
-    ext = _EXTENSIONS[args.format]
-    digest = _write(out_dir, f"barycenter.{ext}", _tokens_writer(args.format)(result.support))
-    _write_manifest(out_dir, {
-        "command": "barycenter",
-        "parameters": {
-            "beta": args.beta,
-            "init": args.init,
-            "max_iter": args.max_iter,
-            "tol": args.tol,
-            "format": args.format,
-        },
-        "inputs": {
-            "source": _input_entry(args.source, source),
-            "target": _input_entry(args.target, target),
-        },
-        "outputs": [{"file": f"barycenter.{ext}", "sha256": digest}],
+    name = f"barycenter.{_EXTENSIONS[args.format]}"
+    return _finish(args, out_dir, inputs, {
+        "outputs": [_write(out_dir, name, _tokens_writer(args.format)(result.support))],
         "diagnostics": {
             "iterations_used": result.iterations_used,
             "converged": result.converged,
             "objective": result.objective,
         },
     })
-    print(out_dir)
-    return EXIT_OK
 
 
 def _cmd_morph(args) -> int:
-    source = read_tokens(args.source)
-    target = read_tokens(args.target)
+    inputs = _read_inputs(args, "source", "target")
+    source, target = inputs.values()
     config = MorphConfig(
         J=args.frames,
         init_mode=args.init.replace("-", "_"),
@@ -272,80 +273,45 @@ def _cmd_morph(args) -> int:
     ext = _EXTENSIONS[args.format]
     writer = _tokens_writer(args.format)
 
-    frame_entries = []
+    frames = []
     frame_bytes = []
     for k, (frame, beta, diag) in enumerate(
         zip(trajectory.frames, trajectory.betas, trajectory.frame_diagnostics)
     ):
-        name = f"frame_{k:03d}.{ext}"
         frame_bytes.append(writer(frame))
-        digest = _write(out_dir, name, frame_bytes[-1])
-        frame_entries.append({
-            "file": name,
-            "sha256": digest,
+        frames.append({
+            **_write(out_dir, f"frame_{k:03d}.{ext}", frame_bytes[-1]),
             "beta": beta,
             "iterations": diag.iterations_used,
             "converged": diag.converged,
             "objective": diag.objective,
         })
-    index = {
-        "files": [entry["file"] for entry in frame_entries],
-        "betas": list(trajectory.betas),
-    }
+    index = {"files": [entry["file"] for entry in frames], "betas": list(trajectory.betas)}
     _write(out_dir, "frames_index.json", _json_bytes(index))
+    body = {"betas": list(trajectory.betas), "frames": frames,
+            "step_w2": list(trajectory.step_w2)}
 
-    texture_entries = None
     if args.tau is not None:
-        reports = morph_texture(trajectory, source, target, args.tau)
-        texture_entries = []
-        for k, report in enumerate(reports):
-            name = f"texture_{k:03d}.{ext}"
+        body["texture_frames"] = []
+        for k, report in enumerate(morph_texture(trajectory, source, target, args.tau)):
             # A frame that kept every token is returned as is: reuse its bytes.
             unchanged = report.output is trajectory.frames[k]
             data = frame_bytes[k] if unchanged else writer(report.output)
-            digest = _write(out_dir, name, data)
-            copied = sum(1 for d in report.decisions if not d.kept_barycenter)
-            texture_entries.append({
-                "file": name,
-                "sha256": digest,
+            copied = _copied(report)
+            body["texture_frames"].append({
+                **_write(out_dir, f"texture_{k:03d}.{ext}", data),
                 "copied_from_source": copied,
                 "kept_barycenter": report.output.n - copied,
             })
-
-    manifest = {
-        "command": "morph",
-        "parameters": {
-            "frames": args.frames,
-            "init": args.init,
-            "tau": args.tau,
-            "max_iter": args.max_iter,
-            "tol": args.tol,
-            "format": args.format,
-        },
-        "inputs": {
-            "source": _input_entry(args.source, source),
-            "target": _input_entry(args.target, target),
-        },
-        "betas": list(trajectory.betas),
-        "frames": frame_entries,
-        "step_w2": list(trajectory.step_w2),
-    }
-    if texture_entries is not None:
-        manifest["texture_frames"] = texture_entries
-    _write_manifest(out_dir, manifest)
-    print(out_dir)
-    return EXIT_OK
+    return _finish(args, out_dir, inputs, body)
 
 
 def _cmd_texture_select(args) -> int:
-    blended = read_tokens(args.blended)
-    source = read_tokens(args.source)
-    target = read_tokens(args.target)
-    report = selective_texture_tokens(blended, source, target, args.tau)
+    inputs = _read_inputs(args, "blended", "source", "target")
+    report = selective_texture_tokens(*inputs.values(), args.tau)
 
     out_dir = _resolve_out_dir(args.out_dir)
-    ext = _EXTENSIONS[args.format]
-    digest = _write(out_dir, f"selected.{ext}", _tokens_writer(args.format)(report.output))
+    selected = f"selected.{_EXTENSIONS[args.format]}"
     decisions = [
         {
             "token": k,
@@ -356,35 +322,23 @@ def _cmd_texture_select(args) -> int:
         }
         for k, d in enumerate(report.decisions)
     ]
-    report_digest = _write(out_dir, "selection_report.json",
-                           _json_bytes({"tau": args.tau, "decisions": decisions}))
-    _write_manifest(out_dir, {
-        "command": "texture-select",
-        "parameters": {"tau": args.tau, "format": args.format},
-        "inputs": {
-            "blended": _input_entry(args.blended, blended),
-            "source": _input_entry(args.source, source),
-            "target": _input_entry(args.target, target),
-        },
-        "outputs": [
-            {"file": f"selected.{ext}", "sha256": digest},
-            {"file": "selection_report.json", "sha256": report_digest},
-        ],
-    })
-    print(out_dir)
-    return EXIT_OK
+    return _finish(args, out_dir, inputs, {"outputs": [
+        _write(out_dir, selected, _tokens_writer(args.format)(report.output)),
+        _write(out_dir, "selection_report.json",
+               _json_bytes({"tau": args.tau, "decisions": decisions})),
+    ]})
 
 
 def _cmd_sweep_tau(args) -> int:
     try:
-        grid = tuple(float(part) for part in args.grid.split(",") if part.strip())
+        args.grid = [float(part) for part in args.grid.split(",") if part.strip()]
     except ValueError as exc:
         raise InvalidParameterError(f"bad --grid value: {exc}") from None
-    if not grid:
+    if not args.grid:
         raise InvalidParameterError("--grid must name at least one threshold")
 
-    source = read_tokens(args.source)
-    target = read_tokens(args.target)
+    inputs = _read_inputs(args, "source", "target")
+    source, target = inputs.values()
     config = MorphConfig(
         J=args.frames,
         barycenter_config=BarycenterConfig(
@@ -395,44 +349,24 @@ def _cmd_sweep_tau(args) -> int:
 
     out_dir = _resolve_out_dir(args.out_dir)
     outputs = []
-    for tau in grid:
+    for tau in args.grid:
         reports = morph_texture(trajectory, source, target, tau)
         per_frame = []
         for k, report in enumerate(reports):
-            copied = sum(1 for d in report.decisions if not d.kept_barycenter)
+            copied = _copied(report)
             per_frame.append({
                 "frame": k,
                 "beta": trajectory.betas[k],
                 "copied_from_source": copied,
                 "kept_barycenter": report.output.n - copied,
             })
-        total_tokens = len(reports) * source.n
         total_copied = sum(entry["copied_from_source"] for entry in per_frame)
-        name = f"sweep_tau_{tau}.json"
-        digest = _write(out_dir, name, _json_bytes({
+        outputs.append({**_write(out_dir, f"sweep_tau_{tau}.json", _json_bytes({
             "tau": tau,
             "per_frame": per_frame,
-            "copied_fraction": total_copied / total_tokens,
-        }))
-        outputs.append({"file": name, "sha256": digest, "tau": tau})
-
-    _write_manifest(out_dir, {
-        "command": "sweep-tau",
-        "parameters": {
-            "grid": list(grid),
-            "frames": args.frames,
-            "max_iter": args.max_iter,
-            "tol": args.tol,
-            "format": args.format,
-        },
-        "inputs": {
-            "source": _input_entry(args.source, source),
-            "target": _input_entry(args.target, target),
-        },
-        "outputs": outputs,
-    })
-    print(out_dir)
-    return EXIT_OK
+            "copied_fraction": total_copied / (len(reports) * source.n),
+        })), "tau": tau})
+    return _finish(args, out_dir, inputs, {"outputs": outputs})
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -440,60 +374,37 @@ def _cmd_gen_synthetic(args) -> int:
     out_dir = _resolve_out_dir(args.out_dir)
     ext = _EXTENSIONS[args.format]
     writer = _tokens_writer(args.format)
-    stem = args.name or args.kind
+    args.name = args.name or args.kind
 
-    outputs = []
     if isinstance(generated, tuple):
-        for suffix, tokens in zip(("source", "target"), generated):
-            name = f"{stem}_{suffix}.{ext}"
-            outputs.append({"file": name, "sha256": _write(out_dir, name, writer(tokens))})
+        named = {f"{args.name}_{suffix}": tokens
+                 for suffix, tokens in zip(("source", "target"), generated)}
     else:
-        name = f"{stem}.{ext}"
-        outputs.append({"file": name, "sha256": _write(out_dir, name, writer(generated))})
-
-    _write_manifest(out_dir, {
-        "command": "gen-synthetic",
-        "parameters": {
-            "kind": args.kind,
-            "n": args.n,
-            "d": args.d,
-            "seed": args.seed,
-            "name": stem,
-            "format": args.format,
-        },
-        "outputs": outputs,
-    })
-    print(out_dir)
-    return EXIT_OK
+        named = {args.name: generated}
+    outputs = [_write(out_dir, f"{stem}.{ext}", writer(tokens))
+               for stem, tokens in named.items()]
+    return _finish(args, out_dir, {}, {"outputs": outputs})
 
 
 def _cmd_demo(args) -> int:
     source, target = _demo_shapes(args.points)
-    config = MorphConfig(J=args.frames)
-    trajectory = morph_geometry(source, target, config)
+    trajectory = morph_geometry(source, target, MorphConfig(J=args.frames))
     frames = trajectory.frames
     if args.tau is not None:
         frames = tuple(r.output for r in morph_texture(trajectory, source, target, args.tau))
-    shapes = [decode_tokens_to_shape(frame) for frame in frames]
-    svg = render_trajectory_svg(shapes)
+    svg = render_trajectory_svg([decode_tokens_to_shape(frame) for frame in frames])
 
     out_dir = _resolve_out_dir(args.out_dir)
     outputs = [
-        {"file": "demo.svg", "sha256": _write(out_dir, "demo.svg", svg.encode("utf-8"))},
-        {"file": "demo_source.json",
-         "sha256": _write(out_dir, "demo_source.json", tokens_to_json_bytes(source))},
-        {"file": "demo_target.json",
-         "sha256": _write(out_dir, "demo_target.json", tokens_to_json_bytes(target))},
+        _write(out_dir, "demo.svg", svg.encode("utf-8")),
+        _write(out_dir, "demo_source.json", tokens_to_json_bytes(source)),
+        _write(out_dir, "demo_target.json", tokens_to_json_bytes(target)),
     ]
-    _write_manifest(out_dir, {
-        "command": "demo",
-        "parameters": {"frames": args.frames, "points": args.points, "tau": args.tau},
+    return _finish(args, out_dir, {}, {
         "outputs": outputs,
         "betas": list(trajectory.betas),
         "step_w2": list(trajectory.step_w2),
-    })
-    print(out_dir / "demo.svg")
-    return EXIT_OK
+    }, shown=out_dir / "demo.svg")
 
 
 def _demo_shapes(n: int) -> tuple[TokenSet, TokenSet]:

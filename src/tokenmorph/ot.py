@@ -5,8 +5,8 @@ bounded size; a cost that overflows float64 is rejected before any
 solver sees it. The general solver is a dense transportation simplex
 with Bland's anti-cycling pivot rule; instances with uniform weights and
 equal sizes are routed to a shortest-augmenting-path assignment solver,
-where the optimal coupling is a permutation. Brute-force and sorted-1D
-oracles are included for verification.
+where the optimal coupling is a permutation. The test suite checks both
+routes against independent oracles (brute force, sorted 1-D, scipy).
 
 All functions are pure: they never mutate their inputs and hold no
 global state, so concurrent calls on shared token sets are safe.
@@ -14,7 +14,6 @@ global state, so concurrent calls on shared token sets are safe.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -49,7 +48,6 @@ class CostMatrix:
     """
 
     values: np.ndarray
-    metric: str = "sqeuclidean"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -82,15 +80,6 @@ class TransportPlan:
         coup.setflags(write=False)
         object.__setattr__(self, "coupling", coup)
         object.__setattr__(self, "total_cost", float(self.total_cost))
-
-
-@dataclass(frozen=True)
-class AssignmentResult:
-    """A minimum-cost perfect matching: ``permutation[i]`` is the column
-    assigned to row i, ``cost`` the summed matched entries."""
-
-    permutation: np.ndarray
-    cost: float
 
 
 def squared_distances(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -227,59 +216,6 @@ def identity_w2(a: TokenSet, b: TokenSet) -> float:
     return math.sqrt(max(float(np.sum(plan)), 0.0))
 
 
-def solve_assignment(cost: CostMatrix | np.ndarray) -> AssignmentResult:
-    """Minimum-cost perfect matching on a square cost matrix.
-
-    Uses a shortest-augmenting-path (Hungarian) method with potentials.
-    Ties are broken deterministically: equal-cost columns are explored in
-    ascending index order, so the zero matrix yields the identity
-    permutation.
-
-    Raises:
-        InvalidParameterError: if the matrix is not square.
-    """
-    values = cost.values if isinstance(cost, CostMatrix) else np.asarray(cost, float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise InvalidParameterError(
-            f"assignment requires a square matrix, got shape {values.shape}"
-        )
-    perm, total = _min_cost_matching(values)
-    return AssignmentResult(perm, total)
-
-
-def brute_force_ot_uniform(a: TokenSet, b: TokenSet) -> float:
-    """Test oracle: exhaustive OT cost for uniform equal-size sets.
-
-    Enumerates all n! permutations; rejected for n > 8.
-    """
-    require_same_dimension(a, b)
-    if a.n != b.n:
-        raise DimensionMismatchError(f"sizes differ: {a.n} vs {b.n}")
-    if not (a.has_uniform_weights() and b.has_uniform_weights()):
-        raise InvalidWeightsError("brute force oracle requires uniform weights")
-    if a.n > 8:
-        raise InvalidParameterError(f"n={a.n} exceeds the n<=8 enumeration guard")
-    values = cost_matrix(a, b).values
-    rows = np.arange(a.n)
-    best = math.inf
-    for perm in itertools.permutations(range(a.n)):
-        best = min(best, float(values[rows, perm].sum()))
-    return best / a.n
-
-
-def sorted_1d_ot(a: TokenSet, b: TokenSet) -> float:
-    """Test oracle: closed-form 1-D OT cost via sorted matching."""
-    if a.m != 1 or b.m != 1:
-        raise DimensionMismatchError("sorted 1-D oracle requires m == 1")
-    if a.n != b.n:
-        raise DimensionMismatchError(f"sizes differ: {a.n} vs {b.n}")
-    if not (a.has_uniform_weights() and b.has_uniform_weights()):
-        raise InvalidWeightsError("sorted 1-D oracle requires uniform weights")
-    xs = np.sort(a.points[:, 0])
-    ys = np.sort(b.points[:, 0])
-    return float(np.mean((xs - ys) ** 2))
-
-
 def _check_marginals(coupling: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> None:
     row_err = float(np.max(np.abs(coupling.sum(axis=1) - supply)))
     col_err = float(np.max(np.abs(coupling.sum(axis=0) - demand)))
@@ -294,6 +230,9 @@ def _check_marginals(coupling: np.ndarray, supply: np.ndarray, demand: np.ndarra
 def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Hungarian algorithm with potentials, O(n^3), deterministic ties.
 
+    Returns ``(perm, total)``: ``perm[i]`` is the column matched to row i,
+    ``total`` the summed matched costs. Equal-cost columns are explored in
+    ascending index order, so the zero matrix yields the identity.
     Internally 1-indexed over columns with column 0 as the virtual root.
     """
     c = np.asarray(values, dtype=np.float64)
@@ -380,7 +319,8 @@ def _transportation_simplex(
             # push remaining rows forward instead of stepping out of range.
             i += 1
 
-    tol = 1e-11 * max(1.0, float(values.max()))
+    # Relative to the costs, so optimality does not depend on coordinate scale.
+    tol = 1e-11 * float(values.max())
     max_pivots = max(2000, 30 * n * m)
     bland_after = 40 * (n + m)
 

@@ -43,23 +43,6 @@ class SelectionReport:
     tau: float
 
 
-def nearest_token(point: np.ndarray, tokens: TokenSet) -> int:
-    """Index of the closest token by squared Euclidean distance.
-
-    Ties are broken toward the smallest index.
-
-    Raises:
-        DimensionMismatchError: if the point and token dimensions differ.
-        InvalidParameterError: if a squared distance overflows float64.
-    """
-    p = np.asarray(point, dtype=np.float64).reshape(-1)
-    if p.shape[0] != tokens.m:
-        raise DimensionMismatchError(
-            f"point dimension {p.shape[0]} differs from token dimension {tokens.m}"
-        )
-    return int(_nearest_indices(p[None, :], tokens.points)[0])
-
-
 def selective_texture_tokens(
     blended: TokenSet, source: TokenSet, target: TokenSet, tau: float = DEFAULT_TAU
 ) -> SelectionReport:

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from tokenmorph import TokenSet
+from tokenmorph import DimensionMismatchError, TokenSet
 
 
 def random_tokenset(rng: np.random.Generator, n: int, m: int, scale: float = 1.0) -> TokenSet:
@@ -26,6 +26,17 @@ def brute_force_permutation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, f
             best_cost = total
             best_perm = np.asarray(perm)
     return best_perm, best_cost / n
+
+
+def sorted_1d_ot(a: TokenSet, b: TokenSet) -> float:
+    """Independent oracle: closed-form 1-D OT cost of uniform equal-size
+    sets, matching the sorted points in order."""
+    if a.m != 1 or b.m != 1:
+        raise DimensionMismatchError("sorted 1-D oracle requires m == 1")
+    assert a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights()
+    xs = np.sort(a.points[:, 0])
+    ys = np.sort(b.points[:, 0])
+    return float(np.mean((xs - ys) ** 2))
 
 
 def scipy_assignment_permutation(x: np.ndarray, y: np.ndarray) -> np.ndarray:

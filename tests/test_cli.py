@@ -225,6 +225,40 @@ class TestOtherCommands:
             assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
             assert (entry["n"], entry["d"]) == (6, 3)
 
+    @pytest.mark.parametrize("argv, parameters, inputs", [
+        (["barycenter", "S", "T", "--beta", "0.5"],
+         {"beta": 0.5, "init": "source", "max_iter": 100, "tol": 1e-5, "format": "json"},
+         ("source", "target")),
+        (["morph", "S", "T", "--frames", "1"],
+         {"frames": 1, "init": "sequential", "tau": None, "max_iter": 100, "tol": 1e-5,
+          "format": "json"},
+         ("source", "target")),
+        (["texture-select", "S", "S", "T", "--tau", "0.3"],
+         {"tau": 0.3, "format": "json"},
+         ("blended", "source", "target")),
+        (["sweep-tau", "S", "T", "--frames", "1", "--grid", "0.3,0.5"],
+         {"grid": [0.3, 0.5], "frames": 1, "max_iter": 100, "tol": 1e-5, "format": "json"},
+         ("source", "target")),
+        (["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2"],
+         {"kind": "ring", "n": 4, "d": 2, "seed": 0, "name": "ring", "format": "json"},
+         ()),
+        (["demo", "--frames", "1", "--points", "5"],
+         {"frames": 1, "points": 5, "tau": None},
+         ()),
+    ])
+    def test_manifest_shape(self, argv, parameters, inputs, token_files, tmp_path):
+        paths = {"S": str(token_files[0]), "T": str(token_files[1])}
+        out = tmp_path / "out"
+        assert main([paths.get(a, a) for a in argv] + ["--out-dir", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["manifest"] == "tokenmorph-run/1"
+        assert manifest["command"] == argv[0]
+        # Exact equality: no out_dir, func, command or input name leaks in.
+        assert manifest["parameters"] == parameters
+        assert list(manifest.get("inputs", {})) == sorted(inputs)
+        for entry in manifest.get("inputs", {}).values():
+            assert set(entry) == {"file", "sha256", "n", "d"}
+
     def test_gen_synthetic_single_and_pair(self, tmp_path):
         out = tmp_path / "gen"
         assert main([
@@ -282,6 +316,11 @@ class TestErrorPaths:
         write_tokens(TokenSet(np.zeros((2, 5))), other)
         assert main(["dist", str(source_path), str(other)]) == EXIT_DIMENSION
         assert "error[dimension-mismatch]" in capsys.readouterr().err
+
+    def test_demo_has_no_format_flag(self, tmp_path, capsys):
+        # demo always writes JSON; a --format flag would be ignored.
+        assert main(["demo", "--format", "json", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        assert "error[usage]" in capsys.readouterr().err
 
     def test_invalid_beta(self, token_files, capsys):
         source_path, target_path = token_files

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
@@ -11,17 +11,14 @@ from tokenmorph import (
     InvalidParameterError,
     InvalidWeightsError,
     TokenSet,
-    brute_force_ot_uniform,
     cost_matrix,
-    solve_assignment,
     solve_exact_ot,
-    sorted_1d_ot,
     w2_distance,
 )
 
 import tokenmorph.ot as ot_module
 
-from conftest import random_tokenset
+from conftest import brute_force_permutation, random_tokenset, sorted_1d_ot
 
 
 class TestCostMatrix:
@@ -44,7 +41,6 @@ class TestCostMatrix:
         rng = np.random.default_rng(1)
         cm = cost_matrix(random_tokenset(rng, 5, 4), random_tokenset(rng, 7, 4))
         assert cm.values.min() >= 0.0
-        assert cm.metric == "sqeuclidean"
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -150,7 +146,7 @@ class TestSolveExactOT:
         rng = np.random.default_rng(seed)
         a = random_tokenset(rng, n, m)
         b = random_tokenset(rng, n, m)
-        reference = brute_force_ot_uniform(a, b)
+        _, reference = brute_force_permutation(a.points, b.points)
         for method in ("auto", "simplex", "assignment"):
             got = solve_exact_ot(a, b, method=method).total_cost
             assert got == pytest.approx(reference, rel=1e-9)
@@ -308,64 +304,108 @@ class TestW2Distance:
             assert w2_distance(a, b) == pytest.approx(w2_distance(b, a), abs=1e-9)
 
 
+def _dirichlet_tokenset(rng: np.random.Generator, n: int, m: int) -> TokenSet:
+    return TokenSet(rng.normal(size=(n, m)), rng.dirichlet(np.ones(n)))
+
+
+class TestScaleInvariance:
+    """Scaling every coordinate by s scales the optimal cost by exactly s**2.
+
+    The simplex's optimality tolerance must be relative to the costs: an
+    absolute floor stops it at its northwest-corner start once all costs
+    fall below about 1e-11 (coordinates around 1e-6).
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 8), st.integers(2, 8), st.integers(1, 4),
+           st.integers(0, 10_000), st.floats(-6.0, 6.0))
+    @example(6, 5, 3, 0, -6.0)
+    def test_simplex_route(self, n, n2, m, seed, exponent):
+        rng = np.random.default_rng(seed)
+        a = _dirichlet_tokenset(rng, n, m)
+        b = _dirichlet_tokenset(rng, n2, m)
+        s = 10.0 ** exponent
+        base = solve_exact_ot(a, b, method="simplex").total_cost
+        scaled = solve_exact_ot(
+            TokenSet(s * a.points, a.weights), TokenSet(s * b.points, b.weights),
+            method="simplex",
+        ).total_cost
+        assert scaled == pytest.approx(s * s * base, rel=1e-9, abs=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 10_000),
+           st.floats(-6.0, 6.0))
+    @example(6, 3, 0, -6.0)
+    def test_assignment_route(self, n, m, seed, exponent):
+        rng = np.random.default_rng(seed)
+        a = random_tokenset(rng, n, m)
+        b = random_tokenset(rng, n, m)
+        s = 10.0 ** exponent
+        base = solve_exact_ot(a, b, method="assignment").total_cost
+        scaled = solve_exact_ot(
+            TokenSet(s * a.points), TokenSet(s * b.points), method="assignment"
+        ).total_cost
+        assert scaled == pytest.approx(s * s * base, rel=1e-9, abs=0.0)
+
+
 class TestSolveAssignment:
+    """``ot._min_cost_matching``, the Hungarian solver behind the uniform route.
+
+    It returns the permutation (``perm[i]`` is row i's column) and the
+    summed matched costs.
+    """
+
     def test_derived_two_by_two(self):
         # Enumerating both permutations: identity 9+16=25 beats swap 25+4=29.
-        result = solve_assignment(np.array([[9.0, 25.0], [4.0, 16.0]]))
-        np.testing.assert_array_equal(result.permutation, [0, 1])
-        assert result.cost == 25.0
+        perm, cost = ot_module._min_cost_matching(np.array([[9.0, 25.0], [4.0, 16.0]]))
+        np.testing.assert_array_equal(perm, [0, 1])
+        assert cost == 25.0
 
     def test_zero_matrix_tie_breaks_to_identity(self):
-        result = solve_assignment(np.zeros((5, 5)))
-        np.testing.assert_array_equal(result.permutation, np.arange(5))
-        assert result.cost == 0.0
+        perm, cost = ot_module._min_cost_matching(np.zeros((5, 5)))
+        np.testing.assert_array_equal(perm, np.arange(5))
+        assert cost == 0.0
 
     def test_diagonal_dominant(self):
-        result = solve_assignment(np.array([[0.0, 9.0], [9.0, 0.0]]))
-        np.testing.assert_array_equal(result.permutation, [0, 1])
-        assert result.cost == 0.0
-
-    def test_non_square_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            solve_assignment(np.zeros((2, 3)))
+        perm, cost = ot_module._min_cost_matching(np.array([[0.0, 9.0], [9.0, 0.0]]))
+        np.testing.assert_array_equal(perm, [0, 1])
+        assert cost == 0.0
 
     def test_accepts_cost_matrix_instances(self):
+        # A CostMatrix's values are read-only; the solver only reads them.
         a = TokenSet([[0.0], [1.0]])
         b = TokenSet([[3.0], [5.0]])
-        result = solve_assignment(cost_matrix(a, b))
-        np.testing.assert_array_equal(result.permutation, [0, 1])
+        perm, _ = ot_module._min_cost_matching(cost_matrix(a, b).values)
+        np.testing.assert_array_equal(perm, [0, 1])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10_000))
     def test_matches_scipy_on_random_matrices(self, n, seed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0.0, 10.0, size=(n, n))
-        result = solve_assignment(values)
+        perm, cost = ot_module._min_cost_matching(values)
         rows, cols = linear_sum_assignment(values)
-        assert result.cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
-        assert sorted(result.permutation.tolist()) == list(range(n))
+        assert cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
+        assert sorted(perm.tolist()) == list(range(n))
 
     def test_consistency_with_general_solver(self):
         rng = np.random.default_rng(31)
         for n in (2, 4, 8, 12):
             a = random_tokenset(rng, n, 3)
             b = random_tokenset(rng, n, 3)
-            assignment = solve_assignment(cost_matrix(a, b))
+            _, cost = ot_module._min_cost_matching(cost_matrix(a, b).values)
             simplex_cost = solve_exact_ot(a, b, method="simplex").total_cost
-            assert assignment.cost / n == pytest.approx(simplex_cost, rel=1e-9)
+            assert cost / n == pytest.approx(simplex_cost, rel=1e-9)
 
 
 class TestOracles:
-    def test_brute_force_trivial(self):
-        a = TokenSet([[1.0, 1.0]])
-        b = TokenSet([[4.0, 5.0]])
-        assert brute_force_ot_uniform(a, b) == pytest.approx(25.0)
-        assert brute_force_ot_uniform(a, a) == 0.0
+    """The test-side oracles in conftest.py."""
 
-    def test_brute_force_guard(self):
-        big = TokenSet(np.zeros((9, 1)) + np.arange(9)[:, None])
-        with pytest.raises(InvalidParameterError):
-            brute_force_ot_uniform(big, big)
+    def test_brute_force_trivial(self):
+        a = np.array([[1.0, 1.0]])
+        b = np.array([[4.0, 5.0]])
+        assert brute_force_permutation(a, b)[1] == pytest.approx(25.0)
+        assert brute_force_permutation(a, a)[1] == 0.0
 
     def test_sorted_1d_examples(self):
         a = TokenSet([[0.0], [1.0]])
