@@ -4,9 +4,13 @@ Ground cost is squared Euclidean distance, computed in row blocks of
 bounded size; a cost that overflows float64 is rejected before any
 solver sees it. The general solver is a dense transportation simplex
 with Bland's anti-cycling pivot rule; instances with uniform weights and
-equal sizes are routed to a shortest-augmenting-path assignment solver,
-where the optimal coupling is a permutation. The test suite checks both
-routes against independent oracles (brute force, sorted 1-D, scipy).
+equal sizes are routed to an assignment solver, where the optimal
+coupling is a permutation. The assignment solver starts from
+Jonker-Volgenant column reduction and matches the remaining rows by
+Dijkstra shortest augmenting paths with lazily updated duals; among
+equal-cost columns it takes the smallest index, so the zero matrix gives
+the identity. The test suite checks both routes against independent
+oracles (brute force, sorted 1-D, scipy).
 
 All functions are pure: they never mutate their inputs and hold no
 global state, so concurrent calls on shared token sets are safe.
@@ -228,55 +232,90 @@ def _check_marginals(coupling: np.ndarray, supply: np.ndarray, demand: np.ndarra
 
 
 def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hungarian algorithm with potentials, O(n^3), deterministic ties.
+    """Minimum-cost perfect matching of a square cost matrix, O(n^3).
 
     Returns ``(perm, total)``: ``perm[i]`` is the column matched to row i,
-    ``total`` the summed matched costs. Equal-cost columns are explored in
-    ascending index order, so the zero matrix yields the identity.
-    Internally 1-indexed over columns with column 0 as the virtual root.
+    ``total`` the summed matched costs.
+
+    Jonker-Volgenant's column reduction gives the start: ``v[j]`` is the
+    smallest cost in column j, ``u = 0``, and in ascending j column j goes
+    to its argmin row if that row is still free. These duals are feasible
+    (``c - u - v >= 0``) and every matched pair has reduced cost 0. Each
+    row left free is then matched by a Dijkstra search for a shortest
+    augmenting path over the reduced costs, with the duals updated once
+    per augmentation from the scanned rows and columns, as in scipy's
+    ``linear_sum_assignment`` (Crouse 2016).
+
+    Ties go to the smallest index: a column's argmin row, and among
+    columns at equal path length the smallest column, so the zero matrix
+    yields the identity. When several matchings are optimal, this rule
+    decides which one is returned.
+
+    Raises:
+        SolverFailureError: if a path length overflows float64, which
+            costs near the float64 limit can cause.
     """
     c = np.asarray(values, dtype=np.float64)
     n = c.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=np.int64)  # match[j] = row on column j, 0 if free
-    way = np.zeros(n + 1, dtype=np.int64)
+    u = np.zeros(n)
+    v = c.min(axis=0)
+    col_of = np.full(n, -1, dtype=np.int64)  # column matched to row i
+    row_of = np.full(n, -1, dtype=np.int64)  # row matched to column j
+    for j, i in enumerate(c.argmin(axis=0).tolist()):
+        if col_of[i] < 0:
+            col_of[i] = j
+            row_of[j] = i
 
-    for i in range(1, n + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+    free_d = np.empty(n)       # path length of each unscanned column, inf once scanned
+    shortest = np.empty(n)     # final path length of each scanned column
+    pred = np.empty(n, dtype=np.int64)  # row from which a column was reached
+    unscanned = np.empty(n, dtype=bool)
+    r = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    for start in np.flatnonzero(col_of < 0).tolist():
+        free_d.fill(np.inf)
+        unscanned.fill(True)
+        rows = []
+        cols = []
+        i = start
+        min_val = 0.0
         while True:
-            used[j0] = True
-            i0 = match[j0]
-            unused = ~used[1:]
-            cur = c[i0 - 1, :] - u[i0] - v[1:]
-            better = unused & (cur < minv[1:])
-            if better.any():
-                idx = np.flatnonzero(better)
-                minv[idx + 1] = cur[idx]
-                way[idx + 1] = j0
-            candidates = np.where(unused, minv[1:], np.inf)
-            j1 = int(np.argmin(candidates)) + 1
-            delta = candidates[j1 - 1]
-            used_idx = np.flatnonzero(used)
-            u[match[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[1:][unused] -= delta
-            j0 = j1
-            if match[j0] == 0:
+            np.subtract(c[i], v, out=r)
+            r += min_val - u[i]
+            np.less(r, free_d, out=better)
+            better &= unscanned
+            np.copyto(free_d, r, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(free_d.argmin())
+            min_val = float(free_d[j])
+            if min_val == math.inf:
+                raise SolverFailureError("assignment path length overflows float64")
+            shortest[j] = min_val
+            free_d[j] = math.inf
+            unscanned[j] = False
+            cols.append(j)
+            i = int(row_of[j])
+            if i < 0:
                 break
-        while j0 != 0:
-            j1 = int(way[j0])
-            match[j0] = match[j1]
-            j0 = j1
+            rows.append(i)
 
-    perm = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        perm[match[j] - 1] = j - 1
-    total = float(c[np.arange(n), perm].sum())
-    return perm, total
+        # Duals: scanned rows and columns move by their slack to min_val.
+        scanned_rows = np.array(rows, dtype=np.int64)
+        scanned_cols = np.array(cols, dtype=np.int64)
+        u[start] += min_val
+        u[scanned_rows] += min_val - shortest[col_of[scanned_rows]]
+        v[scanned_cols] -= min_val - shortest[scanned_cols]
+
+        # Flip the matching along the path back from the free column j.
+        while True:
+            i = int(pred[j])
+            row_of[j] = i
+            col_of[i], j = j, int(col_of[i])
+            if i == start:
+                break
+
+    total = float(c[np.arange(n), col_of].sum())
+    return col_of, total
 
 
 def _transportation_simplex(
@@ -386,23 +425,27 @@ def _tree_duals(
         rows_adj[bi].append(bj)
         cols_adj[bj].append(bi)
 
-    u = np.full(n, np.nan)
-    v = np.full(m, np.nan)
-    u[0] = 0.0
+    u = np.zeros(n)
+    v = np.zeros(m)
+    row_seen = [False] * n
+    col_seen = [False] * m
+    row_seen[0] = True
     stack: list[tuple[str, int]] = [("r", 0)]
     while stack:
         kind, k = stack.pop()
         if kind == "r":
             for bj in rows_adj[k]:
-                if np.isnan(v[bj]):
+                if not col_seen[bj]:
+                    col_seen[bj] = True
                     v[bj] = values[k, bj] - u[k]
                     stack.append(("c", bj))
         else:
             for bi in cols_adj[k]:
-                if np.isnan(u[bi]):
+                if not row_seen[bi]:
+                    row_seen[bi] = True
                     u[bi] = values[bi, k] - v[k]
                     stack.append(("r", bi))
-    if np.isnan(u).any() or np.isnan(v).any():
+    if not (all(row_seen) and all(col_seen)):
         raise SolverFailureError("transport basis is not a spanning tree")
     return u, v
 

@@ -34,10 +34,10 @@ def tokens_to_json_bytes(tokens: TokenSet) -> bytes:
     doc: dict = {
         "n": tokens.n,
         "d": tokens.m,
-        "points": [[float(x) for x in row] for row in tokens.points],
+        "points": tokens.points.tolist(),
     }
     if not _is_exactly_uniform(tokens.weights):
-        doc["weights"] = [float(w) for w in tokens.weights]
+        doc["weights"] = tokens.weights.tolist()
     text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     return text.encode("utf-8")
 

@@ -16,8 +16,15 @@ def random_tokenset(rng: np.random.Generator, n: int, m: int, scale: float = 1.0
 
 def brute_force_permutation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Independent oracle: optimal permutation by full enumeration (n <= 8)."""
-    n = x.shape[0]
     cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+    best_perm, best_cost = brute_force_matching(cost)
+    return best_perm, best_cost / x.shape[0]
+
+
+def brute_force_matching(cost: np.ndarray) -> tuple[np.ndarray, float]:
+    """Independent oracle: minimum-cost permutation of a square cost matrix
+    and its summed cost, by full enumeration (n <= 8)."""
+    n = cost.shape[0]
     rows = np.arange(n)
     best_perm, best_cost = None, np.inf
     for perm in itertools.permutations(range(n)):
@@ -25,7 +32,7 @@ def brute_force_permutation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, f
         if total < best_cost:
             best_cost = total
             best_perm = np.asarray(perm)
-    return best_perm, best_cost / n
+    return best_perm, best_cost
 
 
 def sorted_1d_ot(a: TokenSet, b: TokenSet) -> float:

@@ -59,6 +59,25 @@ class TestRoundTrips:
             write_tokens(tokens, path, fmt)
             np.testing.assert_array_equal(read_tokens(path).points, tokens.points)
 
+    @pytest.mark.parametrize("weights", [None, [0.5, 0.25, 0.25], [5e-324, 0.5, 0.5]])
+    def test_json_bytes_equal_per_element_float_encoding(self, weights):
+        # The encoder hands json the arrays' tolist(); this is the
+        # per-element float() form it replaced, on edge values.
+        tokens = TokenSet(
+            [[-0.0, 5e-324, -5e-324], [1.0 / 3.0, 1.7976931348623157e308, -1e-300],
+             [0.1, -2.5, 1e16]],
+            weights,
+        )
+        doc = {
+            "n": tokens.n,
+            "d": tokens.m,
+            "points": [[float(x) for x in row] for row in tokens.points],
+        }
+        if weights is not None:
+            doc["weights"] = [float(w) for w in tokens.weights]
+        reference = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+        assert tokens_to_json_bytes(tokens) == reference
+
     def test_uniform_weights_are_not_serialized(self, uniform_set):
         doc = json.loads(tokens_to_json_bytes(uniform_set))
         assert "weights" not in doc

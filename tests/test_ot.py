@@ -10,15 +10,23 @@ from tokenmorph import (
     DimensionMismatchError,
     InvalidParameterError,
     InvalidWeightsError,
+    SolverFailureError,
     TokenSet,
     cost_matrix,
+    gen_synthetic,
     solve_exact_ot,
     w2_distance,
 )
 
 import tokenmorph.ot as ot_module
 
-from conftest import brute_force_permutation, random_tokenset, sorted_1d_ot
+from conftest import (
+    brute_force_matching,
+    brute_force_permutation,
+    random_tokenset,
+    scipy_assignment_permutation,
+    sorted_1d_ot,
+)
 
 
 class TestCostMatrix:
@@ -349,7 +357,8 @@ class TestScaleInvariance:
 
 
 class TestSolveAssignment:
-    """``ot._min_cost_matching``, the Hungarian solver behind the uniform route.
+    """``ot._min_cost_matching``, the Jonker-Volgenant solver behind the
+    uniform route.
 
     It returns the permutation (``perm[i]`` is row i's column) and the
     summed matched costs.
@@ -388,6 +397,44 @@ class TestSolveAssignment:
         assert cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
         assert sorted(perm.tolist()) == list(range(n))
 
+    def test_single_entry(self):
+        perm, cost = ot_module._min_cost_matching(np.array([[3.5]]))
+        np.testing.assert_array_equal(perm, [0])
+        assert cost == 3.5
+
+    def test_equal_rows_tie_break_to_identity(self):
+        # Every permutation costs the row's sum; each row takes the
+        # smallest-index column still open.
+        values = np.tile([4.0, 1.0, 3.0, 1.0, 0.5, 2.0], (6, 1))
+        perm, cost = ot_module._min_cost_matching(values)
+        np.testing.assert_array_equal(perm, np.arange(6))
+        assert cost == 11.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(lambda n: st.lists(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        )),
+        st.sampled_from([1e-7, 1.0, 1e7]),
+    )
+    def test_tie_heavy_matrices_match_brute_force(self, entries, scale):
+        values = scale * np.array(entries, dtype=np.float64)
+        n = values.shape[0]
+        perm, cost = ot_module._min_cost_matching(values)
+        assert sorted(perm.tolist()) == list(range(n))
+        assert cost == float(values[np.arange(n), perm].sum())
+        _, reference = brute_force_matching(values)
+        assert cost == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [101, 7])
+    def test_permutation_equals_scipy_on_blob_pairs(self, seed):
+        a = gen_synthetic("gaussian_blob", 256, 64, seed)
+        b = gen_synthetic("gaussian_blob", 256, 64, seed + 101)
+        perm, _ = ot_module._min_cost_matching(cost_matrix(a, b).values)
+        np.testing.assert_array_equal(
+            perm, scipy_assignment_permutation(a.points, b.points)
+        )
+
     def test_consistency_with_general_solver(self):
         rng = np.random.default_rng(31)
         for n in (2, 4, 8, 12):
@@ -396,6 +443,26 @@ class TestSolveAssignment:
             _, cost = ot_module._min_cost_matching(cost_matrix(a, b).values)
             simplex_cost = solve_exact_ot(a, b, method="simplex").total_cost
             assert cost / n == pytest.approx(simplex_cost, rel=1e-9)
+
+
+class TestTreeDuals:
+    """``ot._tree_duals``, the simplex's dual solve over its basis tree."""
+
+    def test_basis_cells_have_zero_reduced_cost(self):
+        values = np.array([[1.0, 4.0, 2.0], [3.0, 0.5, 5.0]])
+        basis = [(0, 0), (0, 1), (1, 1), (1, 2)]
+        u, v = ot_module._tree_duals(values, basis, 2, 3)
+        assert u[0] == 0.0
+        for i, j in basis:
+            assert u[i] + v[j] == values[i, j]
+
+    @pytest.mark.parametrize("basis, n, m", [
+        ([(0, 0), (1, 1)], 2, 2),                  # two components
+        ([(0, 0), (0, 1), (1, 0), (1, 1)], 2, 3),  # n + m - 1 cells with a cycle
+    ])
+    def test_disconnected_basis_raises(self, basis, n, m):
+        with pytest.raises(SolverFailureError, match="spanning tree"):
+            ot_module._tree_duals(np.ones((n, m)), basis, n, m)
 
 
 class TestOracles:
