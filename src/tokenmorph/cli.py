@@ -136,7 +136,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", default=",".join(str(t) for t in DEFAULT_TAU_GRID),
                    help="comma-separated thresholds")
     p.add_argument("--frames", type=int, default=6, metavar="J")
-    _add_solver_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sweep_tau)
 
@@ -339,13 +338,7 @@ def _cmd_sweep_tau(args) -> int:
 
     inputs = _read_inputs(args, "source", "target")
     source, target = inputs.values()
-    config = MorphConfig(
-        J=args.frames,
-        barycenter_config=BarycenterConfig(
-            max_iterations=args.max_iter, stop_threshold=args.tol
-        ),
-    )
-    trajectory = morph_geometry(source, target, config)
+    trajectory = morph_geometry(source, target, MorphConfig(J=args.frames))
 
     out_dir = _resolve_out_dir(args.out_dir)
     outputs = []

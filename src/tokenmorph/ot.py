@@ -2,14 +2,16 @@
 
 Ground cost is squared Euclidean distance, computed in row blocks of
 bounded size; a cost that overflows float64 is rejected before any
-solver sees it. The general solver is a dense transportation simplex
-with Bland's anti-cycling pivot rule; instances with uniform weights and
-equal sizes are routed to an assignment solver, where the optimal
-coupling is a permutation. The assignment solver starts from
-Jonker-Volgenant column reduction and matches the remaining rows by
-Dijkstra shortest augmenting paths with lazily updated duals; among
-equal-cost columns it takes the smallest index, so the zero matrix gives
-the identity. The test suite checks both routes against independent
+solver sees it. The inputs alone pick the solver. Sets with uniform
+weights and equal sizes go to an assignment solver, since their optimal
+coupling is a permutation. It starts from Jonker-Volgenant column
+reduction and matches the remaining rows by Dijkstra shortest augmenting
+paths with lazily updated duals; among equal-cost columns it takes the
+smallest index, so the zero matrix gives the identity. All other inputs
+go to a dense transportation simplex with Bland's anti-cycling pivot
+rule. Its basis is one boolean mask over the cells; each pivot walks the
+basis tree once, for the potentials and the parent pointers that trace
+the pivot cycle. The test suite checks both solvers against independent
 oracles (brute force, sorted 1-D, scipy).
 
 All functions are pure: they never mutate their inputs and hold no
@@ -19,18 +21,12 @@ global state, so concurrent calls on shared token sets are safe.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    InvalidWeightsError,
-    SolverFailureError,
-)
-from .tokens import TokenSet, require_same_dimension
+from .errors import InvalidParameterError, SolverFailureError
+from .tokens import TokenSet, require_same_dimension, require_same_size
 
 MARGINAL_TOL = 1e-9
 
@@ -39,8 +35,6 @@ MARGINAL_TOL = 1e-9
 # n = n' = 256 and 512 (4 % at 1024), m = 64, on a 2-vCPU Xeon with
 # 2 MiB of L2 per core.
 _BLOCK_BYTES = 256 * 1024
-
-_METHODS = ("auto", "simplex", "assignment")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,18 +128,13 @@ def cost_matrix(a: TokenSet, b: TokenSet) -> CostMatrix:
     return CostMatrix(values)
 
 
-def solve_exact_ot(a: TokenSet, b: TokenSet, method: str = "auto") -> TransportPlan:
+def solve_exact_ot(a: TokenSet, b: TokenSet) -> TransportPlan:
     """Solve the exact optimal transport problem between two token sets.
 
     Minimizes sum_ij coupling[i, j] * d(a_i, b_j)^2 over all couplings
-    with marginals equal to the sets' weight vectors.
-
-    Args:
-        a: source token set.
-        b: target token set.
-        method: "auto" picks the assignment fast path when both sets have
-            uniform weights and equal sizes and the transportation simplex
-            otherwise; "simplex" and "assignment" force a route.
+    with marginals equal to the sets' weight vectors. Sets with uniform
+    weights and equal sizes are solved as an assignment, all others by
+    the transportation simplex.
 
     Returns:
         TransportPlan with an exactly optimal coupling; output is
@@ -153,31 +142,13 @@ def solve_exact_ot(a: TokenSet, b: TokenSet, method: str = "auto") -> TransportP
         pivot order toward smallest index pairs).
 
     Raises:
-        DimensionMismatchError: on differing embedding dimensions, or
-            differing sizes when method="assignment".
+        DimensionMismatchError: on differing embedding dimensions.
+        InvalidParameterError: if a squared distance overflows float64.
         SolverFailureError: if the computed coupling violates a marginal
             constraint by more than 1e-9.
     """
-    if method not in _METHODS:
-        raise InvalidParameterError(f"method must be one of {_METHODS}, got {method!r}")
-    cm = cost_matrix(a, b)
-    values = cm.values
-
-    use_assignment = False
-    if method == "assignment":
-        if a.n != b.n:
-            raise DimensionMismatchError(
-                f"assignment path requires equal sizes, got {a.n} vs {b.n}"
-            )
-        if not (a.has_uniform_weights() and b.has_uniform_weights()):
-            raise InvalidWeightsError("assignment path requires uniform weights")
-        use_assignment = True
-    elif method == "auto":
-        use_assignment = (
-            a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights()
-        )
-
-    if use_assignment:
+    values = cost_matrix(a, b).values
+    if a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights():
         perm, _ = _min_cost_matching(values)
         coupling = np.zeros_like(values)
         coupling[np.arange(a.n), perm] = 1.0 / a.n
@@ -212,8 +183,7 @@ def identity_w2(a: TokenSet, b: TokenSet) -> float:
         DimensionMismatchError: if the sizes or dimensions differ.
     """
     require_same_dimension(a, b)
-    if a.n != b.n:
-        raise DimensionMismatchError(f"sizes differ: {a.n} vs {b.n}")
+    require_same_size(a, b)
     diff = a.points - b.points
     plan = np.zeros((a.n, a.n))
     np.fill_diagonal(plan, (1.0 / a.n) * np.einsum("ij,ij->i", diff, diff))
@@ -324,18 +294,18 @@ def _transportation_simplex(
     """Dense transportation simplex (MODI method).
 
     Starts from the northwest-corner basic solution; the basis is a
-    spanning tree of the bipartite transport graph with n + n' - 1 cells.
-    Entering cells follow Dantzig's most-negative-reduced-cost rule with
-    lexicographic tie-breaks, switching to Bland's rule (first negative
-    cell) after a pivot budget so degenerate instances cannot cycle.
-    The leaving cell is the first minimizer on the cycle. The pivot
-    sequence, and therefore the returned basic solution, is fully
-    deterministic.
+    spanning tree of the bipartite transport graph with n + n' - 1 cells,
+    kept as a boolean mask. Entering cells follow Dantzig's
+    most-negative-reduced-cost rule with lexicographic tie-breaks,
+    switching to Bland's rule (first negative cell) after a pivot budget
+    so degenerate instances cannot cycle. The leaving cell is the
+    lexicographic minimum of (flow, cell) over the cycle's donor cells.
+    The pivot sequence, and therefore the returned basic solution, is
+    fully deterministic.
     """
     n, m = values.shape
     alloc = np.zeros((n, m))
     in_basis = np.zeros((n, m), dtype=bool)
-    basis: list[tuple[int, int]] = []
 
     rs = np.asarray(supply, dtype=np.float64).copy()
     rd = np.asarray(demand, dtype=np.float64).copy()
@@ -344,7 +314,6 @@ def _transportation_simplex(
         q = min(rs[i], rd[j])
         alloc[i, j] = q
         in_basis[i, j] = True
-        basis.append((i, j))
         rs[i] -= q
         rd[j] -= q
         if i == n - 1 and j == m - 1:
@@ -364,7 +333,7 @@ def _transportation_simplex(
     bland_after = 40 * (n + m)
 
     for pivot in range(max_pivots):
-        u, v = _tree_duals(values, basis, n, m)
+        u, v, parent, depth = _tree_duals(values, in_basis)
         reduced = values - u[:, None] - v[None, :]
         candidates = (reduced < -tol) & ~in_basis
         if not candidates.any():
@@ -375,19 +344,7 @@ def _transportation_simplex(
             flat = int(np.argmax(candidates))  # first negative cell (Bland)
         ei, ej = divmod(flat, m)
 
-        path = _tree_path(basis, n, ei, ej)
-        # Cycle = entering cell (+) followed by alternating -/+ tree edges.
-        minus_cells: list[tuple[int, int]] = []
-        plus_cells: list[tuple[int, int]] = [(ei, ej)]
-        for k in range(len(path) - 1):
-            kind1, a1 = path[k]
-            _, a2 = path[k + 1]
-            cell = (a1, a2) if kind1 == "r" else (a2, a1)
-            if k % 2 == 0:
-                minus_cells.append(cell)
-            else:
-                plus_cells.append(cell)
-
+        plus_cells, minus_cells = _pivot_cycle(parent, depth, n, ei, ej)
         theta = math.inf
         leaving = minus_cells[0]
         for cell in minus_cells:
@@ -402,9 +359,7 @@ def _transportation_simplex(
         alloc[leaving] = 0.0
 
         in_basis[leaving] = False
-        basis.remove(leaving)
         in_basis[ei, ej] = True
-        basis.append((ei, ej))
     else:
         raise SolverFailureError("transportation simplex exceeded its pivot budget")
 
@@ -416,78 +371,72 @@ def _transportation_simplex(
     return alloc
 
 
+def _pivot_cycle(
+    parent: list[int], depth: list[int], n: int, ei: int, ej: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Cells of the cycle that entering cell (ei, ej) closes in the basis tree.
+
+    Returns ``(plus, minus)``, the cells that gain and that lose flow.
+    The cycle is (ei, ej), which gains, and the tree path from row ei to
+    column ej: the climbs from both ends up to their common ancestor.
+    Read from row ei to column ej, the path's edges alternate -, +, - ...,
+    so each edge that path crosses from a row to a column loses flow.
+    Climbing from row ei follows that direction; climbing from column ej
+    runs against it.
+    """
+    plus = [(ei, ej)]
+    minus: list[tuple[int, int]] = []
+    ends = [ei, n + ej]
+    while ends[0] != ends[1]:
+        side = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+        node = ends[side]
+        up = parent[node]
+        cell = (node, up - n) if node < n else (up, node - n)
+        (minus if (node < n) == (side == 0) else plus).append(cell)
+        ends[side] = up
+    return plus, minus
+
+
 def _tree_duals(
-    values: np.ndarray, basis: list[tuple[int, int]], n: int, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    rows_adj: list[list[int]] = [[] for _ in range(n)]
-    cols_adj: list[list[int]] = [[] for _ in range(m)]
-    for bi, bj in basis:
-        rows_adj[bi].append(bj)
-        cols_adj[bj].append(bi)
+    values: np.ndarray, in_basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+    """Potentials and parent pointers of the basis tree, rooted at row 0.
+
+    Tree nodes are the rows ``0..n-1`` and the columns ``n..n+m-1``; each
+    basis cell (i, j) is the edge between node i and node n + j. Returns
+    ``(u, v, parent, depth)``: ``u[i] + v[j] == values[i, j]`` on every
+    basis cell with ``u[0] == 0``, and ``parent[k]`` and ``depth[k]`` are
+    node k's parent (-1 at the root) and its number of edges to the root.
+
+    Raises:
+        SolverFailureError: if the basis does not connect every row and
+            column, as a disconnected or cyclic basis of n + m - 1 cells
+            cannot.
+    """
+    n, m = values.shape
+    adjacent: list[list[int]] = [[] for _ in range(n + m)]
+    rows, cols = np.nonzero(in_basis)
+    for bi, bj in zip(rows.tolist(), cols.tolist()):
+        adjacent[bi].append(n + bj)
+        adjacent[n + bj].append(bi)
 
     u = np.zeros(n)
     v = np.zeros(m)
-    row_seen = [False] * n
-    col_seen = [False] * m
-    row_seen[0] = True
-    stack: list[tuple[str, int]] = [("r", 0)]
+    parent = [-1] * (n + m)
+    depth = [-1] * (n + m)
+    depth[0] = 0
+    stack = [0]
     while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for bj in rows_adj[k]:
-                if not col_seen[bj]:
-                    col_seen[bj] = True
-                    v[bj] = values[k, bj] - u[k]
-                    stack.append(("c", bj))
-        else:
-            for bi in cols_adj[k]:
-                if not row_seen[bi]:
-                    row_seen[bi] = True
-                    u[bi] = values[bi, k] - v[k]
-                    stack.append(("r", bi))
-    if not (all(row_seen) and all(col_seen)):
+        k = stack.pop()
+        for nxt in adjacent[k]:
+            if depth[nxt] < 0:
+                depth[nxt] = depth[k] + 1
+                parent[nxt] = k
+                if k < n:
+                    v[nxt - n] = values[k, nxt - n] - u[k]
+                else:
+                    u[nxt] = values[nxt, k - n] - v[k - n]
+                stack.append(nxt)
+    if -1 in depth:
         raise SolverFailureError("transport basis is not a spanning tree")
-    return u, v
-
-
-def _tree_path(
-    basis: list[tuple[int, int]], n: int, ei: int, ej: int
-) -> list[tuple[str, int]]:
-    """Unique path of tree nodes from row ei to column ej."""
-    rows_adj: dict[int, list[int]] = {}
-    cols_adj: dict[int, list[int]] = {}
-    for bi, bj in basis:
-        rows_adj.setdefault(bi, []).append(bj)
-        cols_adj.setdefault(bj, []).append(bi)
-
-    start = ("r", ei)
-    goal = ("c", ej)
-    parent: dict[tuple[str, int], tuple[str, int] | None] = {start: None}
-    queue: deque[tuple[str, int]] = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        kind, k = node
-        if kind == "r":
-            for bj in rows_adj.get(k, ()):
-                nxt = ("c", bj)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-        else:
-            for bi in cols_adj.get(k, ()):
-                nxt = ("r", bi)
-                if nxt not in parent:
-                    parent[nxt] = node
-                    queue.append(nxt)
-    if goal not in parent:
-        raise SolverFailureError("transport basis is disconnected")
-
-    path: list[tuple[str, int]] = []
-    node: tuple[str, int] | None = goal
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()  # now start -> goal
-    return path
+    return u, v, parent, depth

@@ -63,16 +63,17 @@ def tokens_from_json_bytes(data: bytes) -> TokenSet:
         if key not in doc:
             raise FormatError(f"missing required key {key!r}")
     n, d = doc["n"], doc["d"]
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 1):
+    # bool is an int subclass, but a JSON true is not a count.
+    if not (type(n) is int and type(d) is int and n >= 1 and d >= 1):
         raise FormatError(f"n and d must be positive integers, got n={n!r} d={d!r}")
-    points = np.asarray(doc["points"], dtype=np.float64)
+    points = _json_array(doc, "points")
     if points.shape != (n, d):
         raise TruncatedPayloadError(
             f"points payload has shape {points.shape}, expected ({n}, {d})"
         )
     weights = None
     if "weights" in doc:
-        weights = _validate_file_weights(np.asarray(doc["weights"], dtype=np.float64), n)
+        weights = _validate_file_weights(_json_array(doc, "weights"), n)
     return TokenSet(points, weights)
 
 
@@ -122,6 +123,14 @@ def read_tokens(path: str | Path, fmt: str = "auto") -> TokenSet:
     if fmt == "json":
         return tokens_from_json_bytes(data)
     raise FormatError(f"format must be 'json', 'binary' or 'auto', got {fmt!r}")
+
+
+def _json_array(doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(doc[key], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        # Ragged lists, strings, objects, and integers beyond float64.
+        raise FormatError(f"{key!r} is not a rectangular array of float64 numbers") from None
 
 
 def _is_exactly_uniform(weights: np.ndarray) -> bool:

@@ -26,14 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycenter import BarycenterConfig, pairwise_barycenter
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    InvalidWeightsError,
-    SolverFailureError,
-)
+from .errors import InvalidParameterError, InvalidWeightsError, SolverFailureError
 from .ot import identity_w2, solve_exact_ot, w2_distance
-from .tokens import TokenSet, index_lerp
+from .tokens import TokenSet, index_lerp, require_same_dimension, require_same_size
 
 INIT_MODES = ("sequential", "linear_init", "naive_lerp")
 
@@ -101,12 +96,8 @@ def morph_geometry(
     """
     if config is None:
         config = MorphConfig()
-    if source.m != target.m:
-        raise DimensionMismatchError(
-            f"embedding dimensions differ: {source.m} vs {target.m}"
-        )
-    if source.n != target.n:
-        raise DimensionMismatchError(f"token counts differ: {source.n} vs {target.n}")
+    require_same_dimension(source, target)
+    require_same_size(source, target)
     if not (source.has_uniform_weights() and target.has_uniform_weights()):
         raise InvalidWeightsError("morphing requires uniform token weights")
 

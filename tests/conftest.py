@@ -7,11 +7,25 @@ import itertools
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from tokenmorph import DimensionMismatchError, TokenSet
+from tokenmorph import DimensionMismatchError, TokenSet, cost_matrix
+from tokenmorph import ot as ot_module
 
 
 def random_tokenset(rng: np.random.Generator, n: int, m: int, scale: float = 1.0) -> TokenSet:
     return TokenSet(scale * rng.normal(size=(n, m)))
+
+
+def simplex_cost(a: TokenSet, b: TokenSet) -> float:
+    """Optimal cost from the transportation simplex on any inputs.
+
+    ``solve_exact_ot`` sends uniform equal-size sets to the assignment
+    solver; this runs the simplex on them too, with the same marginal
+    check and cost sum that ``solve_exact_ot`` applies.
+    """
+    values = cost_matrix(a, b).values
+    coupling = ot_module._transportation_simplex(values, a.weights, b.weights)
+    ot_module._check_marginals(coupling, a.weights, b.weights)
+    return float(np.sum(coupling * values))
 
 
 def brute_force_permutation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -237,7 +237,7 @@ class TestOtherCommands:
          {"tau": 0.3, "format": "json"},
          ("blended", "source", "target")),
         (["sweep-tau", "S", "T", "--frames", "1", "--grid", "0.3,0.5"],
-         {"grid": [0.3, 0.5], "frames": 1, "max_iter": 100, "tol": 1e-5, "format": "json"},
+         {"grid": [0.3, 0.5], "frames": 1, "format": "json"},
          ("source", "target")),
         (["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2"],
          {"kind": "ring", "n": 4, "d": 2, "seed": 0, "name": "ring", "format": "json"},
@@ -310,6 +310,14 @@ class TestErrorPaths:
         assert main(["dist", str(bad), str(source_path)]) == EXIT_FORMAT
         assert "error[format]" in capsys.readouterr().err
 
+    def test_ragged_json_points(self, tmp_path, capsys):
+        bad = tmp_path / "ragged.json"
+        bad.write_text('{"n": 2, "d": 1, "points": [[1.0], [1.0, 2.0]]}')
+        assert main(["dist", str(bad), str(bad)]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[format]:")
+        assert err.count("\n") == 1
+
     def test_dimension_mismatch(self, tmp_path, token_files, capsys):
         source_path, _ = token_files
         other = tmp_path / "other.json"
@@ -337,6 +345,13 @@ class TestErrorPaths:
             "--tau", "2.0", "--out-dir", str(tmp_path / "x"),
         ])
         assert code == EXIT_INVALID_VALUE
+
+    @pytest.mark.parametrize("flag", ["--max-iter", "--tol"])
+    def test_sweep_tau_has_no_solver_flags(self, flag, token_files, capsys):
+        # sweep-tau's morph is closed form; no fixed-point solver reads these.
+        source_path, target_path = token_files
+        assert main(["sweep-tau", str(source_path), str(target_path), flag, "5"]) == EXIT_USAGE
+        assert "error[usage]" in capsys.readouterr().err
 
     def test_bad_grid(self, token_files):
         source_path, target_path = token_files

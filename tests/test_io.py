@@ -158,6 +158,25 @@ class TestJsonErrors:
         with pytest.raises(TruncatedPayloadError):
             tokens_from_json_bytes(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "d": 1, "points": [[1.0], [1.0, 2.0]]},                     # ragged
+        {"n": 1, "d": 2, "points": "ab"},
+        {"n": 1, "d": 1, "points": {"a": 1}},
+        {"n": 1, "d": 1, "points": [["x"]]},
+        {"n": 1, "d": 1, "points": [[10 ** 400]]},                           # beyond float64
+        {"n": 2, "d": 1, "points": [[0.0], [1.0]], "weights": [[0.5], [0.25, 0.25]]},
+        {"n": 2, "d": 1, "points": [[0.0], [1.0]], "weights": "ab"},
+    ])
+    def test_non_numeric_or_ragged_arrays(self, doc):
+        with pytest.raises(FormatError, match="rectangular array"):
+            tokens_from_json_bytes(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("n, d", [(True, 1), (1, True), (True, True), (False, 1)])
+    def test_booleans_are_not_counts(self, n, d):
+        doc = {"n": n, "d": d, "points": [[1.0]]}
+        with pytest.raises(FormatError, match="positive integers"):
+            tokens_from_json_bytes(json.dumps(doc).encode())
+
     def test_weights_summing_to_point_nine(self):
         doc = {"n": 2, "d": 1, "points": [[0.0], [1.0]], "weights": [0.45, 0.45]}
         with pytest.raises(InvalidWeightsError):

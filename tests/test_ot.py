@@ -9,7 +9,6 @@ from scipy.optimize import linear_sum_assignment, linprog
 from tokenmorph import (
     DimensionMismatchError,
     InvalidParameterError,
-    InvalidWeightsError,
     SolverFailureError,
     TokenSet,
     cost_matrix,
@@ -25,6 +24,7 @@ from conftest import (
     brute_force_permutation,
     random_tokenset,
     scipy_assignment_permutation,
+    simplex_cost,
     sorted_1d_ot,
 )
 
@@ -104,9 +104,10 @@ class TestSquaredDistances:
         b = TokenSet([[-scale], [scale]])
         with pytest.raises(InvalidParameterError, match="overflow"):
             cost_matrix(a, b)
-        for method in ("assignment", "simplex"):
-            with pytest.raises(InvalidParameterError, match="overflow"):
-                solve_exact_ot(a, b, method=method)
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            solve_exact_ot(a, b)
+        with pytest.raises(InvalidParameterError, match="overflow"):
+            simplex_cost(a, b)
 
     def test_largest_finite_distance_is_accepted(self):
         a = TokenSet([[6e153], [-6e153]])
@@ -131,19 +132,6 @@ class TestSolveExactOT:
         plan = solve_exact_ot(TokenSet([[0.0], [1.0]]), TokenSet([[5.0]]))
         np.testing.assert_array_equal(plan.coupling, [[0.5], [0.5]])
 
-    def test_unknown_method_rejected(self):
-        a = TokenSet([[0.0]])
-        with pytest.raises(InvalidParameterError):
-            solve_exact_ot(a, a, method="magic")
-
-    def test_assignment_method_requires_uniform_equal(self):
-        a = TokenSet([[0.0], [1.0]])
-        with pytest.raises(DimensionMismatchError):
-            solve_exact_ot(a, TokenSet([[5.0]]), method="assignment")
-        skewed = TokenSet([[0.0], [1.0]], [0.25, 0.75])
-        with pytest.raises(InvalidWeightsError):
-            solve_exact_ot(a, skewed, method="assignment")
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 7),
@@ -155,8 +143,8 @@ class TestSolveExactOT:
         a = random_tokenset(rng, n, m)
         b = random_tokenset(rng, n, m)
         _, reference = brute_force_permutation(a.points, b.points)
-        for method in ("auto", "simplex", "assignment"):
-            got = solve_exact_ot(a, b, method=method).total_cost
+        # Uniform equal-size sets: solve_exact_ot takes the assignment route.
+        for got in (solve_exact_ot(a, b).total_cost, simplex_cost(a, b)):
             assert got == pytest.approx(reference, rel=1e-9)
 
     def test_1d_equivalence_up_to_n64(self):
@@ -166,9 +154,7 @@ class TestSolveExactOT:
             b = random_tokenset(rng, n, 1, scale=3.0)
             reference = sorted_1d_ot(a, b)
             assert solve_exact_ot(a, b).total_cost == pytest.approx(reference, rel=1e-9)
-            assert solve_exact_ot(a, b, method="simplex").total_cost == pytest.approx(
-                reference, rel=1e-9
-            )
+            assert simplex_cost(a, b) == pytest.approx(reference, rel=1e-9)
 
     def test_marginals_feasible(self):
         rng = np.random.default_rng(11)
@@ -333,11 +319,10 @@ class TestScaleInvariance:
         a = _dirichlet_tokenset(rng, n, m)
         b = _dirichlet_tokenset(rng, n2, m)
         s = 10.0 ** exponent
-        base = solve_exact_ot(a, b, method="simplex").total_cost
-        scaled = solve_exact_ot(
-            TokenSet(s * a.points, a.weights), TokenSet(s * b.points, b.weights),
-            method="simplex",
-        ).total_cost
+        base = simplex_cost(a, b)
+        scaled = simplex_cost(
+            TokenSet(s * a.points, a.weights), TokenSet(s * b.points, b.weights)
+        )
         assert scaled == pytest.approx(s * s * base, rel=1e-9, abs=0.0)
 
     @settings(max_examples=80, deadline=None)
@@ -349,10 +334,9 @@ class TestScaleInvariance:
         a = random_tokenset(rng, n, m)
         b = random_tokenset(rng, n, m)
         s = 10.0 ** exponent
-        base = solve_exact_ot(a, b, method="assignment").total_cost
-        scaled = solve_exact_ot(
-            TokenSet(s * a.points), TokenSet(s * b.points), method="assignment"
-        ).total_cost
+        # Uniform equal-size sets: solve_exact_ot takes the assignment route.
+        base = solve_exact_ot(a, b).total_cost
+        scaled = solve_exact_ot(TokenSet(s * a.points), TokenSet(s * b.points)).total_cost
         assert scaled == pytest.approx(s * s * base, rel=1e-9, abs=0.0)
 
 
@@ -441,17 +425,24 @@ class TestSolveAssignment:
             a = random_tokenset(rng, n, 3)
             b = random_tokenset(rng, n, 3)
             _, cost = ot_module._min_cost_matching(cost_matrix(a, b).values)
-            simplex_cost = solve_exact_ot(a, b, method="simplex").total_cost
-            assert cost / n == pytest.approx(simplex_cost, rel=1e-9)
+            assert cost / n == pytest.approx(simplex_cost(a, b), rel=1e-9)
+
+
+def _basis_mask(cells, n, m):
+    mask = np.zeros((n, m), dtype=bool)
+    for cell in cells:
+        mask[cell] = True
+    return mask
 
 
 class TestTreeDuals:
-    """``ot._tree_duals``, the simplex's dual solve over its basis tree."""
+    """``ot._tree_duals``, the simplex's one walk over its basis tree, and
+    ``ot._pivot_cycle``, which reads a pivot's cycle off that walk."""
 
     def test_basis_cells_have_zero_reduced_cost(self):
         values = np.array([[1.0, 4.0, 2.0], [3.0, 0.5, 5.0]])
         basis = [(0, 0), (0, 1), (1, 1), (1, 2)]
-        u, v = ot_module._tree_duals(values, basis, 2, 3)
+        u, v, _, _ = ot_module._tree_duals(values, _basis_mask(basis, 2, 3))
         assert u[0] == 0.0
         for i, j in basis:
             assert u[i] + v[j] == values[i, j]
@@ -462,7 +453,25 @@ class TestTreeDuals:
     ])
     def test_disconnected_basis_raises(self, basis, n, m):
         with pytest.raises(SolverFailureError, match="spanning tree"):
-            ot_module._tree_duals(np.ones((n, m)), basis, n, m)
+            ot_module._tree_duals(np.ones((n, m)), _basis_mask(basis, n, m))
+
+    def test_parent_pointers_give_the_pivot_cycle(self):
+        # Staircase basis; nodes are rows 0-2 and columns 3-5. From row 0:
+        # columns 0 and 1 hang off row 0, row 1 off column 1, column 2 off
+        # row 1, and row 2 off column 2.
+        basis = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+        _, _, parent, depth = ot_module._tree_duals(np.ones((3, 3)), _basis_mask(basis, 3, 3))
+        assert parent == [-1, 4, 5, 0, 0, 1]
+        assert depth == [0, 2, 4, 1, 1, 3]
+        # Entering (2, 0): the path row 2 -> col 2 -> row 1 -> col 1 ->
+        # row 0 -> col 0 alternates -, +, -, +, - from row 2's end.
+        plus, minus = ot_module._pivot_cycle(parent, depth, 3, 2, 0)
+        assert sorted(plus) == [(0, 1), (1, 2), (2, 0)]
+        assert sorted(minus) == [(0, 0), (1, 1), (2, 2)]
+        # Entering (1, 0) meets at row 0: row 1 -> col 1 -> row 0 -> col 0.
+        plus, minus = ot_module._pivot_cycle(parent, depth, 3, 1, 0)
+        assert sorted(plus) == [(0, 1), (1, 0)]
+        assert sorted(minus) == [(0, 0), (1, 1)]
 
 
 class TestOracles:
