@@ -29,7 +29,14 @@ from .errors import (
     SolverFailureError,
     TokenMorphError,
 )
-from .selective import DEFAULT_TAU, morph_texture, selective_texture_tokens
+from .selective import (
+    DEFAULT_TAU,
+    _kept,
+    _require_tau,
+    _similarity_field,
+    morph_texture,
+    selective_texture_tokens,
+)
 from .synth import KINDS, gen_synthetic
 from .tokenio import read_tokens, tokens_to_binary_bytes, tokens_to_json_bytes
 from .tokens import TokenSet, index_lerp
@@ -341,23 +348,28 @@ def _cmd_sweep_tau(args) -> int:
     trajectory = morph_geometry(source, target, MorphConfig(J=args.frames))
 
     out_dir = _resolve_out_dir(args.out_dir)
+    # Nearest tokens and their similarity do not depend on tau, so one
+    # field per frame serves the whole grid. The first threshold is
+    # checked before the field is computed, as a per-tau pass would.
+    _require_tau(args.grid[0])
+    sims = [_similarity_field(frame, source, target)[2] for frame in trajectory.frames]
     outputs = []
     for tau in args.grid:
-        reports = morph_texture(trajectory, source, target, tau)
+        _require_tau(tau)
         per_frame = []
-        for k, report in enumerate(reports):
-            copied = _copied(report)
+        for k, frame_sims in enumerate(sims):
+            kept = int(np.count_nonzero(_kept(frame_sims, tau)))
             per_frame.append({
                 "frame": k,
                 "beta": trajectory.betas[k],
-                "copied_from_source": copied,
-                "kept_barycenter": report.output.n - copied,
+                "copied_from_source": frame_sims.size - kept,
+                "kept_barycenter": kept,
             })
         total_copied = sum(entry["copied_from_source"] for entry in per_frame)
         outputs.append({**_write(out_dir, f"sweep_tau_{tau}.json", _json_bytes({
             "tau": tau,
             "per_frame": per_frame,
-            "copied_fraction": total_copied / (len(reports) * source.n),
+            "copied_fraction": total_copied / (len(sims) * source.n),
         })), "tau": tau})
     return _finish(args, out_dir, inputs, {"outputs": outputs})
 

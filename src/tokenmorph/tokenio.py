@@ -66,14 +66,17 @@ def tokens_from_json_bytes(data: bytes) -> TokenSet:
     # bool is an int subclass, but a JSON true is not a count.
     if not (type(n) is int and type(d) is int and n >= 1 and d >= 1):
         raise FormatError(f"n and d must be positive integers, got n={n!r} d={d!r}")
-    points = _json_array(doc, "points")
+    # np.asarray reads a JSON true/false as 1.0/0.0. Only a file that
+    # spells one out can hold one, so the others skip the scan for it.
+    spells_bool = b"true" in data or b"false" in data
+    points = _json_array(doc, "points", spells_bool)
     if points.shape != (n, d):
         raise TruncatedPayloadError(
             f"points payload has shape {points.shape}, expected ({n}, {d})"
         )
     weights = None
     if "weights" in doc:
-        weights = _validate_file_weights(_json_array(doc, "weights"), n)
+        weights = _validate_file_weights(_json_array(doc, "weights", spells_bool), n)
     return TokenSet(points, weights)
 
 
@@ -125,12 +128,28 @@ def read_tokens(path: str | Path, fmt: str = "auto") -> TokenSet:
     raise FormatError(f"format must be 'json', 'binary' or 'auto', got {fmt!r}")
 
 
-def _json_array(doc: dict, key: str) -> np.ndarray:
+def _json_array(doc: dict, key: str, may_hold_bool: bool) -> np.ndarray:
     try:
-        return np.asarray(doc[key], dtype=np.float64)
+        values = np.asarray(doc[key], dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         # Ragged lists, strings, objects, and integers beyond float64.
         raise FormatError(f"{key!r} is not a rectangular array of float64 numbers") from None
+    if may_hold_bool and _holds_bool(doc[key]):
+        raise FormatError(
+            f"{key!r} is not a rectangular array of float64 numbers: it holds a JSON true or false"
+        )
+    return values
+
+
+def _holds_bool(value) -> bool:
+    """True if a JSON value, or any list nested in it, is a boolean.
+
+    Only called on values np.asarray accepted, so the nesting depth is
+    at most the array's number of dimensions.
+    """
+    if isinstance(value, list):
+        return any(_holds_bool(item) for item in value)
+    return isinstance(value, bool)
 
 
 def _is_exactly_uniform(weights: np.ndarray) -> bool:

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import tokenmorph.cli as cli_module
-from tokenmorph import TokenSet, gen_synthetic, read_tokens, write_tokens
+from tokenmorph import (
+    MorphConfig,
+    TokenSet,
+    gen_synthetic,
+    morph_geometry,
+    morph_texture,
+    read_tokens,
+    write_tokens,
+)
 from tokenmorph.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
@@ -196,6 +204,36 @@ class TestOtherCommands:
             assert report["tau"] == tau
             assert len(report["per_frame"]) == 8
 
+    def test_sweep_tau_counts_match_per_tau_passes(self, tmp_path):
+        source, target = gen_synthetic("two_cluster_swap_pair", 16, 4, 0)
+        paths = [tmp_path / "source.json", tmp_path / "target.json"]
+        write_tokens(source, paths[0])
+        write_tokens(target, paths[1])
+        grid = [0.0, 0.01, 0.05, 0.5, 1.0]
+        out = tmp_path / "sweep"
+        argv = ["sweep-tau", *map(str, paths), "--frames", "4",
+                "--grid", ",".join(map(str, grid)), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        trajectory = morph_geometry(source, target, MorphConfig(J=4))
+        for tau in grid:
+            report = json.loads((out / f"sweep_tau_{tau}.json").read_text())
+            expected = [
+                sum(not d.kept_barycenter for d in r.decisions)
+                for r in morph_texture(trajectory, source, target, tau)
+            ]
+            assert [f["copied_from_source"] for f in report["per_frame"]] == expected
+            assert [f["kept_barycenter"] for f in report["per_frame"]] == [
+                16 - c for c in expected
+            ]
+
+    def test_sweep_tau_writes_thresholds_before_a_bad_one(self, token_files, tmp_path):
+        source_path, target_path = token_files
+        out = tmp_path / "sweep"
+        code = main(["sweep-tau", str(source_path), str(target_path),
+                     "--grid", "0.3,1.5", "--out-dir", str(out)])
+        assert code == EXIT_INVALID_VALUE
+        assert sorted(p.name for p in out.iterdir()) == ["sweep_tau_0.3.json"]
+
     @pytest.mark.parametrize("command, extra", [
         ("morph", ["--frames", "1"]),
         ("barycenter", ["--beta", "0.5"]),
@@ -313,6 +351,14 @@ class TestErrorPaths:
     def test_ragged_json_points(self, tmp_path, capsys):
         bad = tmp_path / "ragged.json"
         bad.write_text('{"n": 2, "d": 1, "points": [[1.0], [1.0, 2.0]]}')
+        assert main(["dist", str(bad), str(bad)]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[format]:")
+        assert err.count("\n") == 1
+
+    def test_boolean_json_coordinates(self, tmp_path, capsys):
+        bad = tmp_path / "bool.json"
+        bad.write_text('{"n":1,"d":2,"points":[[true,false]]}')
         assert main(["dist", str(bad), str(bad)]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert err.startswith("tokenmorph: error[format]:")

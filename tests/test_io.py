@@ -166,6 +166,9 @@ class TestJsonErrors:
         {"n": 1, "d": 1, "points": [[10 ** 400]]},                           # beyond float64
         {"n": 2, "d": 1, "points": [[0.0], [1.0]], "weights": [[0.5], [0.25, 0.25]]},
         {"n": 2, "d": 1, "points": [[0.0], [1.0]], "weights": "ab"},
+        {"n": 1, "d": 2, "points": [[True, False]]},                         # 1.0, 0.0 before
+        {"n": 2, "d": 1, "points": [[0.5], [False]]},
+        {"n": 1, "d": 1, "points": [[0.5]], "weights": [True]},
     ])
     def test_non_numeric_or_ragged_arrays(self, doc):
         with pytest.raises(FormatError, match="rectangular array"):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,8 @@ from tokenmorph import (
     morph_texture,
     selective_texture_tokens,
 )
+from tokenmorph import selective as selective_module
+from tokenmorph.ot import squared_distances
 
 from conftest import random_tokenset
 
@@ -50,6 +55,82 @@ class TestNearestToken:
             for p in points
         ]
         assert _nearest_source(points, ts) == best
+
+
+def _einsum_argmin(queries, candidates):
+    """The full-matrix search that the screened one must reproduce."""
+    return np.argmin(squared_distances(queries, candidates), axis=1)
+
+
+def _outcome(search, queries, candidates):
+    """Indices as a list, or the message of the InvalidParameterError raised."""
+    with warnings.catch_warnings():
+        # The full kernel warns where a difference overflows.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return search(queries, candidates).tolist()
+        except InvalidParameterError as exc:
+            return str(exc)
+
+
+_KINDS = ("ties", "duplicates", "jittered", "offset", "normal")
+# Distances are subnormal near 1e-160 and overflow near 1e155, where the
+# search falls back to the full kernel.
+_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e-160, 1e-161, 1e-162, 1e150, 1e154, 1e155)
+
+
+def _search_inputs(kind, n, n_cand, m, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":  # {0, 1, 2} coordinates: exact ties in most rows
+        q, c = rng.integers(0, 3, (n, m)), rng.integers(0, 3, (n_cand, m))
+    elif kind in ("duplicates", "jittered"):  # few distinct tokens, repeated
+        base = rng.normal(size=(max(1, n_cand // 3), m))
+        q, c = base[rng.integers(0, len(base), n)], base[rng.integers(0, len(base), n_cand)]
+        if kind == "jittered":  # near-ties that only the einsum's rounding breaks
+            q = q + 1e-9 * rng.normal(size=q.shape)
+            c = c + 1e-9 * rng.normal(size=c.shape)
+    elif kind == "offset":  # one cluster far from the origin
+        q, c = rng.normal(size=(n, m)) + 1e3, rng.normal(size=(n_cand, m)) + 1e3
+    else:
+        q, c = rng.normal(size=(n, m)), rng.normal(size=(n_cand, m))
+    return scale * q.astype(np.float64), scale * c.astype(np.float64)
+
+
+class TestScreenedSearch:
+    """``_nearest_indices`` screens with a GEMM but must return the einsum's argmin."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_KINDS), st.integers(1, 40), st.integers(1, 40),
+           st.integers(1, 70), st.sampled_from(_SCALES), st.integers(0, 2**32 - 1))
+    def test_equals_einsum_argmin(self, kind, n, n_cand, m, scale, seed):
+        q, c = _search_inputs(kind, n, n_cand, m, scale, seed)
+        expected = _outcome(_einsum_argmin, q, c)
+        assert _outcome(selective_module._nearest_indices, q, c) == expected
+
+    @pytest.mark.parametrize("scale", [1e153, 1e155])
+    def test_no_runtime_warning_near_overflow(self, scale):
+        # 1e153 is screened; at 1e155 the squared norms overflow and the
+        # full kernel decides, though no distance does.
+        q = scale * np.array([[1.0, 0.0], [0.99, 0.01]])
+        c = scale * np.array([[1.0, 0.001], [0.99, 0.02]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert selective_module._nearest_indices(q, c).tolist() == [0, 1]
+
+    def test_memory_stays_within_screen_blocks(self):
+        rng = np.random.default_rng(173)
+        q = rng.normal(size=(2048, 64))
+        c = rng.normal(size=(2048, 64))
+        expected = _einsum_argmin(q, c)
+        tracemalloc.start()
+        try:
+            nearest = selective_module._nearest_indices(q, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(nearest, expected)
+        # The full 2048 x 2048 distance matrix alone would take 32 MiB.
+        assert peak < 4 * selective_module._SCREEN_BLOCK_BYTES + 64 * (q.shape[0] + c.shape[0])
 
 
 class TestSelectiveTextureTokens:
