@@ -4,7 +4,9 @@ The support of the barycenter is optimized by fixed-point iteration:
 each sweep solves exact OT from the current support to every input
 measure and then moves every support point to the weighted average of
 its barycentric projections. The objective (the weighted sum of squared
-W2 distances) is non-increasing along the iterates.
+W2 distances) is non-increasing along the iterates. The marginals stay
+fixed across sweeps, so each sweep's simplex solves start from the
+previous sweep's optimal bases.
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, InvalidWeightsError
+from .errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    InvalidWeightsError,
+    require_count,
+)
 from .ot import solve_exact_ot
 from .tokens import TokenSet
 
@@ -37,8 +44,7 @@ class BarycenterConfig:
     measure_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
-            raise InvalidParameterError("max_iterations must be an integer >= 1")
+        require_count("max_iterations", self.max_iterations, 1)
         if not (self.stop_threshold > 0.0):
             raise InvalidParameterError("stop_threshold must be > 0")
         if self.measure_weights is not None:
@@ -73,6 +79,13 @@ def free_support_barycenter(
     config: BarycenterConfig | None = None,
 ) -> BarycenterResult:
     """Fixed-point solver for the free-support W2 barycenter.
+
+    Each sweep solves OT from the current support to every measure. From
+    the second sweep on, each solve is warm-started from that measure's
+    previous plan (``solve_exact_ot(nu, mu, start=plan)``): the support
+    moved but the weights did not, so the previous basis is feasible and
+    the network simplex pivots only from there. Uniform equal-size
+    measures go to the assignment solver, which ignores the start.
 
     Args:
         measures: two or more token sets sharing the embedding dimension
@@ -117,10 +130,11 @@ def free_support_barycenter(
     objectives: list[float] = []
     converged = False
     iterations = 0
+    plans = [None] * len(measures)
 
     for _ in range(config.max_iterations):
         nu = TokenSet(support, nu_weights)
-        plans = [solve_exact_ot(nu, mu) for mu in measures]
+        plans = [solve_exact_ot(nu, mu, start=plan) for mu, plan in zip(measures, plans)]
         objectives.append(float(sum(l * p.total_cost for l, p in zip(lam, plans))))
 
         new_support = np.zeros_like(support)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 missing file, 4 bad file format,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -98,7 +99,13 @@ def _fail(category: str, message: str, code: int) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser for every command, built once per process.
+
+    Parsing leaves the parser unchanged and every call returns a new
+    namespace, so one parser serves every ``main`` call.
+    """
     parser = _Parser(prog="tokenmorph", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import operator
 
 
 class TokenMorphError(Exception):
@@ -31,3 +33,18 @@ class BadMagicError(FormatError):
 
 class TruncatedPayloadError(FormatError):
     """A token file ends before its declared payload is complete."""
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Raise InvalidParameterError unless ``value`` is an integer >= ``minimum``.
+
+    Any type with ``__index__`` counts as an integer, ``np.int64`` too.
+    ``bool`` does not, although it has one: ``True`` would silently read
+    as 1. Floats fail even when whole, since ``range()`` rejects them.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if isinstance(value, bool) or count is None or count < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")

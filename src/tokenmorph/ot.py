@@ -7,12 +7,20 @@ weights and equal sizes go to an assignment solver, since their optimal
 coupling is a permutation. It starts from Jonker-Volgenant column
 reduction and matches the remaining rows by Dijkstra shortest augmenting
 paths with lazily updated duals; among equal-cost columns it takes the
-smallest index, so the zero matrix gives the identity. All other inputs
-go to a dense transportation simplex with Bland's anti-cycling pivot
-rule. Its basis is one boolean mask over the cells; each pivot walks the
-basis tree once, for the potentials and the parent pointers that trace
-the pivot cycle. The test suite checks both solvers against independent
-oracles (brute force, sorted 1-D, scipy).
+smallest index, so the zero matrix gives the identity.
+
+All other inputs go to a network simplex on the transportation graph.
+Its basis is a spanning tree over the rows and columns, kept in arrays:
+parent, depth, a preorder thread with subtree sizes, the flow on each
+node's parent edge, and the potentials. A pivot re-hangs only the
+subtree that the leaving edge cuts off and shifts only that subtree's
+potentials. It starts from the least-cost (matrix-minimum) basis, or
+from a previous plan's basis when its flows are feasible for the
+current marginals, as on every barycenter sweep after the first. The
+returned flows are computed from the final tree and the marginals, and
+every solve certifies its own optimality with freshly walked potentials.
+The test suite checks both solvers against independent oracles (brute
+force, sorted 1-D, scipy).
 
 All functions are pure: they never mutate their inputs and hold no
 global state, so concurrent calls on shared token sets are safe.
@@ -29,6 +37,11 @@ from .errors import InvalidParameterError, SolverFailureError
 from .tokens import TokenSet, require_same_dimension, require_same_size
 
 MARGINAL_TOL = 1e-9
+
+# Largest negative basic flow read as rounding dust and set to zero. Token
+# weights sum to 1 within 1e-12, so the two marginals' totals can differ by
+# 2e-12, and a flow they fix can fall that far below zero.
+_FLOW_TOL = 1e-11
 
 # Bytes of one row block's difference array in squared_distances. Blocks
 # that stay in a core's L2 cache ran 18-26 % faster than 4 MiB blocks at
@@ -67,17 +80,26 @@ class TransportPlan:
 
     Row sums of ``coupling`` equal the source weights and column sums the
     target weights, both within 1e-9; ``total_cost`` is the inner product
-    of the coupling with the squared-Euclidean cost matrix.
+    of the coupling with the squared-Euclidean cost matrix. ``basis``
+    holds the flat indices into ``coupling`` of the n + n' - 1 cells of
+    the simplex's final basis tree, in ascending order, and is None on
+    the assignment route; ``solve_exact_ot(..., start=plan)`` starts
+    from it.
     """
 
     coupling: np.ndarray
     total_cost: float
+    basis: np.ndarray | None = None
 
     def __post_init__(self):
         coup = np.array(np.asarray(self.coupling, dtype=np.float64), copy=True)
         coup.setflags(write=False)
         object.__setattr__(self, "coupling", coup)
         object.__setattr__(self, "total_cost", float(self.total_cost))
+        if self.basis is not None:
+            basis = np.array(self.basis, dtype=np.int64, copy=True)
+            basis.setflags(write=False)
+            object.__setattr__(self, "basis", basis)
 
 
 def squared_distances(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -128,36 +150,53 @@ def cost_matrix(a: TokenSet, b: TokenSet) -> CostMatrix:
     return CostMatrix(values)
 
 
-def solve_exact_ot(a: TokenSet, b: TokenSet) -> TransportPlan:
+def solve_exact_ot(
+    a: TokenSet, b: TokenSet, *, start: TransportPlan | None = None
+) -> TransportPlan:
     """Solve the exact optimal transport problem between two token sets.
 
     Minimizes sum_ij coupling[i, j] * d(a_i, b_j)^2 over all couplings
     with marginals equal to the sets' weight vectors. Sets with uniform
     weights and equal sizes are solved as an assignment, all others by
-    the transportation simplex.
+    the network simplex.
+
+    Args:
+        a: source set.
+        b: target set.
+        start: a plan of an earlier solve of the same shape, such as the
+            previous barycenter sweep's. The simplex starts from its basis
+            when that basis's flows are feasible for ``a`` and ``b``'s
+            weights, and from the least-cost basis otherwise. It decides
+            where the pivots begin, not the optimal cost. The assignment
+            route ignores it.
 
     Returns:
         TransportPlan with an exactly optimal coupling; output is
-        deterministic for fixed inputs (ties are resolved by a fixed
-        pivot order toward smallest index pairs).
+        deterministic for fixed inputs and ``start`` (ties are resolved by
+        a fixed pivot order toward smallest index pairs).
 
     Raises:
         DimensionMismatchError: on differing embedding dimensions.
         InvalidParameterError: if a squared distance overflows float64.
         SolverFailureError: if the computed coupling violates a marginal
-            constraint by more than 1e-9.
+            constraint by more than 1e-9, or the simplex's final basis
+            fails its optimality certificate.
     """
     values = cost_matrix(a, b).values
+    basis = None
     if a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights():
         perm, _ = _min_cost_matching(values)
         coupling = np.zeros_like(values)
         coupling[np.arange(a.n), perm] = 1.0 / a.n
     else:
-        coupling = _transportation_simplex(values, a.weights, b.weights)
+        warm = None
+        if start is not None and start.coupling.shape == values.shape:
+            warm = start.basis
+        coupling, basis, _ = _transportation_simplex(values, a.weights, b.weights, warm)
 
     _check_marginals(coupling, a.weights, b.weights)
     total = float(np.sum(coupling * values))
-    return TransportPlan(coupling, total)
+    return TransportPlan(coupling, total, basis)
 
 
 def w2_distance(a: TokenSet, b: TokenSet) -> float:
@@ -289,154 +328,300 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _transportation_simplex(
-    values: np.ndarray, supply: np.ndarray, demand: np.ndarray
-) -> np.ndarray:
-    """Dense transportation simplex (MODI method).
+    values: np.ndarray,
+    supply: np.ndarray,
+    demand: np.ndarray,
+    basis: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Network simplex on the n x m transportation problem.
 
-    Starts from the northwest-corner basic solution; the basis is a
-    spanning tree of the bipartite transport graph with n + n' - 1 cells,
-    kept as a boolean mask. Entering cells follow Dantzig's
-    most-negative-reduced-cost rule with lexicographic tie-breaks,
-    switching to Bland's rule (first negative cell) after a pivot budget
-    so degenerate instances cannot cycle. The leaving cell is the
-    lexicographic minimum of (flow, cell) over the cycle's donor cells.
-    The pivot sequence, and therefore the returned basic solution, is
-    fully deterministic.
+    Starts from ``basis`` (flat cell indices, as ``TransportPlan.basis``)
+    when its tree's flows are feasible for these marginals, and from the
+    least-cost basis otherwise. Entering cells follow Dantzig's
+    most-negative-reduced-cost rule, the first such cell in row-major
+    order on ties, switching to Bland's rule (first negative cell) after
+    a pivot budget so degenerate instances cannot cycle. The leaving cell
+    is the lexicographic minimum of (flow, cell) over the cycle's donor
+    cells. The pivot sequence is fully deterministic.
+
+    After the last pivot the final basis is walked afresh: its potentials
+    must price every cell at or above ``-1e-11 * max C``, which certifies
+    optimality and catches drift in the incremental potentials, and its
+    flows come from the marginals alone, so the coupling depends only on
+    the final basis, not on the pivots that reached it.
+
+    Returns:
+        ``(coupling, basis, pivots)``: the optimal coupling, the ascending
+        flat indices of its n + m - 1 basis cells, and the pivot count.
+
+    Raises:
+        SolverFailureError: on an exhausted pivot budget, a final basis
+            that fails the certificate, or negative basic mass.
     """
     n, m = values.shape
-    alloc = np.zeros((n, m))
-    in_basis = np.zeros((n, m), dtype=bool)
-
-    rs = np.asarray(supply, dtype=np.float64).copy()
-    rd = np.asarray(demand, dtype=np.float64).copy()
-    i = j = 0
-    while True:
-        q = min(rs[i], rd[j])
-        alloc[i, j] = q
-        in_basis[i, j] = True
-        rs[i] -= q
-        rd[j] -= q
-        if i == n - 1 and j == m - 1:
-            break
-        if rs[i] == 0.0 and i < n - 1:
-            i += 1
-        elif j < m - 1:
-            j += 1
-        else:
-            # Rounding dust can leave residual supply at the last column;
-            # push remaining rows forward instead of stepping out of range.
-            i += 1
-
     # Relative to the costs, so optimality does not depend on coordinate scale.
     tol = 1e-11 * float(values.max())
+    tree = None if basis is None else _BasisTree(values, basis)
+    if tree is None or not tree.set_flows(supply, demand):
+        tree = _BasisTree(values, _least_cost_start(values, supply, demand))
+        if not tree.set_flows(supply, demand):
+            raise SolverFailureError("least-cost start has negative mass")
+
     max_pivots = max(2000, 30 * n * m)
     bland_after = 40 * (n + m)
-
-    for pivot in range(max_pivots):
-        u, v, parent, depth = _tree_duals(values, in_basis)
-        reduced = values - u[:, None] - v[None, :]
-        candidates = (reduced < -tol) & ~in_basis
-        if not candidates.any():
-            break
-        if pivot < bland_after:
-            flat = int(np.argmin(np.where(candidates, reduced, np.inf)))
+    # Views: every pivot updates tree.pot in place.
+    u, v = tree.pot[:n, None], tree.pot[None, n:]
+    reduced = np.empty((n, m))
+    for pivots in range(max_pivots):
+        np.subtract(values, u, out=reduced)
+        reduced -= v
+        if pivots < bland_after:
+            flat = int(reduced.argmin())
         else:
-            flat = int(np.argmax(candidates))  # first negative cell (Bland)
+            flat = int(np.argmax(reduced < -tol))  # first negative cell (Bland)
+        if not reduced.flat[flat] < -tol:
+            break
         ei, ej = divmod(flat, m)
-
-        plus_cells, minus_cells = _pivot_cycle(parent, depth, n, ei, ej)
-        theta = math.inf
-        leaving = minus_cells[0]
-        for cell in minus_cells:
-            val = alloc[cell]
-            if val < theta or (val == theta and cell < leaving):
-                theta = val
-                leaving = cell
-        for cell in plus_cells:
-            alloc[cell] += theta
-        for cell in minus_cells:
-            alloc[cell] -= theta
-        alloc[leaving] = 0.0
-
-        in_basis[leaving] = False
-        in_basis[ei, ej] = True
+        tree.pivot(ei, ej, float(reduced[ei, ej]))
     else:
         raise SolverFailureError("transportation simplex exceeded its pivot budget")
 
-    negative = alloc < 0.0
-    if negative.any():
-        if float(alloc.min()) < -1e-12:
-            raise SolverFailureError("transportation simplex produced negative mass")
-        alloc[negative] = 0.0
-    return alloc
+    cells = tree.cells()
+    final = _BasisTree(values, cells)
+    worst = float((values - final.pot[:n, None] - final.pot[None, n:]).min())
+    if worst < -tol:
+        raise SolverFailureError(
+            f"transportation simplex basis is not optimal (reduced cost {worst:.3e})"
+        )
+    if not final.set_flows(supply, demand):
+        raise SolverFailureError("transportation simplex produced negative mass")
+    coupling = np.zeros((n, m))
+    coupling.flat[final.cells(sort=False)] = final.flow[1:]
+    return coupling, cells, pivots
 
 
-def _pivot_cycle(
-    parent: list[int], depth: list[int], n: int, ei: int, ej: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Cells of the cycle that entering cell (ei, ej) closes in the basis tree.
+def _least_cost_start(values: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
+    """Basis cells of the least-cost (matrix-minimum) start.
 
-    Returns ``(plus, minus)``, the cells that gain and that lose flow.
-    The cycle is (ei, ej), which gains, and the tree path from row ei to
-    column ej: the climbs from both ends up to their common ancestor.
-    Read from row ei to column ej, the path's edges alternate -, +, - ...,
-    so each edge that path crosses from a row to a column loses flow.
-    Climbing from row ei follows that direction; climbing from column ej
-    runs against it.
-    """
-    plus = [(ei, ej)]
-    minus: list[tuple[int, int]] = []
-    ends = [ei, n + ej]
-    while ends[0] != ends[1]:
-        side = 0 if depth[ends[0]] >= depth[ends[1]] else 1
-        node = ends[side]
-        up = parent[node]
-        cell = (node, up - n) if node < n else (up, node - n)
-        (minus if (node < n) == (side == 0) else plus).append(cell)
-        ends[side] = up
-    return plus, minus
-
-
-def _tree_duals(
-    values: np.ndarray, in_basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """Potentials and parent pointers of the basis tree, rooted at row 0.
-
-    Tree nodes are the rows ``0..n-1`` and the columns ``n..n+m-1``; each
-    basis cell (i, j) is the edge between node i and node n + j. Returns
-    ``(u, v, parent, depth)``: ``u[i] + v[j] == values[i, j]`` on every
-    basis cell with ``u[0] == 0``, and ``parent[k]`` and ``depth[k]`` are
-    node k's parent (-1 at the root) and its number of edges to the root.
-
-    Raises:
-        SolverFailureError: if the basis does not connect every row and
-            column, as a disconnected or cyclic basis of n + m - 1 cells
-            cannot.
+    Cells are taken in ascending cost, row-major among equal costs. A cell
+    whose row and column are both open ships what it can, and then
+    closes its row if the row is exhausted and its column otherwise,
+    exactly one line per cell until the last cell closes the last row and
+    column. That gives exactly n + m - 1 cells forming a spanning tree; a
+    row (column) that is the last one open is never closed early, so
+    rounding in the marginals cannot strand a line.
     """
     n, m = values.shape
-    adjacent: list[list[int]] = [[] for _ in range(n + m)]
-    rows, cols = np.nonzero(in_basis)
-    for bi, bj in zip(rows.tolist(), cols.tolist()):
-        adjacent[bi].append(n + bj)
-        adjacent[n + bj].append(bi)
+    rest_row = supply.tolist()
+    rest_col = demand.tolist()
+    row_open = [True] * n
+    col_open = [True] * m
+    rows_left, cols_left = n, m
+    cells = []
+    for flat in np.argsort(values, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, m)
+        if not (row_open[i] and col_open[j]):
+            continue
+        cells.append(flat)
+        if rows_left == 1 and cols_left == 1:
+            break
+        if cols_left == 1 or (rows_left > 1 and rest_row[i] <= rest_col[j]):
+            row_open[i] = False
+            rows_left -= 1
+            rest_col[j] -= rest_row[i]
+        else:
+            col_open[j] = False
+            cols_left -= 1
+            rest_row[i] -= rest_col[j]
+    cells.sort()
+    return np.array(cells, dtype=np.int64)
 
-    u = np.zeros(n)
-    v = np.zeros(m)
-    parent = [-1] * (n + m)
-    depth = [-1] * (n + m)
-    depth[0] = 0
-    stack = [0]
-    while stack:
-        k = stack.pop()
-        for nxt in adjacent[k]:
-            if depth[nxt] < 0:
-                depth[nxt] = depth[k] + 1
-                parent[nxt] = k
-                if k < n:
-                    v[nxt - n] = values[k, nxt - n] - u[k]
-                else:
-                    u[nxt] = values[nxt, k - n] - v[k - n]
-                stack.append(nxt)
-    if -1 in depth:
-        raise SolverFailureError("transport basis is not a spanning tree")
-    return u, v, parent, depth
+
+class _BasisTree:
+    """Spanning tree of a transportation basis, kept in arrays.
+
+    Nodes are the rows ``0..n-1`` and the columns ``n..n+m-1``. Node k's
+    edge to ``parent[k]`` is the basis cell (k, parent[k] - n) for a row
+    and (parent[k], k - n) for a column; row 0 is the root and never
+    moves. ``depth[k]`` counts k's edges to the root. ``order`` lists the
+    nodes in preorder (the thread) and ``pos`` is its inverse, so the
+    subtree of k is ``order[pos[k]:pos[k] + size[k]]``. ``pot`` holds the
+    potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
+    ``u[i] + v[j] == values[i, j]`` on every basis cell and ``u[0] == 0``.
+    ``flow[k]`` is the flow on node k's parent edge.
+    """
+
+    def __init__(self, values: np.ndarray, cells: np.ndarray):
+        """Walk the tree of basis ``cells`` (ascending flat indices) from row 0.
+
+        Raises:
+            SolverFailureError: unless there are n + m - 1 cells within
+                the n x m grid that connect every row and column, as a
+                disconnected or cyclic set cannot.
+        """
+        n, m = values.shape
+        nodes = n + m
+        if len(cells) != nodes - 1 or not 0 <= cells.min() <= cells.max() < n * m:
+            raise SolverFailureError("transport basis is not a spanning tree")
+        adjacent: list[list[int]] = [[] for _ in range(nodes)]
+        for flat in cells.tolist():
+            i, j = divmod(flat, m)
+            adjacent[i].append(n + j)
+            adjacent[n + j].append(i)
+
+        parent = [-1] * nodes
+        depth = [0] * nodes
+        pot = [0.0] * nodes
+        seen = [False] * nodes
+        seen[0] = True
+        order = []
+        stack = [0]
+        while stack:
+            k = stack.pop()
+            order.append(k)
+            for nxt in adjacent[k]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    parent[nxt] = k
+                    depth[nxt] = depth[k] + 1
+                    cost = values[k, nxt - n] if k < n else values[nxt, k - n]
+                    pot[nxt] = float(cost) - pot[k]
+                    stack.append(nxt)
+        if len(order) != nodes:
+            raise SolverFailureError("transport basis is not a spanning tree")
+
+        sizes = [1] * nodes
+        for k in reversed(order[1:]):
+            sizes[parent[k]] += sizes[k]
+        self.n, self.m = n, m
+        self.parent = parent
+        self.size = sizes
+        self.depth = np.array(depth, dtype=np.int64)
+        self.order = np.array(order, dtype=np.int64)
+        self.pos = np.empty(nodes, dtype=np.int64)
+        self.pos[self.order] = np.arange(nodes)
+        self.pot = np.array(pot)
+        # +1 on rows, -1 on columns: a subtree shift raises u and lowers v.
+        self.sign = np.concatenate((np.ones(n), -np.ones(m)))
+        self.flow = [0.0] * nodes
+
+    def cell(self, k: int) -> int:
+        """Flat index of node k's parent edge."""
+        n, m, up = self.n, self.m, self.parent[k]
+        return k * m + up - n if k < n else up * m + k - n
+
+    def cells(self, sort: bool = True) -> np.ndarray:
+        """Flat indices of the basis cells: ascending, or by child node."""
+        cells = np.array([self.cell(k) for k in range(1, self.n + self.m)], dtype=np.int64)
+        return np.sort(cells) if sort else cells
+
+    def set_flows(self, supply: np.ndarray, demand: np.ndarray) -> bool:
+        """Set the basic flows fixed by the marginals; False if one is negative.
+
+        Leaves are eliminated up the thread in reverse: each node's net
+        supply (row weights minus column weights over its subtree) crosses
+        its parent edge, from row to column. Flows within ``_FLOW_TOL``
+        below zero are rounding dust and read as zero.
+        """
+        n = self.n
+        net = supply.tolist() + (-demand).tolist()
+        parent = self.parent
+        for k in self.order[:0:-1].tolist():
+            net[parent[k]] += net[k]
+        flow = [net[k] if k < n else -net[k] for k in range(len(net))]
+        flow[0] = 0.0
+        if min(flow) < -_FLOW_TOL:
+            return False
+        self.flow = [max(f, 0.0) for f in flow]
+        return True
+
+    def pivot(self, ei: int, ej: int, delta: float) -> None:
+        """Bring cell (ei, ej), of reduced cost ``delta``, into the basis.
+
+        The cycle it closes is the tree path from row ei to column ej:
+        the climbs from both ends up to their common ancestor. Read from
+        row ei to column ej the path's edges alternate -, +, - ..., so
+        each edge it crosses from a row to a column gives up flow; that
+        is a row's parent edge on row ei's climb and a column's on column
+        ej's. The donor edge of least (flow, cell) leaves. Removing it
+        cuts off the subtree S holding one end of the entering edge; S is
+        re-hung from that end below the other end, and only S's
+        potentials, depths and thread positions change.
+        """
+        n = self.n
+        parent, size, flow, depth = self.parent, self.size, self.flow, self.depth
+        p, q = ei, n + ej
+        if parent[p] == q or parent[q] == p:
+            raise SolverFailureError("transport basis cell priced below zero")
+        climb_p: list[int] = []
+        climb_q: list[int] = []
+        a, b = p, q
+        while a != b:
+            if depth[a] >= depth[b]:
+                climb_p.append(a)
+                a = parent[a]
+            else:
+                climb_q.append(b)
+                b = parent[b]
+
+        theta = math.inf
+        leave_cell = -1
+        out_side = out_at = -1
+        for side, climb in enumerate((climb_p, climb_q)):
+            for at, k in enumerate(climb):
+                if (k < n) == (side == 0):
+                    f, cell = flow[k], self.cell(k)
+                    if f < theta or (f == theta and cell < leave_cell):
+                        theta, leave_cell, out_side, out_at = f, cell, side, at
+        if theta > 0.0:
+            for k in climb_p:
+                flow[k] += -theta if k < n else theta
+            for k in climb_q:
+                flow[k] += theta if k < n else -theta
+
+        if out_side == 0:
+            path, above, other, anchor = climb_p[:out_at + 1], climb_p[out_at + 1:], climb_q, q
+        else:
+            path, above, other, anchor = climb_q[:out_at + 1], climb_q[out_at + 1:], climb_p, p
+            delta = -delta  # S holds column ej: its columns gain delta, its rows lose it
+        # S re-rooted at path[0]: its old subtree, then each path node with
+        # the part of its old subtree that does not hold the previous one.
+        order, pos = self.order, self.pos
+        starts = pos[path].tolist()
+        sizes = [size[k] for k in path]
+        pieces = [order[starts[0]:starts[0] + sizes[0]]]
+        lengths = [sizes[0]]
+        for t in range(1, len(path)):
+            pieces.append(order[starts[t]:starts[t - 1]])
+            pieces.append(order[starts[t - 1] + sizes[t - 1]:starts[t] + sizes[t]])
+            lengths.append(sizes[t] - sizes[t - 1])
+        subtree = np.concatenate(pieces)
+        top = int(depth[anchor]) + 1
+        depth[subtree] += np.repeat(top + np.arange(len(path)) - depth[path], lengths)
+        self.pot[subtree] += delta * self.sign[subtree]
+
+        # Reverse the path's parent edges; each edge keeps its flow.
+        for t in range(len(path) - 1, 0, -1):
+            parent[path[t]] = path[t - 1]
+            flow[path[t]] = flow[path[t - 1]]
+        parent[path[0]] = anchor
+        flow[path[0]] = theta
+
+        moved = sizes[-1]
+        for k in above:
+            size[k] -= moved
+        for k in other:
+            size[k] += moved
+        size[path[0]] = moved
+        for t in range(1, len(path)):
+            size[path[t]] = moved - sizes[t - 1]
+
+        # Move S's block in the thread to just after its new parent.
+        lo, at = starts[-1], int(pos[anchor])
+        if at < lo:
+            span = slice(at + 1, lo + moved)
+            order[span] = np.concatenate((subtree, order[at + 1:lo]))
+        else:
+            span = slice(lo, at + 1)
+            order[span] = np.concatenate((order[lo + moved:at + 1], subtree))
+        pos[order[span]] = np.arange(span.start, span.stop)

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycenter import BarycenterConfig, pairwise_barycenter
-from .errors import InvalidParameterError, InvalidWeightsError, SolverFailureError
+from .errors import (
+    InvalidParameterError,
+    InvalidWeightsError,
+    SolverFailureError,
+    require_count,
+)
 from .ot import identity_w2, solve_exact_ot, w2_distance
 from .tokens import TokenSet, index_lerp, require_same_dimension, require_same_size
 
@@ -46,8 +51,7 @@ class MorphConfig:
     barycenter_config: BarycenterConfig = field(default_factory=BarycenterConfig)
 
     def __post_init__(self):
-        if int(self.J) != self.J or self.J < 0:
-            raise InvalidParameterError("J must be an integer >= 0")
+        require_count("J", self.J, 0)
         if self.init_mode not in INIT_MODES:
             raise InvalidParameterError(
                 f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}"

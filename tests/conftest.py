@@ -16,14 +16,15 @@ def random_tokenset(rng: np.random.Generator, n: int, m: int, scale: float = 1.0
 
 
 def simplex_cost(a: TokenSet, b: TokenSet) -> float:
-    """Optimal cost from the transportation simplex on any inputs.
+    """Optimal cost from the network simplex on any inputs.
 
     ``solve_exact_ot`` sends uniform equal-size sets to the assignment
-    solver; this runs the simplex on them too, with the same marginal
-    check and cost sum that ``solve_exact_ot`` applies.
+    solver; this runs the simplex on them too, from its least-cost start,
+    with the same marginal check and cost sum that ``solve_exact_ot``
+    applies.
     """
     values = cost_matrix(a, b).values
-    coupling = ot_module._transportation_simplex(values, a.weights, b.weights)
+    coupling, _, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
     ot_module._check_marginals(coupling, a.weights, b.weights)
     return float(np.sum(coupling * values))
 

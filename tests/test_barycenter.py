@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import tokenmorph.barycenter as barycenter_module
+import tokenmorph.ot as ot_module
 from tokenmorph import (
     BarycenterConfig,
     DimensionMismatchError,
@@ -9,6 +11,7 @@ from tokenmorph import (
     TokenSet,
     free_support_barycenter,
     pairwise_barycenter,
+    solve_exact_ot,
     w2_distance,
 )
 
@@ -30,6 +33,19 @@ class TestConfig:
     def test_rejects_bad_iteration_budget(self):
         with pytest.raises(InvalidParameterError):
             BarycenterConfig(max_iterations=0)
+
+    @pytest.mark.parametrize("budget", [3.0, True, False, "3", None])
+    def test_rejects_non_integer_iteration_budget(self, budget):
+        # 3.0 used to pass and then fail in range(); booleans read as 1 and 0.
+        with pytest.raises(InvalidParameterError, match="max_iterations must be an integer"):
+            BarycenterConfig(max_iterations=budget)
+
+    def test_accepts_numpy_integer_iteration_budget(self):
+        left, right = TokenSet([[0.0], [1.0]]), TokenSet([[4.0], [9.0]])
+        result = free_support_barycenter(
+            [left, right], left, BarycenterConfig(max_iterations=np.int64(3))
+        )
+        assert 1 <= result.iterations_used <= 3
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(InvalidParameterError):
@@ -203,3 +219,44 @@ class TestPairwise:
         np.testing.assert_allclose(
             shifted.support.points, base.support.points + shift, atol=1e-8
         )
+
+
+class TestWarmStart:
+    """Each sweep's simplex solves start from the previous sweep's bases."""
+
+    @pytest.mark.parametrize("seed", [101, 7, 3])
+    def test_warm_sweeps_match_cold_sweeps(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        source = TokenSet(rng.normal(size=(20, 8)), rng.dirichlet(np.ones(20)))
+        target = TokenSet(rng.normal(size=(16, 8)) + 1.0, rng.dirichlet(np.ones(16)))
+        pivots = []
+        real_simplex = ot_module._transportation_simplex
+
+        def counted(*args):
+            out = real_simplex(*args)
+            pivots.append(out[2])
+            return out
+
+        monkeypatch.setattr(ot_module, "_transportation_simplex", counted)
+        warm = pairwise_barycenter(source, target, 0.5, source)
+        warm_pivots, pivots[:] = sum(pivots), []
+
+        starts = []
+
+        def cold_solve(nu, mu, *, start=None):
+            starts.append(start)
+            return solve_exact_ot(nu, mu)
+
+        monkeypatch.setattr(barycenter_module, "solve_exact_ot", cold_solve)
+        cold = pairwise_barycenter(source, target, 0.5, source)
+        assert starts[:2] == [None, None]
+        assert all(start is not None and start.basis is not None for start in starts[2:])
+
+        # Generic inputs have one optimal plan per sweep: the start changes
+        # the pivots, not the iterates.
+        assert warm.iterations_used == cold.iterations_used > 1
+        np.testing.assert_allclose(warm.per_iteration_objective,
+                                   cold.per_iteration_objective, rtol=1e-12)
+        np.testing.assert_allclose(warm.support.points, cold.support.points,
+                                   rtol=0, atol=1e-12)
+        assert warm_pivots < sum(pivots)

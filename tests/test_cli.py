@@ -19,12 +19,14 @@ from tokenmorph import (
     read_tokens,
     write_tokens,
 )
+import tokenmorph.ot as ot_module
 from tokenmorph.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
     EXIT_INVALID_VALUE,
     EXIT_MISSING_FILE,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_USAGE,
     main,
 )
@@ -40,6 +42,18 @@ def token_files(tmp_path):
     write_tokens(source, source_path)
     write_tokens(target, target_path)
     return source_path, target_path
+
+
+@pytest.fixture
+def weighted_files(tmp_path):
+    """Dirichlet-weighted sets of unequal size: every solve is a simplex solve."""
+    rng = np.random.default_rng(223)
+    paths = []
+    for name, n in (("wsource.json", 9), ("wtarget.json", 7)):
+        path = tmp_path / name
+        write_tokens(TokenSet(rng.normal(size=(n, 3)), rng.dirichlet(np.ones(n))), path)
+        paths.append(path)
+    return paths
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -404,6 +418,57 @@ class TestErrorPaths:
         assert main([
             "sweep-tau", str(source_path), str(target_path), "--grid", "a,b",
         ]) == EXIT_INVALID_VALUE
+
+    def test_failed_optimality_certificate(self, weighted_files, monkeypatch, capsys):
+        # Potentials pushed far down after a pivot stop the pivoting early;
+        # the final certificate catches the suboptimal basis.
+        def pivot_then_drift(self, ei, ej, delta):
+            real_pivot(self, ei, ej, delta)
+            self.pot[:self.n] = -1e9
+
+        real_pivot = ot_module._BasisTree.pivot
+        monkeypatch.setattr(ot_module._BasisTree, "pivot", pivot_then_drift)
+        assert main(["dist", *map(str, weighted_files)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tokenmorph: error[solver-failure]:")
+        assert "not optimal" in captured.err
+
+
+def test_repeated_main_calls_match_fresh_processes(token_files, weighted_files, tmp_path,
+                                                   monkeypatch, capsys):
+    """One parser serves every call: repeated in-process calls give the
+    exit code, stdout and files of a fresh process."""
+    uniform = [str(p) for p in token_files]
+    weighted = [str(p) for p in weighted_files]
+    cases = [
+        ["dist", *weighted],
+        ["morph", *uniform, "--no-such-flag"],
+        ["barycenter", *weighted, "--beta", "0.3", "--out-dir", "out"],
+        ["morph", *uniform, "--frames", "2", "--tau", "0.3", "--out-dir", "out"],
+    ]
+    fresh = []
+    for k, argv in enumerate(cases):
+        cwd = tmp_path / f"fresh{k}"
+        cwd.mkdir()
+        src = str(Path(cli_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run([sys.executable, "-m", "tokenmorph.cli", *argv], cwd=cwd,
+                                capture_output=True, text=True, timeout=60, env=env)
+        files = _dir_bytes(cwd / "out") if (cwd / "out").exists() else {}
+        fresh.append((result.returncode, result.stdout, files))
+    assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    assert cli_module._build_parser() is cli_module._build_parser()
+
+    for round_ in range(3):
+        for k, argv in enumerate(cases):
+            cwd = tmp_path / f"call{round_}_{k}"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            code = main(argv)
+            files = _dir_bytes(cwd / "out") if (cwd / "out").exists() else {}
+            assert (code, capsys.readouterr().out, files) == fresh[k], (round_, argv)
 
 
 def _run_cli(*args: str) -> subprocess.CompletedProcess:

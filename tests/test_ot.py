@@ -428,50 +428,272 @@ class TestSolveAssignment:
             assert cost / n == pytest.approx(simplex_cost(a, b), rel=1e-9)
 
 
-def _basis_mask(cells, n, m):
-    mask = np.zeros((n, m), dtype=bool)
-    for cell in cells:
-        mask[cell] = True
-    return mask
+def _flat(cells, m):
+    return np.array(sorted(i * m + j for i, j in cells), dtype=np.int64)
 
 
-class TestTreeDuals:
-    """``ot._tree_duals``, the simplex's one walk over its basis tree, and
-    ``ot._pivot_cycle``, which reads a pivot's cycle off that walk."""
+def _lp_cost(values, supply, demand):
+    """Independent oracle: the transportation LP solved by scipy's HiGHS."""
+    n, m = values.shape
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    ref = linprog(values.ravel(), A_eq=a_eq, b_eq=np.concatenate([supply, demand]),
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
+def _weighted_pair(rng, n, n2, m, weights, ties):
+    def points(size):
+        if ties:
+            return rng.integers(0, 3, size=(size, m)).astype(np.float64)
+        return rng.normal(size=(size, m))
+
+    def mass(size, kind):
+        return rng.dirichlet(np.ones(size)) if kind == "dirichlet" else None
+
+    kinds = {"dirichlet": ("dirichlet", "dirichlet"), "uniform": ("uniform", "uniform"),
+             "mixed": ("dirichlet", "uniform")}[weights]
+    return (TokenSet(points(n), mass(n, kinds[0])), TokenSet(points(n2), mass(n2, kinds[1])))
+
+
+def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
+    """Parent, depth, sizes, thread, potentials and flows of an updated tree
+    against a tree walked afresh from its cells."""
+    fresh = ot_module._BasisTree(values, tree.cells())
+    assert fresh.set_flows(supply, demand)
+    size = len(tree.parent)
+    assert tree.parent == fresh.parent
+    np.testing.assert_array_equal(tree.depth, fresh.depth)
+    assert tree.size == fresh.size
+    # The thread is a preorder: it starts at the root, pos inverts it, and
+    # every subtree is one block. Sibling order may differ from the walk's.
+    assert tree.order[0] == 0
+    assert sorted(tree.order.tolist()) == list(range(size))
+    np.testing.assert_array_equal(tree.pos[tree.order], np.arange(size))
+    for k in range(size):
+        lo = int(tree.pos[k])
+        got = set(tree.order[lo:lo + tree.size[k]].tolist())
+        flo = int(fresh.pos[k])
+        assert got == set(fresh.order[flo:flo + fresh.size[k]].tolist())
+    scale = float(np.abs(fresh.pot).max()) + float(values.max())
+    np.testing.assert_allclose(tree.pot, fresh.pot, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(tree.flow, fresh.flow, rtol=0, atol=1e-12)
+
+
+class TestBasisTree:
+    """``ot._BasisTree``, the simplex's spanning tree in arrays, and its
+    pivot, which re-hangs one subtree."""
+
+    # Staircase basis; nodes are rows 0-2 and columns 3-5. From row 0:
+    # columns 0 and 1 hang off row 0, row 1 off column 1, column 2 off
+    # row 1, and row 2 off column 2.
+    STAIRCASE = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
 
     def test_basis_cells_have_zero_reduced_cost(self):
         values = np.array([[1.0, 4.0, 2.0], [3.0, 0.5, 5.0]])
         basis = [(0, 0), (0, 1), (1, 1), (1, 2)]
-        u, v, _, _ = ot_module._tree_duals(values, _basis_mask(basis, 2, 3))
+        tree = ot_module._BasisTree(values, _flat(basis, 3))
+        u, v = tree.pot[:2], tree.pot[2:]
         assert u[0] == 0.0
         for i, j in basis:
-            assert u[i] + v[j] == values[i, j]
+            assert values[i, j] - u[i] - v[j] == 0.0
 
     @pytest.mark.parametrize("basis, n, m", [
         ([(0, 0), (1, 1)], 2, 2),                  # two components
         ([(0, 0), (0, 1), (1, 0), (1, 1)], 2, 3),  # n + m - 1 cells with a cycle
+        ([(0, 0), (0, 1)], 2, 2),                  # too few cells
+        ([(0, 0), (2, 0)], 2, 1),                  # a cell outside the grid
     ])
     def test_disconnected_basis_raises(self, basis, n, m):
         with pytest.raises(SolverFailureError, match="spanning tree"):
-            ot_module._tree_duals(np.ones((n, m)), _basis_mask(basis, n, m))
+            ot_module._BasisTree(np.ones((n, m)), _flat(basis, m))
 
-    def test_parent_pointers_give_the_pivot_cycle(self):
-        # Staircase basis; nodes are rows 0-2 and columns 3-5. From row 0:
-        # columns 0 and 1 hang off row 0, row 1 off column 1, column 2 off
-        # row 1, and row 2 off column 2.
-        basis = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
-        _, _, parent, depth = ot_module._tree_duals(np.ones((3, 3)), _basis_mask(basis, 3, 3))
-        assert parent == [-1, 4, 5, 0, 0, 1]
-        assert depth == [0, 2, 4, 1, 1, 3]
-        # Entering (2, 0): the path row 2 -> col 2 -> row 1 -> col 1 ->
-        # row 0 -> col 0 alternates -, +, -, +, - from row 2's end.
-        plus, minus = ot_module._pivot_cycle(parent, depth, 3, 2, 0)
-        assert sorted(plus) == [(0, 1), (1, 2), (2, 0)]
-        assert sorted(minus) == [(0, 0), (1, 1), (2, 2)]
-        # Entering (1, 0) meets at row 0: row 1 -> col 1 -> row 0 -> col 0.
-        plus, minus = ot_module._pivot_cycle(parent, depth, 3, 1, 0)
-        assert sorted(plus) == [(0, 1), (1, 0)]
-        assert sorted(minus) == [(0, 0), (1, 1)]
+    def test_walk_gives_parent_depth_and_thread(self):
+        tree = ot_module._BasisTree(np.ones((3, 3)), _flat(self.STAIRCASE, 3))
+        assert tree.parent == [-1, 4, 5, 0, 0, 1]
+        np.testing.assert_array_equal(tree.depth, [0, 2, 4, 1, 1, 3])
+        np.testing.assert_array_equal(tree.order, [0, 4, 1, 5, 2, 3])
+        assert tree.size == [6, 3, 1, 1, 4, 2]
+
+    def test_pivot_rehangs_the_cut_subtree(self):
+        # Northwest-corner flows on the staircase: 1/4, 1/4, 1/4, 1/8, 1/8.
+        values = np.arange(9.0).reshape(3, 3) ** 2
+        supply = np.array([0.5, 0.375, 0.125])
+        demand = np.array([0.25, 0.5, 0.25])
+        tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
+        assert tree.set_flows(supply, demand)
+        # Entering (2, 0) closes row 2 -> col 2 -> row 1 -> col 1 -> row 0
+        # -> col 0; (2, 2), (1, 1) and (0, 0) give up flow, and (2, 2),
+        # with the least (1/8), leaves. Row 2 is cut off and hangs from
+        # column 0 instead.
+        delta = values[2, 0] - tree.pot[2] - tree.pot[3]
+        tree.pivot(2, 0, float(delta))
+        assert tree.parent == [-1, 4, 3, 0, 0, 1]
+        np.testing.assert_array_equal(tree.depth, [0, 2, 2, 1, 1, 3])
+        coupling = np.zeros((3, 3))
+        coupling.flat[tree.cells(sort=False)] = tree.flow[1:]
+        np.testing.assert_array_equal(coupling, [[0.125, 0.375, 0.0],
+                                                 [0.0, 0.125, 0.25],
+                                                 [0.125, 0.0, 0.0]])
+        _assert_tree_matches_fresh_walk(tree, values, supply, demand)
+
+    def test_tied_donors_leave_by_smallest_cell(self):
+        values = np.arange(9.0).reshape(3, 3) ** 2
+        supply = np.array([0.5, 0.25, 0.25])
+        demand = np.array([0.25, 0.5, 0.25])
+        tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
+        assert tree.set_flows(supply, demand)
+        # Entering (2, 0): (2, 2), (1, 1) and (0, 0) all give up 1/4, and
+        # (0, 0), the smallest cell, leaves. Column 0 is cut off and hangs
+        # from row 2 instead.
+        tree.pivot(2, 0, float(values[2, 0] - tree.pot[2] - tree.pot[3]))
+        assert tree.parent == [-1, 4, 5, 2, 0, 1]
+        np.testing.assert_array_equal(tree.depth, [0, 2, 4, 5, 1, 3])
+        _assert_tree_matches_fresh_walk(tree, values, supply, demand)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
+           st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
+           st.integers(0, 10_000))
+    def test_random_pivots_match_a_fresh_walk(self, n, n2, m, weights, ties, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, n, n2, m, weights, ties)
+        values = cost_matrix(a, b).values
+        tree = ot_module._BasisTree(
+            values, ot_module._least_cost_start(values, a.weights, b.weights))
+        assert tree.set_flows(a.weights, b.weights)
+        for _ in range(25):
+            basic = np.zeros(n * n2, dtype=bool)
+            basic[tree.cells()] = True
+            if basic.all():
+                break
+            ei, ej = divmod(int(rng.choice(np.flatnonzero(~basic))), n2)
+            tree.pivot(ei, ej, float(values[ei, ej] - tree.pot[ei] - tree.pot[n + ej]))
+            assert min(tree.flow) >= 0.0
+            _assert_tree_matches_fresh_walk(tree, values, a.weights, b.weights)
+
+
+class TestNetworkSimplex:
+    """``ot._transportation_simplex`` against scipy's HiGHS LP solver, and
+    its warm starts."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 4),
+           st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
+           st.floats(-6.0, 6.0), st.integers(0, 10_000))
+    @example(30, 29, 2, "uniform", True, 0.0, 0)
+    @example(17, 5, 3, "dirichlet", False, -6.0, 1)
+    @example(4, 23, 1, "mixed", True, 6.0, 2)
+    def test_matches_linprog(self, n, n2, m, weights, ties, exponent, seed):
+        if n == n2:
+            n2 += 1
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, n, n2, m, weights, ties)
+        s = 10.0 ** exponent
+        plan = solve_exact_ot(TokenSet(s * a.points, a.weights),
+                              TokenSet(s * b.points, b.weights))
+        np.testing.assert_allclose(plan.coupling.sum(axis=1), a.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.coupling.sum(axis=0), b.weights, rtol=0, atol=1e-12)
+        assert plan.coupling.min() >= 0.0
+        assert plan.basis.shape == (n + n2 - 1,)
+        # The oracle solves the unscaled problem, where HiGHS's absolute
+        # tolerances are meaningful; the optimum scales by s**2.
+        reference = _lp_cost(cost_matrix(a, b).values, a.weights, b.weights)
+        assert plan.total_cost / (s * s) == pytest.approx(reference, rel=1e-9, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 3),
+           st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
+           st.integers(0, 10_000))
+    def test_warm_start_from_the_final_basis_makes_no_pivots(
+        self, n, n2, m, weights, ties, seed
+    ):
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, n, n2, m, weights, ties)
+        values = cost_matrix(a, b).values
+        cold, basis, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
+        warm, again, pivots = ot_module._transportation_simplex(
+            values, a.weights, b.weights, basis)
+        assert pivots == 0
+        np.testing.assert_array_equal(again, basis)
+        assert warm.tobytes() == cold.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 15), st.integers(2, 15), st.integers(1, 3), st.booleans(),
+           st.integers(0, 10_000))
+    def test_start_with_other_marginals_still_reaches_the_optimum(
+        self, n, n2, m, ties, seed
+    ):
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, n, n2, m, "dirichlet", ties)
+        other = solve_exact_ot(TokenSet(a.points, rng.dirichlet(np.ones(n))),
+                               TokenSet(b.points, rng.dirichlet(np.ones(n2))))
+        plan = solve_exact_ot(a, b, start=other)
+        np.testing.assert_allclose(plan.coupling.sum(axis=1), a.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.coupling.sum(axis=0), b.weights, rtol=0, atol=1e-12)
+        values = cost_matrix(a, b).values
+        reference = _lp_cost(values, a.weights, b.weights)
+        assert plan.total_cost == pytest.approx(reference, rel=1e-9, abs=1e-12)
+        # A basis infeasible for these marginals is dropped for the cold start.
+        tree = ot_module._BasisTree(values, other.basis)
+        if not tree.set_flows(a.weights, b.weights):
+            cold = solve_exact_ot(a, b)
+            assert plan.coupling.tobytes() == cold.coupling.tobytes()
+
+    def test_start_of_another_shape_or_route_is_ignored(self):
+        rng = np.random.default_rng(41)
+        a, b = _weighted_pair(rng, 6, 4, 2, "dirichlet", False)
+        cold = solve_exact_ot(a, b)
+        for start in (solve_exact_ot(b, a), solve_exact_ot(a, a),
+                      solve_exact_ot(TokenSet(a.points), TokenSet(a.points))):
+            plan = solve_exact_ot(a, b, start=start)
+            assert plan.coupling.tobytes() == cold.coupling.tobytes()
+        uniform = TokenSet(a.points)
+        plan = solve_exact_ot(uniform, uniform, start=cold)
+        assert plan.basis is None
+        np.testing.assert_array_equal(plan.coupling, np.eye(6) / 6)
+
+    def test_least_cost_start_builds_a_spanning_tree(self):
+        # Degenerate marginals: every cell exhausts its row and column at
+        # once. (2, 1) at cost 0 and (1, 2) at 0.5 close rows 2 and 1; then
+        # row 0 is the last open row, so (0, 0) and (0, 1) close their
+        # columns and (0, 2) closes both: n + m - 1 = 5 cells.
+        values = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5], [4.0, 0.0, 1.0]])
+        third = np.full(3, 1.0 / 3.0)
+        cells = ot_module._least_cost_start(values, third, third)
+        assert cells.tolist() == [0, 1, 2, 5, 7]
+        tree = ot_module._BasisTree(values, cells)
+        assert tree.set_flows(third, third)
+
+    def test_stale_potentials_raise(self, monkeypatch):
+        # Pivots that skip the subtree shift leave stale potentials, which
+        # soon price a basis cell below zero.
+        real_pivot = ot_module._BasisTree.pivot
+        monkeypatch.setattr(ot_module._BasisTree, "pivot",
+                            lambda self, ei, ej, delta: real_pivot(self, ei, ej, 0.0))
+        rng = np.random.default_rng(3)
+        a, b = _weighted_pair(rng, 12, 9, 3, "dirichlet", False)
+        with pytest.raises(SolverFailureError, match="priced below zero"):
+            solve_exact_ot(a, b)
+
+    def test_certificate_rejects_a_suboptimal_basis(self, monkeypatch):
+        # Row potentials pushed far down after a pivot price every cell
+        # above zero, so pivoting stops early; only the fresh walk at the
+        # end sees that the basis is not optimal.
+        def pivot_then_drift(self, ei, ej, delta):
+            real_pivot(self, ei, ej, delta)
+            self.pot[:self.n] = -1e9
+
+        real_pivot = ot_module._BasisTree.pivot
+        monkeypatch.setattr(ot_module._BasisTree, "pivot", pivot_then_drift)
+        rng = np.random.default_rng(3)
+        a, b = _weighted_pair(rng, 12, 9, 3, "dirichlet", False)
+        with pytest.raises(SolverFailureError, match="not optimal"):
+            solve_exact_ot(a, b)
 
 
 class TestOracles:

@@ -42,6 +42,18 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             MorphConfig(init_mode="hybrid")
 
+    @pytest.mark.parametrize("frames", [3.0, True, False, "3", None])
+    def test_rejects_non_integer_j(self, frames):
+        # 3.0 used to pass and then fail in range(); booleans read as 1 and 0.
+        with pytest.raises(InvalidParameterError, match="J must be an integer"):
+            MorphConfig(J=frames)
+
+    def test_accepts_numpy_integer_j(self):
+        rng = np.random.default_rng(5)
+        source, target = random_tokenset(rng, 4, 2), random_tokenset(rng, 4, 2)
+        trajectory = morph_geometry(source, target, MorphConfig(J=np.int64(3)))
+        assert len(trajectory.frames) == 5
+
 
 class TestMorphGeometry:
     def test_frame_count_and_beta_grid(self):
