@@ -196,10 +196,13 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write(out_dir: Path, name: str, data: bytes) -> dict:
-    """Write one output file; returns its manifest entry (name and digest)."""
+def _write(out_dir: Path, name: str, data: bytes, sha256: str | None = None) -> dict:
+    """Write one output file; returns its manifest entry (name and digest).
+
+    ``sha256`` is ``data``'s known digest, if any; else it is computed.
+    """
     (out_dir / name).write_bytes(data)
-    return {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
+    return {"file": name, "sha256": sha256 or hashlib.sha256(data).hexdigest()}
 
 
 def _tokens_writer(fmt: str):
@@ -307,12 +310,16 @@ def _cmd_morph(args) -> int:
     if args.tau is not None:
         body["texture_frames"] = []
         for k, report in enumerate(morph_texture(trajectory, source, target, args.tau)):
-            # A frame that kept every token is returned as is: reuse its bytes.
-            unchanged = report.output is trajectory.frames[k]
-            data = frame_bytes[k] if unchanged else writer(report.output)
+            # A frame that kept every token is returned as is: reuse its
+            # bytes and their digest.
+            name = f"texture_{k:03d}.{ext}"
+            if report.output is trajectory.frames[k]:
+                entry = _write(out_dir, name, frame_bytes[k], frames[k]["sha256"])
+            else:
+                entry = _write(out_dir, name, writer(report.output))
             copied = _copied(report)
             body["texture_frames"].append({
-                **_write(out_dir, f"texture_{k:03d}.{ext}", data),
+                **entry,
                 "copied_from_source": copied,
                 "kept_barycenter": report.output.n - copied,
             })

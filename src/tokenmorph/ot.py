@@ -16,11 +16,12 @@ node's parent edge, and the potentials. A pivot re-hangs only the
 subtree that the leaving edge cuts off and shifts only that subtree's
 potentials. It starts from the least-cost (matrix-minimum) basis, or
 from a previous plan's basis when its flows are feasible for the
-current marginals, as on every barycenter sweep after the first. The
-returned flows are computed from the final tree and the marginals, and
-every solve certifies its own optimality with freshly walked potentials.
-The test suite checks both solvers against independent oracles (brute
-force, sorted 1-D, scipy).
+current marginals, as on every barycenter sweep after the first; that
+start re-prices a copy of the tree the plan carries. The returned flows
+are computed from the final tree and the marginals, in an order fixed
+by the basis alone. Every solve certifies its optimality by LP duality
+on its final duals. The test suite checks both solvers against
+independent oracles (brute force, sorted 1-D, scipy).
 
 All functions are pure: they never mutate their inputs and hold no
 global state, so concurrent calls on shared token sets are safe.
@@ -28,8 +29,9 @@ global state, so concurrent calls on shared token sets are safe.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,6 +92,8 @@ class TransportPlan:
     coupling: np.ndarray
     total_cost: float
     basis: np.ndarray | None = None
+    # The simplex's final tree of ``basis``, which a warm start copies.
+    _tree: _BasisTree | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         coup = np.array(np.asarray(self.coupling, dtype=np.float64), copy=True)
@@ -165,6 +169,7 @@ def solve_exact_ot(
         b: target set.
         start: a plan of an earlier solve of the same shape, such as the
             previous barycenter sweep's. The simplex starts from its basis
+            (a copy of the tree the plan carries; the plan never changes)
             when that basis's flows are feasible for ``a`` and ``b``'s
             weights, and from the least-cost basis otherwise. It decides
             where the pivots begin, not the optimal cost. The assignment
@@ -179,24 +184,30 @@ def solve_exact_ot(
         DimensionMismatchError: on differing embedding dimensions.
         InvalidParameterError: if a squared distance overflows float64.
         SolverFailureError: if the computed coupling violates a marginal
-            constraint by more than 1e-9, or the simplex's final basis
-            fails its optimality certificate.
+            constraint by more than 1e-9, or the solver's final duals fail
+            the optimality certificate.
     """
     values = cost_matrix(a, b).values
-    basis = None
+    tree = basis = None
     if a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights():
-        perm, _ = _min_cost_matching(values)
+        perm, _, u, v = _min_cost_matching(values)
+        rows = np.arange(a.n)
+        _certify_optimal("assignment", values - u[:, None] - v, rows * a.n + perm,
+                         1e-11 * float(values.max()))
         coupling = np.zeros_like(values)
-        coupling[np.arange(a.n), perm] = 1.0 / a.n
+        coupling[rows, perm] = 1.0 / a.n
     else:
         warm = None
         if start is not None and start.coupling.shape == values.shape:
-            warm = start.basis
-        coupling, basis, _ = _transportation_simplex(values, a.weights, b.weights, warm)
+            warm = start.basis if start._tree is None else start._tree
+        coupling, tree, _ = _transportation_simplex(values, a.weights, b.weights, warm)
+        basis = tree.cells()
 
     _check_marginals(coupling, a.weights, b.weights)
     total = float(np.sum(coupling * values))
-    return TransportPlan(coupling, total, basis)
+    plan = TransportPlan(coupling, total, basis)
+    object.__setattr__(plan, "_tree", tree)
+    return plan
 
 
 def w2_distance(a: TokenSet, b: TokenSet) -> float:
@@ -240,11 +251,29 @@ def _check_marginals(coupling: np.ndarray, supply: np.ndarray, demand: np.ndarra
         raise SolverFailureError("coupling has a negative entry")
 
 
-def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float]:
+def _certify_optimal(what: str, reduced: np.ndarray, tight: np.ndarray, tol: float) -> None:
+    """Certify by LP duality that a feasible coupling on ``tight`` is optimal.
+
+    ``reduced`` is the cost minus the final row and column duals, and
+    ``tight`` the flat indices of the cells that carry the flow. Raises
+    SolverFailureError unless ``reduced >= -tol`` everywhere (dual
+    feasibility) and ``|reduced| <= tol`` on ``tight`` (complementary
+    slackness).
+    """
+    worst = float(reduced.min())
+    slack = float(np.abs(reduced.flat[tight]).max())
+    if not (worst >= -tol and slack <= tol):
+        raise SolverFailureError(
+            f"{what} is not optimal (reduced cost {worst:.3e}, slack {slack:.3e})"
+        )
+
+
+def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Minimum-cost perfect matching of a square cost matrix, O(n^3).
 
-    Returns ``(perm, total)``: ``perm[i]`` is the column matched to row i,
-    ``total`` the summed matched costs.
+    Returns ``(perm, total, u, v)``: ``perm[i]`` is the column matched to
+    row i, ``total`` the summed matched costs, ``u`` and ``v`` the final
+    row and column duals.
 
     Jonker-Volgenant's column reduction gives the start: ``v[j]`` is the
     smallest cost in column j, ``u = 0``, and in ascending j column j goes
@@ -324,35 +353,36 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float]:
                 break
 
     total = float(c[np.arange(n), col_of].sum())
-    return col_of, total
+    return col_of, total, u, v
 
 
 def _transportation_simplex(
     values: np.ndarray,
     supply: np.ndarray,
     demand: np.ndarray,
-    basis: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
+    start: np.ndarray | _BasisTree | None = None,
+) -> tuple[np.ndarray, _BasisTree, int]:
     """Network simplex on the n x m transportation problem.
 
-    Starts from ``basis`` (flat cell indices, as ``TransportPlan.basis``)
-    when its tree's flows are feasible for these marginals, and from the
-    least-cost basis otherwise. Entering cells follow Dantzig's
+    Starts from ``start`` when its tree's flows are feasible for these
+    marginals, and from the least-cost basis otherwise: an earlier
+    solve's final tree, copied and re-priced, or basis cells (flat
+    indices, as ``TransportPlan.basis``). Entering cells follow Dantzig's
     most-negative-reduced-cost rule, the first such cell in row-major
     order on ties, switching to Bland's rule (first negative cell) after
     a pivot budget so degenerate instances cannot cycle. The leaving cell
     is the lexicographic minimum of (flow, cell) over the cycle's donor
     cells. The pivot sequence is fully deterministic.
 
-    After the last pivot the final basis is walked afresh: its potentials
-    must price every cell at or above ``-1e-11 * max C``, which certifies
-    optimality and catches drift in the incremental potentials, and its
-    flows come from the marginals alone, so the coupling depends only on
-    the final basis, not on the pivots that reached it.
+    The last pricing pass is the duality certificate: its potentials
+    must price every cell at or above ``-1e-11 * max C`` and every basis
+    cell within that of zero, which also catches drifted potentials. The
+    flows come from the final tree and the marginals alone, so the
+    coupling depends only on the final basis.
 
     Returns:
-        ``(coupling, basis, pivots)``: the optimal coupling, the ascending
-        flat indices of its n + m - 1 basis cells, and the pivot count.
+        ``(coupling, tree, pivots)``: the optimal coupling, the final
+        basis tree holding its flows, and the pivot count.
 
     Raises:
         SolverFailureError: on an exhausted pivot budget, a final basis
@@ -361,7 +391,10 @@ def _transportation_simplex(
     n, m = values.shape
     # Relative to the costs, so optimality does not depend on coordinate scale.
     tol = 1e-11 * float(values.max())
-    tree = None if basis is None else _BasisTree(values, basis)
+    if isinstance(start, _BasisTree):
+        tree = start.priced_copy(values)
+    else:
+        tree = None if start is None else _BasisTree(values, start)
     if tree is None or not tree.set_flows(supply, demand):
         tree = _BasisTree(values, _least_cost_start(values, supply, demand))
         if not tree.set_flows(supply, demand):
@@ -386,18 +419,13 @@ def _transportation_simplex(
     else:
         raise SolverFailureError("transportation simplex exceeded its pivot budget")
 
-    cells = tree.cells()
-    final = _BasisTree(values, cells)
-    worst = float((values - final.pot[:n, None] - final.pot[None, n:]).min())
-    if worst < -tol:
-        raise SolverFailureError(
-            f"transportation simplex basis is not optimal (reduced cost {worst:.3e})"
-        )
-    if not final.set_flows(supply, demand):
+    cells = tree.cells(sort=False)
+    _certify_optimal("transportation simplex basis", reduced, cells, tol)
+    if not tree.set_flows(supply, demand):
         raise SolverFailureError("transportation simplex produced negative mass")
     coupling = np.zeros((n, m))
-    coupling.flat[final.cells(sort=False)] = final.flow[1:]
-    return coupling, cells, pivots
+    coupling.flat[cells] = tree.flow[1:]
+    return coupling, tree, pivots
 
 
 def _least_cost_start(values: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
@@ -438,17 +466,18 @@ def _least_cost_start(values: np.ndarray, supply: np.ndarray, demand: np.ndarray
 
 
 class _BasisTree:
-    """Spanning tree of a transportation basis, kept in arrays.
+    """Spanning tree of a transportation basis, kept in flat lists.
 
     Nodes are the rows ``0..n-1`` and the columns ``n..n+m-1``. Node k's
     edge to ``parent[k]`` is the basis cell (k, parent[k] - n) for a row
     and (parent[k], k - n) for a column; row 0 is the root and never
     moves. ``depth[k]`` counts k's edges to the root. ``order`` lists the
     nodes in preorder (the thread) and ``pos`` is its inverse, so the
-    subtree of k is ``order[pos[k]:pos[k] + size[k]]``. ``pot`` holds the
-    potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
+    subtree of k is ``order[pos[k]:pos[k] + size[k]]``. The array ``pot``
+    holds the potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
     ``u[i] + v[j] == values[i, j]`` on every basis cell and ``u[0] == 0``.
-    ``flow[k]`` is the flow on node k's parent edge.
+    ``flow[k]`` is the flow on node k's parent edge, and ``flows_for``
+    the marginals' bytes they were last set for (None after a pivot).
     """
 
     def __init__(self, values: np.ndarray, cells: np.ndarray):
@@ -471,7 +500,6 @@ class _BasisTree:
 
         parent = [-1] * nodes
         depth = [0] * nodes
-        pot = [0.0] * nodes
         seen = [False] * nodes
         seen[0] = True
         order = []
@@ -484,8 +512,6 @@ class _BasisTree:
                     seen[nxt] = True
                     parent[nxt] = k
                     depth[nxt] = depth[k] + 1
-                    cost = values[k, nxt - n] if k < n else values[nxt, k - n]
-                    pot[nxt] = float(cost) - pot[k]
                     stack.append(nxt)
         if len(order) != nodes:
             raise SolverFailureError("transport basis is not a spanning tree")
@@ -494,16 +520,32 @@ class _BasisTree:
         for k in reversed(order[1:]):
             sizes[parent[k]] += sizes[k]
         self.n, self.m = n, m
-        self.parent = parent
-        self.size = sizes
-        self.depth = np.array(depth, dtype=np.int64)
-        self.order = np.array(order, dtype=np.int64)
-        self.pos = np.empty(nodes, dtype=np.int64)
-        self.pos[self.order] = np.arange(nodes)
-        self.pot = np.array(pot)
+        self.parent, self.size, self.depth, self.order = parent, sizes, depth, order
+        self.pos = [0] * nodes
+        for at, k in enumerate(order):
+            self.pos[k] = at
+        self.price(values)
         # +1 on rows, -1 on columns: a subtree shift raises u and lowers v.
         self.sign = np.concatenate((np.ones(n), -np.ones(m)))
         self.flow = [0.0] * nodes
+        self.flows_for = None
+
+    def price(self, values: np.ndarray) -> None:
+        """Set the potentials for ``values`` down the thread from row 0."""
+        parent = self.parent
+        cost = values.flat[self.cells(sort=False)].tolist()
+        pot = [0.0] * len(parent)
+        for k in self.order[1:]:
+            pot[k] = cost[k - 1] - pot[parent[k]]
+        self.pot = np.array(pot)
+
+    def priced_copy(self, values: np.ndarray) -> _BasisTree:
+        """A copy priced for ``values``; pivots on it leave this tree as is."""
+        tree = copy.copy(self)
+        tree.parent, tree.size, tree.flow = self.parent[:], self.size[:], self.flow[:]
+        tree.depth, tree.order, tree.pos = self.depth[:], self.order[:], self.pos[:]
+        tree.price(values)
+        return tree
 
     def cell(self, k: int) -> int:
         """Flat index of node k's parent edge."""
@@ -512,27 +554,36 @@ class _BasisTree:
 
     def cells(self, sort: bool = True) -> np.ndarray:
         """Flat indices of the basis cells: ascending, or by child node."""
-        cells = np.array([self.cell(k) for k in range(1, self.n + self.m)], dtype=np.int64)
+        n, m = self.n, self.m
+        k = np.arange(1, n + m)
+        up = np.array(self.parent[1:])
+        cells = np.where(k < n, k * m + up - n, up * m + k - n)
         return np.sort(cells) if sort else cells
 
     def set_flows(self, supply: np.ndarray, demand: np.ndarray) -> bool:
         """Set the basic flows fixed by the marginals; False if one is negative.
 
-        Leaves are eliminated up the thread in reverse: each node's net
-        supply (row weights minus column weights over its subtree) crosses
-        its parent edge, from row to column. Flows within ``_FLOW_TOL``
-        below zero are rounding dust and read as zero.
+        Leaves are eliminated from the deepest level up, in ascending node
+        order: each node's net supply (row weights minus column weights
+        over its subtree) crosses its parent edge, from row to column, and
+        children add in ascending order, so the flows depend only on the
+        basis, bit for bit. Flows within ``_FLOW_TOL`` below zero are
+        rounding dust and read as zero. Flows set for these marginals stay.
         """
+        marginals = supply.tobytes() + demand.tobytes()
+        if marginals == self.flows_for:
+            return True
         n = self.n
         net = supply.tolist() + (-demand).tolist()
         parent = self.parent
-        for k in self.order[:0:-1].tolist():
+        for k in sorted(range(len(net)), key=self.depth.__getitem__, reverse=True)[:-1]:
             net[parent[k]] += net[k]
         flow = [net[k] if k < n else -net[k] for k in range(len(net))]
         flow[0] = 0.0
         if min(flow) < -_FLOW_TOL:
             return False
         self.flow = [max(f, 0.0) for f in flow]
+        self.flows_for = marginals
         return True
 
     def pivot(self, ei: int, ej: int, delta: float) -> None:
@@ -573,6 +624,7 @@ class _BasisTree:
                     f, cell = flow[k], self.cell(k)
                     if f < theta or (f == theta and cell < leave_cell):
                         theta, leave_cell, out_side, out_at = f, cell, side, at
+        self.flows_for = None
         if theta > 0.0:
             for k in climb_p:
                 flow[k] += -theta if k < n else theta
@@ -587,17 +639,19 @@ class _BasisTree:
         # S re-rooted at path[0]: its old subtree, then each path node with
         # the part of its old subtree that does not hold the previous one.
         order, pos = self.order, self.pos
-        starts = pos[path].tolist()
+        starts = [pos[k] for k in path]
         sizes = [size[k] for k in path]
-        pieces = [order[starts[0]:starts[0] + sizes[0]]]
-        lengths = [sizes[0]]
-        for t in range(1, len(path)):
-            pieces.append(order[starts[t]:starts[t - 1]])
-            pieces.append(order[starts[t - 1] + sizes[t - 1]:starts[t] + sizes[t]])
-            lengths.append(sizes[t] - sizes[t - 1])
-        subtree = np.concatenate(pieces)
-        top = int(depth[anchor]) + 1
-        depth[subtree] += np.repeat(top + np.arange(len(path)) - depth[path], lengths)
+        top = depth[anchor] + 1
+        subtree = []
+        inner = inner_end = starts[0] + sizes[0]  # the previous path node's block
+        for t, k in enumerate(path):
+            start, end = starts[t], starts[t] + sizes[t]
+            piece = order[start:inner] + order[inner_end:end]
+            shift = top + t - depth[k]
+            for j in piece:
+                depth[j] += shift
+            subtree += piece
+            inner, inner_end = start, end
         self.pot[subtree] += delta * self.sign[subtree]
 
         # Reverse the path's parent edges; each edge keeps its flow.
@@ -617,11 +671,12 @@ class _BasisTree:
             size[path[t]] = moved - sizes[t - 1]
 
         # Move S's block in the thread to just after its new parent.
-        lo, at = starts[-1], int(pos[anchor])
+        lo, at = starts[-1], pos[anchor]
         if at < lo:
-            span = slice(at + 1, lo + moved)
-            order[span] = np.concatenate((subtree, order[at + 1:lo]))
+            span = range(at + 1, lo + moved)
+            order[at + 1:lo + moved] = subtree + order[at + 1:lo]
         else:
-            span = slice(lo, at + 1)
-            order[span] = np.concatenate((order[lo + moved:at + 1], subtree))
-        pos[order[span]] = np.arange(span.start, span.stop)
+            span = range(lo, at + 1)
+            order[lo:at + 1] = order[lo + moved:at + 1] + subtree
+        for i in span:
+            pos[order[i]] = i

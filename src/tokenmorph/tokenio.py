@@ -3,7 +3,7 @@
 Both formats round-trip double precision losslessly. The binary layout
 is: magic "BMT1", then n and d as 32-bit little-endian unsigned
 integers, one weights-present byte, n*d float64 little-endian payload,
-then (if present) n float64 weights.
+then (if present) n float64 weights, and nothing after them.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ def tokens_from_binary_bytes(data: bytes) -> TokenSet:
     if len(data) < need:
         raise TruncatedPayloadError(
             f"file has {len(data)} bytes but the header requires {need}"
+        )
+    if len(data) > need:
+        raise FormatError(
+            f"file has {len(data)} bytes but the header declares {need}: trailing bytes"
         )
     offset = 13
     points = np.frombuffer(data, dtype="<f8", count=n * d, offset=offset).reshape(n, d)

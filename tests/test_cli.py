@@ -20,6 +20,7 @@ from tokenmorph import (
     write_tokens,
 )
 import tokenmorph.ot as ot_module
+from tokenmorph.tokenio import tokens_to_binary_bytes
 from tokenmorph.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
@@ -136,7 +137,8 @@ class TestMorph:
 
 
 class TestTextureReuse:
-    """``morph --tau`` writes an unchanged frame's bytes once, not twice."""
+    """``morph --tau`` encodes and hashes an unchanged frame's bytes once,
+    not twice."""
 
     def _morph(self, tmp_path, monkeypatch, tau):
         source, target = gen_synthetic("two_cluster_swap_pair", 16, 4, 0)
@@ -151,9 +153,14 @@ class TestTextureReuse:
             return writer(tokens)
 
         monkeypatch.setattr(cli_module, "tokens_to_json_bytes", counted)
+        self.hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda data=b"": self.hashed.append(data) or sha256(data))
         out = tmp_path / f"run_{tau}"
         argv = ["morph", *map(str, paths), "--tau", str(tau), "--out-dir", str(out)]
         assert main(argv) == EXIT_OK
+        monkeypatch.undo()
         manifest = json.loads((out / "manifest.json").read_text())
         return out, manifest, len(encodes), source
 
@@ -164,6 +171,10 @@ class TestTextureReuse:
             texture = (out / f"texture_{k:03d}.json").read_bytes()
             assert texture == (out / f"frame_{k:03d}.json").read_bytes()
             assert manifest["texture_frames"][k]["sha256"] == manifest["frames"][k]["sha256"]
+            assert manifest["frames"][k]["sha256"] == hashlib.sha256(texture).hexdigest()
+            # A frame that equals an input file is hashed for the manifest too.
+            inputs = [(tmp_path / name).read_bytes() for name in ("source.json", "target.json")]
+            assert self.hashed.count(texture) == 1 + inputs.count(texture)
         assert encodes == 8
 
     def test_copied_tokens_keep_the_per_token_invariants(self, tmp_path, monkeypatch):
@@ -177,8 +188,10 @@ class TestTextureReuse:
             changed = [i for i in range(16) if frame[i].tobytes() != texture[i].tobytes()]
             assert 0 < len(changed) <= copied[k]
             assert all(texture[i].tobytes() in source_rows for i in changed)
-        # Every texture frame copies something, so each one is encoded.
+        # Every texture frame copies something, so each one is encoded and hashed.
         assert encodes == 16
+        for k in range(1, 8):
+            assert self.hashed.count((out / f"texture_{k:03d}.json").read_bytes()) == 1
 
 
 class TestOtherCommands:
@@ -362,6 +375,20 @@ class TestErrorPaths:
         assert main(["dist", str(bad), str(source_path)]) == EXIT_FORMAT
         assert "error[format]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tail", ["garbage", "zero flag"])
+    def test_binary_file_longer_than_its_header(self, tmp_path, weighted_files, tail, capsys):
+        data = bytearray(tokens_to_binary_bytes(read_tokens(weighted_files[0])))
+        if tail == "garbage":
+            data += b"\x00" * 8
+        else:
+            data[12] = 0  # the weights now trail a weights-absent header
+        bad = tmp_path / "long.bin"
+        bad.write_bytes(bytes(data))
+        assert main(["dist", str(bad), str(weighted_files[1])]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[format]:")
+        assert "trailing bytes" in err
+
     def test_ragged_json_points(self, tmp_path, capsys):
         bad = tmp_path / "ragged.json"
         bad.write_text('{"n": 2, "d": 1, "points": [[1.0], [1.0, 2.0]]}')
@@ -433,6 +460,22 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("tokenmorph: error[solver-failure]:")
         assert "not optimal" in captured.err
+
+
+    def test_failed_assignment_certificate(self, token_files, monkeypatch, capsys):
+        # Row duals raised by 1 price cells below zero: a dual that no
+        # optimal assignment would leave.
+        def raised_row_duals(values):
+            perm, total, u, v = real_matching(values)
+            return perm, total, u + 1.0, v
+
+        real_matching = ot_module._min_cost_matching
+        monkeypatch.setattr(ot_module, "_min_cost_matching", raised_row_duals)
+        assert main(["dist", *map(str, token_files)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tokenmorph: error[solver-failure]:")
+        assert "assignment is not optimal" in captured.err
 
 
 def test_repeated_main_calls_match_fresh_processes(token_files, weighted_files, tmp_path,

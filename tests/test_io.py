@@ -127,6 +127,22 @@ class TestBinaryErrors:
         with pytest.raises(TruncatedPayloadError):
             tokens_from_binary_bytes(data[:-4])
 
+    def test_trailing_bytes(self, tmp_path, uniform_set):
+        path = tmp_path / "t.bin"
+        path.write_bytes(tokens_to_binary_bytes(uniform_set) + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes"):
+            read_tokens(path)
+
+    def test_weights_behind_a_zero_flag(self, tmp_path, weighted_set):
+        # A weights-absent flag with n weights still in the file: the
+        # weights used to be dropped silently and the set read as uniform.
+        data = bytearray(tokens_to_binary_bytes(weighted_set))
+        data[12] = 0
+        path = tmp_path / "t.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="trailing bytes"):
+            read_tokens(path)
+
     def test_bad_flag_byte(self):
         data = MAGIC + struct.pack("<IIB", 1, 1, 7) + struct.pack("<d", 0.0)
         with pytest.raises(FormatError):

@@ -350,17 +350,17 @@ class TestSolveAssignment:
 
     def test_derived_two_by_two(self):
         # Enumerating both permutations: identity 9+16=25 beats swap 25+4=29.
-        perm, cost = ot_module._min_cost_matching(np.array([[9.0, 25.0], [4.0, 16.0]]))
+        perm, cost, _, _ = ot_module._min_cost_matching(np.array([[9.0, 25.0], [4.0, 16.0]]))
         np.testing.assert_array_equal(perm, [0, 1])
         assert cost == 25.0
 
     def test_zero_matrix_tie_breaks_to_identity(self):
-        perm, cost = ot_module._min_cost_matching(np.zeros((5, 5)))
+        perm, cost, _, _ = ot_module._min_cost_matching(np.zeros((5, 5)))
         np.testing.assert_array_equal(perm, np.arange(5))
         assert cost == 0.0
 
     def test_diagonal_dominant(self):
-        perm, cost = ot_module._min_cost_matching(np.array([[0.0, 9.0], [9.0, 0.0]]))
+        perm, cost, _, _ = ot_module._min_cost_matching(np.array([[0.0, 9.0], [9.0, 0.0]]))
         np.testing.assert_array_equal(perm, [0, 1])
         assert cost == 0.0
 
@@ -368,7 +368,7 @@ class TestSolveAssignment:
         # A CostMatrix's values are read-only; the solver only reads them.
         a = TokenSet([[0.0], [1.0]])
         b = TokenSet([[3.0], [5.0]])
-        perm, _ = ot_module._min_cost_matching(cost_matrix(a, b).values)
+        perm, *_ = ot_module._min_cost_matching(cost_matrix(a, b).values)
         np.testing.assert_array_equal(perm, [0, 1])
 
     @settings(max_examples=50, deadline=None)
@@ -376,13 +376,13 @@ class TestSolveAssignment:
     def test_matches_scipy_on_random_matrices(self, n, seed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0.0, 10.0, size=(n, n))
-        perm, cost = ot_module._min_cost_matching(values)
+        perm, cost, _, _ = ot_module._min_cost_matching(values)
         rows, cols = linear_sum_assignment(values)
         assert cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
         assert sorted(perm.tolist()) == list(range(n))
 
     def test_single_entry(self):
-        perm, cost = ot_module._min_cost_matching(np.array([[3.5]]))
+        perm, cost, _, _ = ot_module._min_cost_matching(np.array([[3.5]]))
         np.testing.assert_array_equal(perm, [0])
         assert cost == 3.5
 
@@ -390,7 +390,7 @@ class TestSolveAssignment:
         # Every permutation costs the row's sum; each row takes the
         # smallest-index column still open.
         values = np.tile([4.0, 1.0, 3.0, 1.0, 0.5, 2.0], (6, 1))
-        perm, cost = ot_module._min_cost_matching(values)
+        perm, cost, _, _ = ot_module._min_cost_matching(values)
         np.testing.assert_array_equal(perm, np.arange(6))
         assert cost == 11.5
 
@@ -404,27 +404,51 @@ class TestSolveAssignment:
     def test_tie_heavy_matrices_match_brute_force(self, entries, scale):
         values = scale * np.array(entries, dtype=np.float64)
         n = values.shape[0]
-        perm, cost = ot_module._min_cost_matching(values)
+        perm, cost, u, v = ot_module._min_cost_matching(values)
         assert sorted(perm.tolist()) == list(range(n))
         assert cost == float(values[np.arange(n), perm].sum())
         _, reference = brute_force_matching(values)
         assert cost == pytest.approx(reference, rel=1e-12, abs=0.0)
+        # The final duals pass the certificate that solve_exact_ot applies.
+        ot_module._certify_optimal("assignment", values - u[:, None] - v,
+                                   np.arange(n) * n + perm, 1e-11 * float(values.max()))
 
     @pytest.mark.parametrize("seed", [101, 7])
     def test_permutation_equals_scipy_on_blob_pairs(self, seed):
         a = gen_synthetic("gaussian_blob", 256, 64, seed)
         b = gen_synthetic("gaussian_blob", 256, 64, seed + 101)
-        perm, _ = ot_module._min_cost_matching(cost_matrix(a, b).values)
+        perm, *_ = ot_module._min_cost_matching(cost_matrix(a, b).values)
         np.testing.assert_array_equal(
             perm, scipy_assignment_permutation(a.points, b.points)
         )
+
+    @pytest.mark.parametrize("corrupt", [
+        # Rows 0 and 1 trade columns: still a permutation, not optimal.
+        lambda perm, u, v: (perm[[1, 0, *range(2, len(perm))]], u, v),
+        lambda perm, u, v: (perm, u + 1.0, v),  # duals price cells below zero
+        lambda perm, u, v: (perm, u, v - 1.0),  # matched cells off zero
+    ], ids=["permutation", "infeasible duals", "slack"])
+    def test_certificate_rejects_corrupted_duals_or_permutation(self, corrupt, monkeypatch):
+        real = ot_module._min_cost_matching
+
+        def corrupted(values):
+            perm, _, u, v = real(values)
+            perm, u, v = corrupt(perm, u, v)
+            return perm, float(values[np.arange(len(perm)), perm].sum()), u, v
+
+        monkeypatch.setattr(ot_module, "_min_cost_matching", corrupted)
+        rng = np.random.default_rng(5)
+        a = random_tokenset(rng, 12, 3)
+        b = random_tokenset(rng, 12, 3)
+        with pytest.raises(SolverFailureError, match="assignment is not optimal"):
+            solve_exact_ot(a, b)
 
     def test_consistency_with_general_solver(self):
         rng = np.random.default_rng(31)
         for n in (2, 4, 8, 12):
             a = random_tokenset(rng, n, 3)
             b = random_tokenset(rng, n, 3)
-            _, cost = ot_module._min_cost_matching(cost_matrix(a, b).values)
+            _, cost, _, _ = ot_module._min_cost_matching(cost_matrix(a, b).values)
             assert cost / n == pytest.approx(simplex_cost(a, b), rel=1e-9)
 
 
@@ -472,16 +496,31 @@ def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
     # The thread is a preorder: it starts at the root, pos inverts it, and
     # every subtree is one block. Sibling order may differ from the walk's.
     assert tree.order[0] == 0
-    assert sorted(tree.order.tolist()) == list(range(size))
-    np.testing.assert_array_equal(tree.pos[tree.order], np.arange(size))
+    assert sorted(tree.order) == list(range(size))
+    assert [tree.pos[k] for k in tree.order] == list(range(size))
     for k in range(size):
-        lo = int(tree.pos[k])
-        got = set(tree.order[lo:lo + tree.size[k]].tolist())
-        flo = int(fresh.pos[k])
-        assert got == set(fresh.order[flo:flo + fresh.size[k]].tolist())
+        lo, flo = tree.pos[k], fresh.pos[k]
+        assert set(tree.order[lo:lo + tree.size[k]]) == set(fresh.order[flo:flo + fresh.size[k]])
     scale = float(np.abs(fresh.pot).max()) + float(values.max())
     np.testing.assert_allclose(tree.pot, fresh.pot, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(tree.flow, fresh.flow, rtol=0, atol=1e-12)
+    # Re-priced and with its flows set afresh, the tree matches the walk
+    # bit for bit, whatever sibling order its thread has. The reference
+    # flows eliminate leaves up the fresh walk's thread in reverse.
+    net = supply.tolist() + (-demand).tolist()
+    for k in fresh.order[:0:-1]:
+        net[fresh.parent[k]] += net[k]
+    n = len(supply)
+    walked = [0.0] + [max(net[k] if k < n else -net[k], 0.0) for k in range(1, size)]
+    priced = tree.priced_copy(values)
+    assert priced.set_flows(supply, demand)
+    assert np.array(priced.flow).tobytes() == np.array(walked).tobytes()
+    assert priced.pot.tobytes() == fresh.pot.tobytes()
+
+
+def _tree_state(tree):
+    return (tree.parent[:], tree.size[:], tree.flow[:], tree.flows_for, tree.depth[:],
+            tree.order[:], tree.pos[:], tree.pot.tobytes())
 
 
 class TestBasisTree:
@@ -559,6 +598,7 @@ class TestBasisTree:
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
            st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
            st.integers(0, 10_000))
+    @example(2, 3, 1, "dirichlet", False, 1)  # children summed out of order show here
     def test_random_pivots_match_a_fresh_walk(self, n, n2, m, weights, ties, seed):
         rng = np.random.default_rng(seed)
         a, b = _weighted_pair(rng, n, n2, m, weights, ties)
@@ -615,12 +655,56 @@ class TestNetworkSimplex:
         rng = np.random.default_rng(seed)
         a, b = _weighted_pair(rng, n, n2, m, weights, ties)
         values = cost_matrix(a, b).values
-        cold, basis, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
-        warm, again, pivots = ot_module._transportation_simplex(
-            values, a.weights, b.weights, basis)
-        assert pivots == 0
-        np.testing.assert_array_equal(again, basis)
-        assert warm.tobytes() == cold.tobytes()
+        cold, tree, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
+        basis = tree.cells()
+        # From the walked cells and from the carried tree alike.
+        for start in (basis, tree):
+            warm, again, pivots = ot_module._transportation_simplex(
+                values, a.weights, b.weights, start)
+            assert pivots == 0
+            np.testing.assert_array_equal(again.cells(), basis)
+            assert warm.tobytes() == cold.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 3),
+           st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
+           st.integers(0, 10_000))
+    @example(20, 17, 2, "dirichlet", False, 0)
+    @example(12, 9, 2, "uniform", True, 5)
+    def test_carried_tree_starts_as_the_walked_basis(self, n, n2, m, weights, ties, seed):
+        # A barycenter sweep's warm start: the support moved, the weights
+        # did not. Starting from the plan's carried tree or from a fresh
+        # walk of its basis gives the same pivots, basis and coupling.
+        if n == n2:
+            n2 += 1  # stay off the assignment route
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, n, n2, m, weights, ties)
+        plan = solve_exact_ot(a, b)
+        before = _tree_state(plan._tree)
+        step = rng.integers(-1, 2, size=a.points.shape) if ties else rng.normal(size=a.points.shape)
+        values = cost_matrix(TokenSet(a.points + 0.5 * step, a.weights), b).values
+        from_tree = ot_module._transportation_simplex(values, a.weights, b.weights, plan._tree)
+        from_cells = ot_module._transportation_simplex(values, a.weights, b.weights, plan.basis)
+        assert from_tree[2] == from_cells[2]
+        np.testing.assert_array_equal(from_tree[1].cells(), from_cells[1].cells())
+        assert from_tree[0].tobytes() == from_cells[0].tobytes()
+        assert _tree_state(plan._tree) == before
+
+    @pytest.mark.parametrize("seed", [101, 7, 3])
+    def test_a_plan_started_from_twice_gives_the_same_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, 20, 16, 8, "dirichlet", False)
+        plan = solve_exact_ot(a, b)
+        values = cost_matrix(TokenSet(a.points + rng.normal(size=a.points.shape), a.weights),
+                             b).values
+        first = ot_module._transportation_simplex(values, a.weights, b.weights, plan._tree)
+        second = ot_module._transportation_simplex(values, a.weights, b.weights, plan._tree)
+        assert first[2] == second[2] > 0
+        assert first[0].tobytes() == second[0].tobytes()
+        moved = TokenSet(a.points + 1.0, a.weights)
+        again = [solve_exact_ot(moved, b, start=plan) for _ in range(2)]
+        assert again[0].coupling.tobytes() == again[1].coupling.tobytes()
+        np.testing.assert_array_equal(again[0].basis, again[1].basis)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 15), st.integers(2, 15), st.integers(1, 3), st.booleans(),
