@@ -237,7 +237,7 @@ def _finish(args, out_dir: Path, inputs: dict[str, TokenSet], body: dict,
             "n": tokens.n,
             "d": tokens.m,
         }
-    _write(out_dir, "manifest.json", _json_bytes(manifest))
+    (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
     print(shown or out_dir)
     return EXIT_OK
 
@@ -303,7 +303,7 @@ def _cmd_morph(args) -> int:
             "objective": diag.objective,
         })
     index = {"files": [entry["file"] for entry in frames], "betas": list(trajectory.betas)}
-    _write(out_dir, "frames_index.json", _json_bytes(index))
+    (out_dir / "frames_index.json").write_bytes(_json_bytes(index))
     body = {"betas": list(trajectory.betas), "frames": frames,
             "step_w2": list(trajectory.step_w2)}
 

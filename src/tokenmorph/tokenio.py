@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._floatrepr import json_float_array
 from .errors import (
     BadMagicError,
     FormatError,
@@ -29,17 +30,28 @@ FORMATS = ("json", "binary")
 # inside it are renormalized exactly, beyond it the file is rejected.
 _FILE_WEIGHT_SUM_TOL = 1e-9
 
+# Arrays this large are written by the numpy kernel, smaller ones by
+# json.dumps, whose fixed cost is lower: medians of 400 interleaved calls
+# on n x 8 arrays took 0.51-0.53 ms against 0.71-0.74 ms at 1 024 values,
+# about even near 600 and 0.30-0.50 ms against 0.18-0.19 ms at 128.
+_KERNEL_MIN_VALUES = 1024
+
 
 def tokens_to_json_bytes(tokens: TokenSet) -> bytes:
-    doc: dict = {
-        "n": tokens.n,
-        "d": tokens.m,
-        "points": tokens.points.tolist(),
-    }
+    """The JSON token file: the bytes of ``json.dumps`` of ``n``, ``d``,
+    ``points.tolist()`` and, unless uniform, ``weights.tolist()``, with
+    sorted keys and compact separators, plus a newline."""
+    parts = [b'{"d":%d,"n":%d,"points":' % (tokens.m, tokens.n), _json_floats(tokens.points)]
     if not _is_exactly_uniform(tokens.weights):
-        doc["weights"] = tokens.weights.tolist()
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return text.encode("utf-8")
+        parts += [b',"weights":', _json_floats(tokens.weights)]
+    parts.append(b"}\n")
+    return b"".join(parts)
+
+
+def _json_floats(values: np.ndarray) -> bytes:
+    if values.size < _KERNEL_MIN_VALUES:
+        return json.dumps(values.tolist(), separators=(",", ":")).encode()
+    return json_float_array(values)
 
 
 def tokens_to_binary_bytes(tokens: TokenSet) -> bytes:
@@ -142,6 +154,10 @@ def _json_array(doc: dict, key: str, may_hold_bool: bool) -> np.ndarray:
         raise FormatError(
             f"{key!r} is not a rectangular array of float64 numbers: it holds a JSON true or false"
         )
+    # json.loads reads NaN, Infinity and -Infinity (none of them JSON)
+    # and turns float literals beyond float64, such as 1e400, into inf.
+    if not np.isfinite(values).all():
+        raise FormatError(f"{key!r} holds NaN, Infinity or a number beyond float64")
     return values
 
 

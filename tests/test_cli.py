@@ -138,7 +138,7 @@ class TestMorph:
 
 class TestTextureReuse:
     """``morph --tau`` encodes and hashes an unchanged frame's bytes once,
-    not twice."""
+    not twice, and hashes no file that the manifest does not list."""
 
     def _morph(self, tmp_path, monkeypatch, tau):
         source, target = gen_synthetic("two_cluster_swap_pair", 16, 4, 0)
@@ -176,6 +176,9 @@ class TestTextureReuse:
             inputs = [(tmp_path / name).read_bytes() for name in ("source.json", "target.json")]
             assert self.hashed.count(texture) == 1 + inputs.count(texture)
         assert encodes == 8
+        # The manifest and the frames index carry no digest, so neither is hashed.
+        for name in ("manifest.json", "frames_index.json"):
+            assert (out / name).read_bytes() not in self.hashed
 
     def test_copied_tokens_keep_the_per_token_invariants(self, tmp_path, monkeypatch):
         out, manifest, encodes, source = self._morph(tmp_path, monkeypatch, 0.01)
@@ -400,6 +403,16 @@ class TestErrorPaths:
     def test_boolean_json_coordinates(self, tmp_path, capsys):
         bad = tmp_path / "bool.json"
         bad.write_text('{"n":1,"d":2,"points":[[true,false]]}')
+        assert main(["dist", str(bad), str(bad)]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[format]:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_json_coordinates(self, tmp_path, literal, capsys):
+        # Exit 6 ("token coordinates must be finite") before.
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text('{"n":1,"d":2,"points":[[0.5,%s]]}' % literal)
         assert main(["dist", str(bad), str(bad)]) == EXIT_FORMAT
         err = capsys.readouterr().err
         assert err.startswith("tokenmorph: error[format]:")

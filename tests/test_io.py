@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenmorph import (
     BadMagicError,
@@ -15,7 +17,9 @@ from tokenmorph import (
     read_tokens,
     write_tokens,
 )
+from tokenmorph import _floatrepr
 from tokenmorph.tokenio import (
+    _KERNEL_MIN_VALUES,
     MAGIC,
     tokens_from_binary_bytes,
     tokens_from_json_bytes,
@@ -196,6 +200,22 @@ class TestJsonErrors:
         with pytest.raises(FormatError, match="positive integers"):
             tokens_from_json_bytes(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("text", [
+        '{"n":1,"d":2,"points":[[0.5,NaN]]}',
+        '{"n":1,"d":2,"points":[[Infinity,0.5]]}',
+        '{"n":1,"d":2,"points":[[0.5,-Infinity]]}',
+        '{"n":1,"d":2,"points":[[1e400,0.5]]}',                              # inf before
+        '{"n":1,"d":2,"points":[[0.5,-1e400]]}',
+        '{"n":2,"d":1,"points":[[0.5],[1.5]],"weights":[0.5,NaN]}',
+        '{"n":2,"d":1,"points":[[0.5],[1.5]],"weights":[Infinity,0.5]}',
+    ])
+    def test_non_finite_values(self, tmp_path, text):
+        # Python's json module reads these; none is a float64 JSON number.
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="NaN, Infinity"):
+            read_tokens(path)
+
     def test_weights_summing_to_point_nine(self):
         doc = {"n": 2, "d": 1, "points": [[0.0], [1.0]], "weights": [0.45, 0.45]}
         with pytest.raises(InvalidWeightsError):
@@ -211,6 +231,82 @@ class TestJsonErrors:
         }
         tokens = tokens_from_json_bytes(json.dumps(doc).encode())
         assert tokens.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _edge_values() -> np.ndarray:
+    """Finite doubles where the shortest repr or its layout changes."""
+    one = np.uint64(1)
+    powers_of_two = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ulps = np.concatenate([
+        powers_of_two - one, powers_of_two, powers_of_two + one,
+        np.array([(2047 << 52) - 1], dtype=np.uint64),           # largest finite
+        np.arange(1, 5000, dtype=np.uint64),                     # small subnormals
+    ]).view(np.float64)
+    around = [np.nextafter(x, np.inf) for x in powers_of_ten] + [
+        np.nextafter(x, 0.0) for x in powers_of_ten]
+    steps = np.arange(-20, 21)
+    near_switches = np.concatenate([
+        c * (1.0 + steps * 2.0 ** -52) for c in (1e-5, 1e-4, 1e15, 1e16, 1e17)])
+    rng = np.random.default_rng(317)
+    integers = np.concatenate([
+        rng.integers(0, 2 ** 53, size=2000, endpoint=True).astype(np.float64),
+        [2.0 ** 53, 2.0 ** 53 - 1, 10.0 ** 15, 10.0 ** 15 - 1, 10.0 ** 16 - 2]])
+    values = np.concatenate([ulps, powers_of_ten, around, near_switches, integers,
+                             [0.0, -0.0, 1e-4 * 0.99999, 9.5, 0.5, 123.456]])
+    return np.concatenate([values, -values])
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestJsonFloatKernel:
+    """The numpy writer against ``json.dumps``, called directly so that
+    arrays below the crossover go through it too, and read back bit-exactly."""
+
+    @staticmethod
+    def _check(values: np.ndarray) -> None:
+        text = _floatrepr.json_float_array(values)
+        assert text == json.dumps(values.tolist(), separators=(",", ":")).encode()
+        back = np.array(json.loads(text), dtype=np.float64)
+        assert back.shape == values.shape
+        assert back.tobytes() == values.tobytes()
+
+    def test_edge_values(self):
+        values = _edge_values()
+        self._check(values)
+        self._check(values.reshape(2, -1))
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1,), (37, 1),
+        (2, _floatrepr._BLOCK // 2 + 1),          # rows that straddle a block
+        (_floatrepr._BLOCK // 3 + 1, 3),
+        (1, _floatrepr._BLOCK + 5),
+    ])
+    @settings(max_examples=15, deadline=None)
+    @given(pool=st.lists(_finite, min_size=1, max_size=64))
+    def test_generated_arrays(self, shape, pool):
+        self._check(np.resize(np.array(pool, dtype=np.float64), shape))
+
+    @pytest.mark.parametrize("n, d", [(9, 3), (_KERNEL_MIN_VALUES // 2 - 1, 2),
+                                      (_KERNEL_MIN_VALUES // 2, 2), (_KERNEL_MIN_VALUES + 3, 1)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @settings(max_examples=10, deadline=None)
+    @given(pool=st.lists(_finite, min_size=1, max_size=32),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_token_files_on_both_sides_of_the_crossover(self, n, d, weighted, pool, seed):
+        points = np.resize(np.array(pool, dtype=np.float64), (n, d))
+        weights = np.random.default_rng(seed).dirichlet(np.ones(n)) if weighted else None
+        tokens = TokenSet(points, weights)
+        doc = {"n": n, "d": d, "points": tokens.points.tolist()}
+        if weighted:
+            doc["weights"] = tokens.weights.tolist()
+        reference = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert tokens_to_json_bytes(tokens) == reference.encode()
+        back = tokens_from_json_bytes(tokens_to_json_bytes(tokens))
+        assert back.points.tobytes() == tokens.points.tobytes()
+        if weighted:
+            assert back.weights.tobytes() == tokens.weights.tobytes()
 
 
 class TestSynth:
