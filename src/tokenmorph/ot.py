@@ -63,13 +63,7 @@ class CostMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        # A read-only array that owns its memory, as cost_matrix passes,
-        # is kept without a copy; anything else is copied.
-        if vals.flags.writeable or not vals.flags.owndata:
-            vals = vals.copy()
-            vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _read_only(self.values, np.float64))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -81,12 +75,12 @@ class TransportPlan:
     """A feasible coupling between two token sets and its total cost.
 
     Row sums of ``coupling`` equal the source weights and column sums the
-    target weights, both within 1e-9; ``total_cost`` is the inner product
-    of the coupling with the squared-Euclidean cost matrix. ``basis``
-    holds the flat indices into ``coupling`` of the n + n' - 1 cells of
-    the simplex's final basis tree, in ascending order, and is None on
-    the assignment route; ``solve_exact_ot(..., start=plan)`` starts
-    from it.
+    target weights, both within 1e-9. ``total_cost`` is its squared-
+    Euclidean cost, summed exactly rounded over its support (see
+    ``_support_cost``). ``basis`` holds the flat indices of the simplex's
+    n + n' - 1 final basis cells, ascending, and is None on the
+    assignment route; ``solve_exact_ot(..., start=plan)`` starts from it.
+    A read-only coupling that owns its memory is kept without a copy.
     """
 
     coupling: np.ndarray
@@ -96,14 +90,27 @@ class TransportPlan:
     _tree: _BasisTree | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        coup = np.array(np.asarray(self.coupling, dtype=np.float64), copy=True)
-        coup.setflags(write=False)
-        object.__setattr__(self, "coupling", coup)
+        object.__setattr__(self, "coupling", _read_only(self.coupling, np.float64))
         object.__setattr__(self, "total_cost", float(self.total_cost))
         if self.basis is not None:
-            basis = np.array(self.basis, dtype=np.int64, copy=True)
-            basis.setflags(write=False)
-            object.__setattr__(self, "basis", basis)
+            object.__setattr__(self, "basis", _read_only(self.basis, np.int64))
+
+
+def _read_only(array, dtype) -> np.ndarray:
+    """``array`` as read-only ``dtype``: kept if it already is read-only and
+    owns its memory, else copied, so no caller's array can change it."""
+    out = np.asarray(array, dtype=dtype)
+    if out.flags.writeable or not out.flags.owndata:
+        out = out.copy()
+        out.setflags(write=False)
+    return out
+
+
+def _support_cost(mass, costs: np.ndarray) -> float:
+    """Exactly rounded sum of ``mass * costs`` over a plan's support cells:
+    each product is rounded once, as in ``coupling * values``, and
+    ``math.fsum`` makes the sum independent of the products' order."""
+    return math.fsum((mass * costs).tolist())
 
 
 def squared_distances(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -190,30 +197,32 @@ def solve_exact_ot(
     values = cost_matrix(a, b).values
     tree = basis = None
     if a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights():
-        perm, _, u, v = _min_cost_matching(values)
-        rows = np.arange(a.n)
-        _certify_optimal("assignment", values - u[:, None] - v, rows * a.n + perm,
-                         1e-11 * float(values.max()))
-        coupling = np.zeros_like(values)
-        coupling[rows, perm] = 1.0 / a.n
+        perm, u, v = _min_cost_matching(values)
+        support = np.arange(a.n) * a.n + perm
+        reduced = values - u[:, None]
+        reduced -= v
+        _certify_optimal("assignment", reduced, support, 1e-11 * float(values.max()))
+        coupling = reduced  # one buffer: a solve holds two n x n arrays
+        coupling.fill(0.0)
+        mass = coupling.flat[support] = 1.0 / a.n
     else:
         warm = None
         if start is not None and start.coupling.shape == values.shape:
             warm = start.basis if start._tree is None else start._tree
         coupling, tree, _ = _transportation_simplex(values, a.weights, b.weights, warm)
-        basis = tree.cells()
+        basis = support = tree.cells()
+        mass = coupling.flat[support]
 
     _check_marginals(coupling, a.weights, b.weights)
-    total = float(np.sum(coupling * values))
-    plan = TransportPlan(coupling, total, basis)
+    coupling.setflags(write=False)
+    plan = TransportPlan(coupling, _support_cost(mass, values.flat[support]), basis)
     object.__setattr__(plan, "_tree", tree)
     return plan
 
 
 def w2_distance(a: TokenSet, b: TokenSet) -> float:
     """2-Wasserstein distance: square root of the optimal coupling cost."""
-    plan = solve_exact_ot(a, b)
-    return math.sqrt(max(plan.total_cost, 0.0))
+    return math.sqrt(solve_exact_ot(a, b).total_cost)
 
 
 def identity_w2(a: TokenSet, b: TokenSet) -> float:
@@ -221,13 +230,8 @@ def identity_w2(a: TokenSet, b: TokenSet) -> float:
 
     For two frames on one displacement-interpolation geodesic the identity
     is an optimal matching, and this returns ``w2_distance(a, b)`` without
-    solving for it. The result is bit for bit what ``solve_exact_ot`` would
-    report for the identity permutation: each row cost is the cost
-    matrix's own einsum, and the costs are summed as a 1/n diagonal
-    coupling times the costs over the full n x n layout. ``np.sum``
-    groups its pairwise partial sums by position in that layout, so a
-    1-D sum of the same n costs (``mean``, ``dot``) differs in the last
-    bit on a fifth to a third of the steps.
+    solving for it, bit for bit: each row cost is the cost matrix's own
+    einsum, summed by the same order-free rule as every plan cost.
 
     Raises:
         DimensionMismatchError: if the sizes or dimensions differ.
@@ -235,9 +239,7 @@ def identity_w2(a: TokenSet, b: TokenSet) -> float:
     require_same_dimension(a, b)
     require_same_size(a, b)
     diff = a.points - b.points
-    plan = np.zeros((a.n, a.n))
-    np.fill_diagonal(plan, (1.0 / a.n) * np.einsum("ij,ij->i", diff, diff))
-    return math.sqrt(max(float(np.sum(plan)), 0.0))
+    return math.sqrt(_support_cost(1.0 / a.n, np.einsum("ij,ij->i", diff, diff)))
 
 
 def _check_marginals(coupling: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> None:
@@ -268,12 +270,11 @@ def _certify_optimal(what: str, reduced: np.ndarray, tight: np.ndarray, tol: flo
         )
 
 
-def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-cost perfect matching of a square cost matrix, O(n^3).
 
-    Returns ``(perm, total, u, v)``: ``perm[i]`` is the column matched to
-    row i, ``total`` the summed matched costs, ``u`` and ``v`` the final
-    row and column duals.
+    Returns ``(perm, u, v)``: ``perm[i]`` is the column matched to row i,
+    ``u`` and ``v`` the final row and column duals.
 
     Jonker-Volgenant's column reduction gives the start: ``v[j]`` is the
     smallest cost in column j, ``u = 0``, and in ascending j column j goes
@@ -352,8 +353,7 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, float, np.ndarra
             if i == start:
                 break
 
-    total = float(c[np.arange(n), col_of].sum())
-    return col_of, total, u, v
+    return col_of, u, v
 
 
 def _transportation_simplex(

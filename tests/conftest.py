@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -24,9 +25,16 @@ def simplex_cost(a: TokenSet, b: TokenSet) -> float:
     applies.
     """
     values = cost_matrix(a, b).values
-    coupling, _, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
+    coupling, tree, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
     ot_module._check_marginals(coupling, a.weights, b.weights)
-    return float(np.sum(coupling * values))
+    support = tree.cells()
+    return ot_module._support_cost(coupling.flat[support], values.flat[support])
+
+
+def exact_plan_cost(coupling: np.ndarray, values: np.ndarray) -> float:
+    """Independent oracle: the rounded products ``coupling * values`` summed
+    as exact fractions, then rounded once; cells without mass add 0."""
+    return float(sum(map(Fraction, (coupling * values).ravel().tolist()), Fraction(0)))
 
 
 def brute_force_permutation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -479,8 +479,8 @@ class TestErrorPaths:
         # Row duals raised by 1 price cells below zero: a dual that no
         # optimal assignment would leave.
         def raised_row_duals(values):
-            perm, total, u, v = real_matching(values)
-            return perm, total, u + 1.0, v
+            perm, u, v = real_matching(values)
+            return perm, u + 1.0, v
 
         real_matching = ot_module._min_cost_matching
         monkeypatch.setattr(ot_module, "_min_cost_matching", raised_row_duals)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from tokenmorph import (
     InvalidParameterError,
     SolverFailureError,
     TokenSet,
+    TransportPlan,
     cost_matrix,
     gen_synthetic,
     solve_exact_ot,
@@ -22,6 +24,7 @@ import tokenmorph.ot as ot_module
 from conftest import (
     brute_force_matching,
     brute_force_permutation,
+    exact_plan_cost,
     random_tokenset,
     scipy_assignment_permutation,
     simplex_cost,
@@ -264,6 +267,81 @@ class TestSolveExactOT:
             np.testing.assert_array_equal(plan.coupling, reference.coupling)
 
 
+class TestPlanCost:
+    """Every plan cost is the exactly rounded sum of its support's rounded
+    products mass * cost, on both routes and in ``identity_w2``."""
+
+    @staticmethod
+    def _instances(weighted: bool):
+        rng = np.random.default_rng(43 if weighted else 47)
+        for _ in range(60):
+            n, m = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+            if weighted:
+                yield (_dirichlet_tokenset(rng, n, m),
+                       _dirichlet_tokenset(rng, int(rng.integers(2, 30)), m))
+            else:
+                yield random_tokenset(rng, n, m), random_tokenset(rng, n, m)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["assignment", "simplex"])
+    def test_total_cost_is_the_exactly_rounded_product_sum(self, weighted):
+        layout_differs = 0
+        for a, b in self._instances(weighted):
+            plan = solve_exact_ot(a, b)
+            values = cost_matrix(a, b).values
+            assert (plan.basis is None) != weighted
+            assert plan.total_cost == exact_plan_cost(plan.coupling, values)
+            layout_differs += plan.total_cost != float(np.sum(plan.coupling * values))
+        # The instances reach the last bit: a sum grouped by the n x n'
+        # layout, as numpy's pairwise reduction groups it, misses it on some.
+        assert layout_differs > 0
+
+    def test_identity_w2_squares_to_the_exactly_rounded_product_sum(self, monkeypatch):
+        squared = []
+        real_sqrt = math.sqrt
+        monkeypatch.setattr(math, "sqrt", lambda x: squared.append(x) or real_sqrt(x))
+        for a, b in self._instances(weighted=False):
+            # The identity plan's cells: 1/n times the cost matrix's diagonal.
+            diagonal = np.diag(np.diag(cost_matrix(a, b).values))
+            expected = exact_plan_cost(np.full((a.n, a.n), 1.0 / a.n), diagonal)
+            assert ot_module.identity_w2(a, b) == real_sqrt(expected)
+            assert squared.pop() == expected
+
+    @pytest.mark.parametrize("route", ["solve_exact_ot", "identity_w2"])
+    def test_peak_memory_at_n_256(self, route):
+        # The cost matrix plus one more n x n array (the certificate's
+        # reduced costs, reused as the coupling); identity_w2 holds none.
+        rng = np.random.default_rng(53)
+        n = 256
+        a = random_tokenset(rng, n, 64)
+        b = random_tokenset(rng, n, 64)
+        tracemalloc.start()
+        try:
+            getattr(ot_module, route)(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2.5 if route == "solve_exact_ot" else 0.5
+        assert peak < bound * 8 * n * n
+
+    def test_plan_keeps_an_owned_read_only_coupling_without_a_copy(self):
+        coupling = np.full((2, 2), 0.25)
+        coupling.setflags(write=False)
+        assert TransportPlan(coupling, 0.0).coupling is coupling
+        rng = np.random.default_rng(59)
+        plan = solve_exact_ot(random_tokenset(rng, 6, 2), random_tokenset(rng, 6, 2))
+        assert plan.coupling.flags.owndata and not plan.coupling.flags.writeable
+
+    def test_plan_copies_a_writable_coupling_or_a_view(self):
+        coupling = np.full((2, 2), 0.25)
+        view = coupling[:]
+        view.setflags(write=False)
+        plans = [TransportPlan(coupling, 0.0), TransportPlan(view, 0.0)]
+        coupling[0, 0] = 9.0
+        for plan in plans:
+            np.testing.assert_array_equal(plan.coupling, np.full((2, 2), 0.25))
+            assert not plan.coupling.flags.writeable
+
+
 class TestW2Distance:
     def test_identity_is_zero(self):
         ts = TokenSet([[1.0, 2.0], [3.0, 4.0]])
@@ -345,22 +423,28 @@ class TestSolveAssignment:
     uniform route.
 
     It returns the permutation (``perm[i]`` is row i's column) and the
-    summed matched costs.
+    final row and column duals; the tests sum the matched costs.
     """
 
     def test_derived_two_by_two(self):
         # Enumerating both permutations: identity 9+16=25 beats swap 25+4=29.
-        perm, cost, _, _ = ot_module._min_cost_matching(np.array([[9.0, 25.0], [4.0, 16.0]]))
+        values = np.array([[9.0, 25.0], [4.0, 16.0]])
+        perm, _, _ = ot_module._min_cost_matching(values)
+        cost = values[np.arange(2), perm].sum()
         np.testing.assert_array_equal(perm, [0, 1])
         assert cost == 25.0
 
     def test_zero_matrix_tie_breaks_to_identity(self):
-        perm, cost, _, _ = ot_module._min_cost_matching(np.zeros((5, 5)))
+        values = np.zeros((5, 5))
+        perm, _, _ = ot_module._min_cost_matching(values)
+        cost = values[np.arange(5), perm].sum()
         np.testing.assert_array_equal(perm, np.arange(5))
         assert cost == 0.0
 
     def test_diagonal_dominant(self):
-        perm, cost, _, _ = ot_module._min_cost_matching(np.array([[0.0, 9.0], [9.0, 0.0]]))
+        values = np.array([[0.0, 9.0], [9.0, 0.0]])
+        perm, _, _ = ot_module._min_cost_matching(values)
+        cost = values[np.arange(2), perm].sum()
         np.testing.assert_array_equal(perm, [0, 1])
         assert cost == 0.0
 
@@ -376,13 +460,16 @@ class TestSolveAssignment:
     def test_matches_scipy_on_random_matrices(self, n, seed):
         rng = np.random.default_rng(seed)
         values = rng.uniform(0.0, 10.0, size=(n, n))
-        perm, cost, _, _ = ot_module._min_cost_matching(values)
+        perm, _, _ = ot_module._min_cost_matching(values)
+        cost = values[np.arange(n), perm].sum()
         rows, cols = linear_sum_assignment(values)
         assert cost == pytest.approx(float(values[rows, cols].sum()), rel=1e-12)
         assert sorted(perm.tolist()) == list(range(n))
 
     def test_single_entry(self):
-        perm, cost, _, _ = ot_module._min_cost_matching(np.array([[3.5]]))
+        values = np.array([[3.5]])
+        perm, _, _ = ot_module._min_cost_matching(values)
+        cost = values[np.arange(1), perm].sum()
         np.testing.assert_array_equal(perm, [0])
         assert cost == 3.5
 
@@ -390,7 +477,8 @@ class TestSolveAssignment:
         # Every permutation costs the row's sum; each row takes the
         # smallest-index column still open.
         values = np.tile([4.0, 1.0, 3.0, 1.0, 0.5, 2.0], (6, 1))
-        perm, cost, _, _ = ot_module._min_cost_matching(values)
+        perm, _, _ = ot_module._min_cost_matching(values)
+        cost = values[np.arange(6), perm].sum()
         np.testing.assert_array_equal(perm, np.arange(6))
         assert cost == 11.5
 
@@ -404,9 +492,11 @@ class TestSolveAssignment:
     def test_tie_heavy_matrices_match_brute_force(self, entries, scale):
         values = scale * np.array(entries, dtype=np.float64)
         n = values.shape[0]
-        perm, cost, u, v = ot_module._min_cost_matching(values)
+        perm, u, v = ot_module._min_cost_matching(values)
         assert sorted(perm.tolist()) == list(range(n))
-        assert cost == float(values[np.arange(n), perm].sum())
+        cost = values[np.arange(n), perm].sum()
+        # Strong duality: on the matched cells the duals sum to the cost.
+        assert abs(cost - (u.sum() + v.sum())) <= n * 1e-11 * float(values.max())
         _, reference = brute_force_matching(values)
         assert cost == pytest.approx(reference, rel=1e-12, abs=0.0)
         # The final duals pass the certificate that solve_exact_ot applies.
@@ -432,9 +522,7 @@ class TestSolveAssignment:
         real = ot_module._min_cost_matching
 
         def corrupted(values):
-            perm, _, u, v = real(values)
-            perm, u, v = corrupt(perm, u, v)
-            return perm, float(values[np.arange(len(perm)), perm].sum()), u, v
+            return corrupt(*real(values))
 
         monkeypatch.setattr(ot_module, "_min_cost_matching", corrupted)
         rng = np.random.default_rng(5)
@@ -448,7 +536,9 @@ class TestSolveAssignment:
         for n in (2, 4, 8, 12):
             a = random_tokenset(rng, n, 3)
             b = random_tokenset(rng, n, 3)
-            _, cost, _, _ = ot_module._min_cost_matching(cost_matrix(a, b).values)
+            values = cost_matrix(a, b).values
+            perm, _, _ = ot_module._min_cost_matching(values)
+            cost = values[np.arange(n), perm].sum()
             assert cost / n == pytest.approx(simplex_cost(a, b), rel=1e-9)
 
 
