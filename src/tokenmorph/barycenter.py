@@ -24,8 +24,6 @@ from .errors import (
 from .ot import solve_exact_ot
 from .tokens import TokenSet
 
-_ROW_MASS_FLOOR = 1e-15
-
 
 @dataclass(frozen=True)
 class BarycenterConfig:
@@ -129,7 +127,6 @@ def free_support_barycenter(
     displacements: list[float] = []
     objectives: list[float] = []
     converged = False
-    iterations = 0
     plans = [None] * len(measures)
 
     for _ in range(config.max_iterations):
@@ -138,24 +135,12 @@ def free_support_barycenter(
         objectives.append(float(sum(l * p.total_cost for l, p in zip(lam, plans))))
 
         new_support = np.zeros_like(support)
-        contributed = np.zeros(n)
         for l, plan, mu in zip(lam, plans, measures):
+            # No row sum is zero: each is the support weight 1/n within the
+            # 1e-9 that solve_exact_ot's marginal check enforces.
             row_mass = plan.coupling.sum(axis=1)
-            ok = row_mass > _ROW_MASS_FLOOR
-            if ok.any():
-                projected = (plan.coupling[ok] / row_mass[ok, None]) @ mu.points
-                new_support[ok] += l * projected
-                contributed[ok] += l
-        # A support point left unmassed by some plan (possible only with
-        # non-uniform target weights) averages over the measures it did reach.
-        short = contributed < 1.0 - 1e-12
-        if short.any():
-            reachable = short & (contributed > 0.0)
-            new_support[reachable] /= contributed[reachable, None]
-            stuck = ~reachable & short
-            new_support[stuck] = support[stuck]
+            new_support += l * ((plan.coupling / row_mass[:, None]) @ mu.points)
 
-        iterations += 1
         displacement = float(np.mean(np.sum((new_support - support) ** 2, axis=1)))
         displacements.append(displacement)
         support = new_support
@@ -165,7 +150,7 @@ def free_support_barycenter(
 
     return BarycenterResult(
         support=TokenSet(support, nu_weights),
-        iterations_used=iterations,
+        iterations_used=len(displacements),
         converged=converged,
         objective=objectives[-1],
         per_iteration_displacement=tuple(displacements),

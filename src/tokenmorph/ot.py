@@ -15,9 +15,9 @@ parent, depth, a preorder thread with subtree sizes, the flow on each
 node's parent edge, and the potentials. A pivot re-hangs only the
 subtree that the leaving edge cuts off and shifts only that subtree's
 potentials. It starts from the least-cost (matrix-minimum) basis, or
-from a previous plan's basis when its flows are feasible for the
-current marginals, as on every barycenter sweep after the first; that
-start re-prices a copy of the tree the plan carries. The returned flows
+from a re-priced copy of the basis tree a previous plan carries when
+its flows are feasible for the current marginals, as on every
+barycenter sweep after the first. The returned flows
 are computed from the final tree and the marginals, in an order fixed
 by the basis alone. Every solve certifies its optimality by LP duality
 on its final duals. The test suite checks both solvers against
@@ -77,28 +77,31 @@ class TransportPlan:
     Row sums of ``coupling`` equal the source weights and column sums the
     target weights, both within 1e-9. ``total_cost`` is its squared-
     Euclidean cost, summed exactly rounded over its support (see
-    ``_support_cost``). ``basis`` holds the flat indices of the simplex's
-    n + n' - 1 final basis cells, ascending, and is None on the
-    assignment route; ``solve_exact_ot(..., start=plan)`` starts from it.
-    A read-only coupling that owns its memory is kept without a copy.
+    ``_support_cost``). A simplex plan carries its final basis tree, which
+    ``solve_exact_ot(..., start=plan)`` starts from. A read-only coupling
+    that owns its memory is adopted, and its owner must not make it
+    writable again; any other coupling is copied.
     """
 
     coupling: np.ndarray
     total_cost: float
-    basis: np.ndarray | None = None
-    # The simplex's final tree of ``basis``, which a warm start copies.
+    # The simplex's final basis tree, which a warm start copies.
     _tree: _BasisTree | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coupling", _read_only(self.coupling, np.float64))
         object.__setattr__(self, "total_cost", float(self.total_cost))
-        if self.basis is not None:
-            object.__setattr__(self, "basis", _read_only(self.basis, np.int64))
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        """A fresh array of the n + n' - 1 final basis cells' flat indices,
+        ascending; None on the assignment route."""
+        return None if self._tree is None else np.sort(self._tree.cells())
 
 
 def _read_only(array, dtype) -> np.ndarray:
-    """``array`` as read-only ``dtype``: kept if it already is read-only and
-    owns its memory, else copied, so no caller's array can change it."""
+    """``array`` as read-only ``dtype``: adopted if read-only and owning its
+    memory (its owner must not make it writable again), else copied."""
     out = np.asarray(array, dtype=dtype)
     if out.flags.writeable or not out.flags.owndata:
         out = out.copy()
@@ -175,12 +178,12 @@ def solve_exact_ot(
         a: source set.
         b: target set.
         start: a plan of an earlier solve of the same shape, such as the
-            previous barycenter sweep's. The simplex starts from its basis
-            (a copy of the tree the plan carries; the plan never changes)
-            when that basis's flows are feasible for ``a`` and ``b``'s
-            weights, and from the least-cost basis otherwise. It decides
-            where the pivots begin, not the optimal cost. The assignment
-            route ignores it.
+            previous barycenter sweep's. The simplex starts from a copy of
+            the basis tree the plan carries (the plan never changes) when
+            that tree's flows are feasible for ``a`` and ``b``'s weights,
+            and from the least-cost basis otherwise, as it does for a plan
+            that carries no tree. It decides where the pivots begin, not
+            the optimal cost. The assignment route ignores it.
 
     Returns:
         TransportPlan with an exactly optimal coupling; output is
@@ -195,7 +198,7 @@ def solve_exact_ot(
             the optimality certificate.
     """
     values = cost_matrix(a, b).values
-    tree = basis = None
+    tree = None
     if a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights():
         perm, u, v = _min_cost_matching(values)
         support = np.arange(a.n) * a.n + perm
@@ -206,16 +209,14 @@ def solve_exact_ot(
         coupling.fill(0.0)
         mass = coupling.flat[support] = 1.0 / a.n
     else:
-        warm = None
-        if start is not None and start.coupling.shape == values.shape:
-            warm = start.basis if start._tree is None else start._tree
+        warm = start._tree if start is not None and start.coupling.shape == values.shape else None
         coupling, tree, _ = _transportation_simplex(values, a.weights, b.weights, warm)
-        basis = support = tree.cells()
+        support = tree.cells()
         mass = coupling.flat[support]
 
     _check_marginals(coupling, a.weights, b.weights)
     coupling.setflags(write=False)
-    plan = TransportPlan(coupling, _support_cost(mass, values.flat[support]), basis)
+    plan = TransportPlan(coupling, _support_cost(mass, values.flat[support]))
     object.__setattr__(plan, "_tree", tree)
     return plan
 
@@ -360,14 +361,13 @@ def _transportation_simplex(
     values: np.ndarray,
     supply: np.ndarray,
     demand: np.ndarray,
-    start: np.ndarray | _BasisTree | None = None,
+    start: _BasisTree | None = None,
 ) -> tuple[np.ndarray, _BasisTree, int]:
     """Network simplex on the n x m transportation problem.
 
-    Starts from ``start`` when its tree's flows are feasible for these
-    marginals, and from the least-cost basis otherwise: an earlier
-    solve's final tree, copied and re-priced, or basis cells (flat
-    indices, as ``TransportPlan.basis``). Entering cells follow Dantzig's
+    Starts from a re-priced copy of ``start``, an earlier solve's final
+    tree, when its flows are feasible for these marginals, and from the
+    least-cost basis otherwise. Entering cells follow Dantzig's
     most-negative-reduced-cost rule, the first such cell in row-major
     order on ties, switching to Bland's rule (first negative cell) after
     a pivot budget so degenerate instances cannot cycle. The leaving cell
@@ -391,10 +391,7 @@ def _transportation_simplex(
     n, m = values.shape
     # Relative to the costs, so optimality does not depend on coordinate scale.
     tol = 1e-11 * float(values.max())
-    if isinstance(start, _BasisTree):
-        tree = start.priced_copy(values)
-    else:
-        tree = None if start is None else _BasisTree(values, start)
+    tree = None if start is None else start.priced_copy(values)
     if tree is None or not tree.set_flows(supply, demand):
         tree = _BasisTree(values, _least_cost_start(values, supply, demand))
         if not tree.set_flows(supply, demand):
@@ -419,7 +416,7 @@ def _transportation_simplex(
     else:
         raise SolverFailureError("transportation simplex exceeded its pivot budget")
 
-    cells = tree.cells(sort=False)
+    cells = tree.cells()
     _certify_optimal("transportation simplex basis", reduced, cells, tol)
     if not tree.set_flows(supply, demand):
         raise SolverFailureError("transportation simplex produced negative mass")
@@ -481,7 +478,7 @@ class _BasisTree:
     """
 
     def __init__(self, values: np.ndarray, cells: np.ndarray):
-        """Walk the tree of basis ``cells`` (ascending flat indices) from row 0.
+        """Walk the tree of basis ``cells`` (flat indices) from row 0.
 
         Raises:
             SolverFailureError: unless there are n + m - 1 cells within
@@ -533,7 +530,7 @@ class _BasisTree:
     def price(self, values: np.ndarray) -> None:
         """Set the potentials for ``values`` down the thread from row 0."""
         parent = self.parent
-        cost = values.flat[self.cells(sort=False)].tolist()
+        cost = values.flat[self.cells()].tolist()
         pot = [0.0] * len(parent)
         for k in self.order[1:]:
             pot[k] = cost[k - 1] - pot[parent[k]]
@@ -552,13 +549,12 @@ class _BasisTree:
         n, m, up = self.n, self.m, self.parent[k]
         return k * m + up - n if k < n else up * m + k - n
 
-    def cells(self, sort: bool = True) -> np.ndarray:
-        """Flat indices of the basis cells: ascending, or by child node."""
+    def cells(self) -> np.ndarray:
+        """Flat indices of the basis cells, by child node 1..n+m-1."""
         n, m = self.n, self.m
         k = np.arange(1, n + m)
         up = np.array(self.parent[1:])
-        cells = np.where(k < n, k * m + up - n, up * m + k - n)
-        return np.sort(cells) if sort else cells
+        return np.where(k < n, k * m + up - n, up * m + k - n)
 
     def set_flows(self, supply: np.ndarray, demand: np.ndarray) -> bool:
         """Set the basic flows fixed by the marginals; False if one is negative.

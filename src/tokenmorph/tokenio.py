@@ -132,16 +132,12 @@ def write_tokens(tokens: TokenSet, path: str | Path, fmt: str = "json") -> None:
     Path(path).write_bytes(data)
 
 
-def read_tokens(path: str | Path, fmt: str = "auto") -> TokenSet:
-    """Read a token set; ``fmt="auto"`` sniffs the binary magic bytes."""
+def read_tokens(path: str | Path) -> TokenSet:
+    """Read a token set: binary if it starts with the magic bytes, else JSON."""
     data = Path(path).read_bytes()
-    if fmt == "auto":
-        fmt = "binary" if data[:4] == MAGIC else "json"
-    if fmt == "binary":
+    if data[:4] == MAGIC:
         return tokens_from_binary_bytes(data)
-    if fmt == "json":
-        return tokens_from_json_bytes(data)
-    raise FormatError(f"format must be 'json', 'binary' or 'auto', got {fmt!r}")
+    return tokens_from_json_bytes(data)
 
 
 def _json_array(doc: dict, key: str, may_hold_bool: bool) -> np.ndarray:

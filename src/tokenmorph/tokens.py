@@ -81,9 +81,9 @@ class TokenSet:
         """Embedding dimension."""
         return self.points.shape[1]
 
-    def has_uniform_weights(self, tol: float = 1e-12) -> bool:
-        """True when every weight equals 1/n within ``tol``."""
-        return bool(np.max(np.abs(self.weights - 1.0 / self.n)) <= tol)
+    def has_uniform_weights(self) -> bool:
+        """True when every weight equals 1/n within 1e-12."""
+        return bool(np.max(np.abs(self.weights - 1.0 / self.n)) <= 1e-12)
 
 
 def require_same_dimension(a: TokenSet, b: TokenSet) -> None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import tokenmorph.barycenter as barycenter_module
 import tokenmorph.ot as ot_module
@@ -9,6 +10,7 @@ from tokenmorph import (
     InvalidParameterError,
     InvalidWeightsError,
     TokenSet,
+    cost_matrix,
     free_support_barycenter,
     pairwise_barycenter,
     solve_exact_ot,
@@ -147,6 +149,47 @@ class TestFixedPoint:
         result = pairwise_barycenter(skewed, uniform, 0.5, uniform)
         assert result.support.n == 2
         assert np.all(np.isfinite(result.support.points))
+
+
+def _lp_plan(a: TokenSet, b: TokenSet):
+    """Independent oracle: the optimal coupling and cost from scipy's HiGHS."""
+    values = cost_matrix(a, b).values
+    n, m = values.shape
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    ref = linprog(values.ravel(), A_eq=a_eq, b_eq=np.concatenate([a.weights, b.weights]),
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.x.reshape(n, m), ref.fun
+
+
+class TestOneSweep:
+    """One fixed-point sweep against an update computed from HiGHS couplings."""
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "zero_weight"])
+    def test_sweep_matches_linprog_update(self, kind):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            measures = [TokenSet(rng.normal(size=(size, 2)), rng.dirichlet(np.ones(size)))
+                        for size in (7, 9, 5)]
+            lam = (tuple(rng.dirichlet(np.ones(3)).tolist()) if kind == "dirichlet"
+                   else (0.4, 0.6, 0.0))
+            init = TokenSet(rng.normal(size=(6, 2)))
+            result = free_support_barycenter(
+                measures, init, BarycenterConfig(max_iterations=1, measure_weights=lam))
+
+            expected = np.zeros((6, 2))
+            objective = 0.0
+            for l, mu in zip(lam, measures):
+                coupling, cost = _lp_plan(init, mu)
+                expected += l * (coupling / coupling.sum(axis=1)[:, None]) @ mu.points
+                objective += l * cost
+            assert result.iterations_used == 1
+            np.testing.assert_allclose(result.support.points, expected, rtol=0, atol=1e-9)
+            assert result.objective == pytest.approx(objective, rel=0, abs=1e-9)
 
 
 class TestPairwise:

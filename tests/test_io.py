@@ -105,12 +105,6 @@ class TestRoundTrips:
         with pytest.raises(FormatError):
             write_tokens(uniform_set, tmp_path / "x", "csv")
 
-    def test_read_rejects_unknown_format(self, tmp_path, uniform_set):
-        path = tmp_path / "x.json"
-        write_tokens(uniform_set, path, "json")
-        with pytest.raises(FormatError):
-            read_tokens(path, fmt="csv")
-
 
 class TestBinaryErrors:
     def test_bad_magic(self):

@@ -664,7 +664,7 @@ class TestBasisTree:
         assert tree.parent == [-1, 4, 3, 0, 0, 1]
         np.testing.assert_array_equal(tree.depth, [0, 2, 2, 1, 1, 3])
         coupling = np.zeros((3, 3))
-        coupling.flat[tree.cells(sort=False)] = tree.flow[1:]
+        coupling.flat[tree.cells()] = tree.flow[1:]
         np.testing.assert_array_equal(coupling, [[0.125, 0.375, 0.0],
                                                  [0.0, 0.125, 0.25],
                                                  [0.125, 0.0, 0.0]])
@@ -748,7 +748,7 @@ class TestNetworkSimplex:
         cold, tree, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
         basis = tree.cells()
         # From the walked cells and from the carried tree alike.
-        for start in (basis, tree):
+        for start in (ot_module._BasisTree(values, basis), tree):
             warm, again, pivots = ot_module._transportation_simplex(
                 values, a.weights, b.weights, start)
             assert pivots == 0
@@ -774,7 +774,8 @@ class TestNetworkSimplex:
         step = rng.integers(-1, 2, size=a.points.shape) if ties else rng.normal(size=a.points.shape)
         values = cost_matrix(TokenSet(a.points + 0.5 * step, a.weights), b).values
         from_tree = ot_module._transportation_simplex(values, a.weights, b.weights, plan._tree)
-        from_cells = ot_module._transportation_simplex(values, a.weights, b.weights, plan.basis)
+        from_cells = ot_module._transportation_simplex(
+            values, a.weights, b.weights, ot_module._BasisTree(values, plan.basis))
         assert from_tree[2] == from_cells[2]
         np.testing.assert_array_equal(from_tree[1].cells(), from_cells[1].cells())
         assert from_tree[0].tobytes() == from_cells[0].tobytes()
@@ -822,14 +823,32 @@ class TestNetworkSimplex:
         rng = np.random.default_rng(41)
         a, b = _weighted_pair(rng, 6, 4, 2, "dirichlet", False)
         cold = solve_exact_ot(a, b)
+        # A caller-built plan carries no tree, so it starts cold too.
         for start in (solve_exact_ot(b, a), solve_exact_ot(a, a),
-                      solve_exact_ot(TokenSet(a.points), TokenSet(a.points))):
+                      solve_exact_ot(TokenSet(a.points), TokenSet(a.points)),
+                      TransportPlan(cold.coupling, cold.total_cost)):
             plan = solve_exact_ot(a, b, start=start)
             assert plan.coupling.tobytes() == cold.coupling.tobytes()
+            assert plan.total_cost == cold.total_cost
+            np.testing.assert_array_equal(plan.basis, cold.basis)
         uniform = TokenSet(a.points)
         plan = solve_exact_ot(uniform, uniform, start=cold)
         assert plan.basis is None
         np.testing.assert_array_equal(plan.coupling, np.eye(6) / 6)
+        # basis: the carried tree's cells, ascending, in a fresh array each
+        # time; writing to one changes neither the plan nor a warm start.
+        basis = cold.basis
+        assert basis.dtype == np.int64 and basis.shape == (6 + 4 - 1,)
+        assert np.all(np.diff(basis) > 0)
+        np.testing.assert_array_equal(basis, np.sort(cold._tree.cells()))
+        moved = TokenSet(a.points + 0.5, a.weights)
+        warm = solve_exact_ot(moved, b, start=cold)
+        expected = basis.copy()
+        basis[:] = 0
+        np.testing.assert_array_equal(cold.basis, expected)
+        again = solve_exact_ot(moved, b, start=cold)
+        assert again.coupling.tobytes() == warm.coupling.tobytes()
+        np.testing.assert_array_equal(again.basis, warm.basis)
 
     def test_least_cost_start_builds_a_spanning_tree(self):
         # Degenerate marginals: every cell exhausts its row and column at
