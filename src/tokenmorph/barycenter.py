@@ -11,7 +11,7 @@ previous sweep's optimal bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     require_count,
 )
 from .ot import solve_exact_ot
-from .tokens import TokenSet
+from .tokens import WEIGHT_SUM_TOL, TokenSet
 
 
 @dataclass(frozen=True)
@@ -33,24 +33,15 @@ class BarycenterConfig:
         max_iterations: hard cap on fixed-point sweeps (default 100).
         stop_threshold: convergence threshold on the mean squared
             displacement of support points between sweeps (default 1e-5).
-        measure_weights: relative weight of each input measure; None
-            means uniform. Must be nonnegative and sum to 1.
     """
 
     max_iterations: int = 100
     stop_threshold: float = 1e-5
-    measure_weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         require_count("max_iterations", self.max_iterations, 1)
         if not (self.stop_threshold > 0.0):
             raise InvalidParameterError("stop_threshold must be > 0")
-        if self.measure_weights is not None:
-            w = np.asarray(self.measure_weights, dtype=np.float64)
-            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-                raise InvalidWeightsError("measure weights must be finite and >= 0")
-            if abs(float(w.sum()) - 1.0) > 1e-12:
-                raise InvalidWeightsError("measure weights must sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -75,6 +66,7 @@ def free_support_barycenter(
     measures: list[TokenSet] | tuple[TokenSet, ...],
     init: TokenSet,
     config: BarycenterConfig | None = None,
+    weights: tuple[float, ...] | None = None,
 ) -> BarycenterResult:
     """Fixed-point solver for the free-support W2 barycenter.
 
@@ -90,7 +82,9 @@ def free_support_barycenter(
             of ``init`` (a single measure is accepted and reproduced).
         init: initial support; its size fixes the barycenter's support
             size, and its weights are ignored (the support is uniform).
-        config: iteration budget, stop rule, and measure weights.
+        config: iteration budget and stop rule.
+        weights: relative weight of each measure; None means uniform.
+            Must be finite, nonnegative and sum to 1.
 
     Returns:
         BarycenterResult; ``converged`` is True when the mean squared
@@ -100,6 +94,8 @@ def free_support_barycenter(
     Raises:
         DimensionMismatchError: if any measure's dimension differs from
             the init's.
+        InvalidWeightsError: on negative, non-finite or unnormalized weights.
+        InvalidParameterError: on a weight count other than the measures'.
         SolverFailureError: propagated from the OT solver.
     """
     if config is None:
@@ -111,10 +107,14 @@ def free_support_barycenter(
             raise DimensionMismatchError(
                 f"measure dimension {mu.m} differs from init dimension {init.m}"
             )
-    if config.measure_weights is None:
+    if weights is None:
         lam = np.full(len(measures), 1.0 / len(measures))
     else:
-        lam = np.asarray(config.measure_weights, dtype=np.float64)
+        lam = np.asarray(weights, dtype=np.float64)
+        if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
+            raise InvalidWeightsError("measure weights must be finite and >= 0")
+        if abs(float(lam.sum()) - 1.0) > WEIGHT_SUM_TOL:
+            raise InvalidWeightsError(f"measure weights must sum to 1 within {WEIGHT_SUM_TOL}")
         if lam.shape != (len(measures),):
             raise InvalidParameterError(
                 f"got {lam.shape[0]} measure weights for {len(measures)} measures"
@@ -172,7 +172,4 @@ def pairwise_barycenter(
     """
     if not (0.0 <= beta <= 1.0):
         raise InvalidParameterError(f"beta must be in [0, 1], got {beta!r}")
-    if config is None:
-        config = BarycenterConfig()
-    config = replace(config, measure_weights=(1.0 - beta, beta))
-    return free_support_barycenter([source, target], init, config)
+    return free_support_barycenter([source, target], init, config, weights=(1.0 - beta, beta))

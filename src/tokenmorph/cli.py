@@ -150,7 +150,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", default=",".join(str(t) for t in DEFAULT_TAU_GRID),
                    help="comma-separated thresholds")
     p.add_argument("--frames", type=int, default=6, metavar="J")
-    _add_output_flags(p)
+    _add_output_flags(p, with_format=False)
     p.set_defaults(func=_cmd_sweep_tau)
 
     p = sub.add_parser("gen-synthetic", help="write a seeded synthetic token file")

@@ -11,8 +11,8 @@ smallest index, so the zero matrix gives the identity.
 
 All other inputs go to a network simplex on the transportation graph.
 Its basis is a spanning tree over the rows and columns, kept in arrays:
-parent, depth, a preorder thread with subtree sizes, the flow on each
-node's parent edge, and the potentials. A pivot re-hangs only the
+parent, a preorder thread with subtree sizes, the flow on each node's
+parent edge, and the potentials. A pivot re-hangs only the
 subtree that the leaving edge cuts off and shifts only that subtree's
 potentials. It starts from the least-cost (matrix-minimum) basis, or
 from a re-priced copy of the basis tree a previous plan carries when
@@ -64,10 +64,6 @@ class CostMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _read_only(self.values, np.float64))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,9 +464,8 @@ class _BasisTree:
     Nodes are the rows ``0..n-1`` and the columns ``n..n+m-1``. Node k's
     edge to ``parent[k]`` is the basis cell (k, parent[k] - n) for a row
     and (parent[k], k - n) for a column; row 0 is the root and never
-    moves. ``depth[k]`` counts k's edges to the root. ``order`` lists the
-    nodes in preorder (the thread) and ``pos`` is its inverse, so the
-    subtree of k is ``order[pos[k]:pos[k] + size[k]]``. The array ``pot``
+    moves. ``order`` lists the nodes in preorder (the thread) and ``pos``
+    is its inverse, so the subtree of k is ``order[pos[k]:pos[k] + size[k]]``. The array ``pot``
     holds the potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
     ``u[i] + v[j] == values[i, j]`` on every basis cell and ``u[0] == 0``.
     ``flow[k]`` is the flow on node k's parent edge, and ``flows_for``
@@ -496,7 +491,6 @@ class _BasisTree:
             adjacent[n + j].append(i)
 
         parent = [-1] * nodes
-        depth = [0] * nodes
         seen = [False] * nodes
         seen[0] = True
         order = []
@@ -508,7 +502,6 @@ class _BasisTree:
                 if not seen[nxt]:
                     seen[nxt] = True
                     parent[nxt] = k
-                    depth[nxt] = depth[k] + 1
                     stack.append(nxt)
         if len(order) != nodes:
             raise SolverFailureError("transport basis is not a spanning tree")
@@ -517,7 +510,7 @@ class _BasisTree:
         for k in reversed(order[1:]):
             sizes[parent[k]] += sizes[k]
         self.n, self.m = n, m
-        self.parent, self.size, self.depth, self.order = parent, sizes, depth, order
+        self.parent, self.size, self.order = parent, sizes, order
         self.pos = [0] * nodes
         for at, k in enumerate(order):
             self.pos[k] = at
@@ -540,7 +533,7 @@ class _BasisTree:
         """A copy priced for ``values``; pivots on it leave this tree as is."""
         tree = copy.copy(self)
         tree.parent, tree.size, tree.flow = self.parent[:], self.size[:], self.flow[:]
-        tree.depth, tree.order, tree.pos = self.depth[:], self.order[:], self.pos[:]
+        tree.order, tree.pos = self.order[:], self.pos[:]
         tree.price(values)
         return tree
 
@@ -559,11 +552,11 @@ class _BasisTree:
     def set_flows(self, supply: np.ndarray, demand: np.ndarray) -> bool:
         """Set the basic flows fixed by the marginals; False if one is negative.
 
-        Leaves are eliminated from the deepest level up, in ascending node
-        order: each node's net supply (row weights minus column weights
-        over its subtree) crosses its parent edge, from row to column, and
-        children add in ascending order, so the flows depend only on the
-        basis, bit for bit. Flows within ``_FLOW_TOL`` below zero are
+        Leaves are eliminated from the deepest level up (depths read off the
+        thread), in ascending node order: each node's net supply (row minus
+        column weights over its subtree) crosses its parent edge, from row to
+        column, and children add in ascending order, so the flows depend only
+        on the basis, bit for bit. Flows within ``_FLOW_TOL`` below zero are
         rounding dust and read as zero. Flows set for these marginals stay.
         """
         marginals = supply.tobytes() + demand.tobytes()
@@ -572,7 +565,10 @@ class _BasisTree:
         n = self.n
         net = supply.tolist() + (-demand).tolist()
         parent = self.parent
-        for k in sorted(range(len(net)), key=self.depth.__getitem__, reverse=True)[:-1]:
+        depth = [0] * len(net)
+        for k in self.order[1:]:
+            depth[k] = depth[parent[k]] + 1
+        for k in sorted(range(len(net)), key=depth.__getitem__, reverse=True)[:-1]:
             net[parent[k]] += net[k]
         flow = [net[k] if k < n else -net[k] for k in range(len(net))]
         flow[0] = 0.0
@@ -586,30 +582,32 @@ class _BasisTree:
         """Bring cell (ei, ej), of reduced cost ``delta``, into the basis.
 
         The cycle it closes is the tree path from row ei to column ej:
-        the climbs from both ends up to their common ancestor. Read from
+        the climbs from both ends up to their common ancestor, the first
+        node above row ei whose thread block holds column ej. Read from
         row ei to column ej the path's edges alternate -, +, - ..., so
         each edge it crosses from a row to a column gives up flow; that
         is a row's parent edge on row ei's climb and a column's on column
         ej's. The donor edge of least (flow, cell) leaves. Removing it
         cuts off the subtree S holding one end of the entering edge; S is
         re-hung from that end below the other end, and only S's
-        potentials, depths and thread positions change.
+        potentials and thread positions change.
         """
         n = self.n
-        parent, size, flow, depth = self.parent, self.size, self.flow, self.depth
+        parent, size, flow = self.parent, self.size, self.flow
+        order, pos = self.order, self.pos
         p, q = ei, n + ej
         if parent[p] == q or parent[q] == p:
             raise SolverFailureError("transport basis cell priced below zero")
         climb_p: list[int] = []
         climb_q: list[int] = []
-        a, b = p, q
-        while a != b:
-            if depth[a] >= depth[b]:
-                climb_p.append(a)
-                a = parent[a]
-            else:
-                climb_q.append(b)
-                b = parent[b]
+        a, at_q = p, pos[q]
+        while not pos[a] <= at_q < pos[a] + size[a]:
+            climb_p.append(a)
+            a = parent[a]
+        b = q
+        while b != a:
+            climb_q.append(b)
+            b = parent[b]
 
         theta = math.inf
         leave_cell = -1
@@ -634,19 +632,13 @@ class _BasisTree:
             delta = -delta  # S holds column ej: its columns gain delta, its rows lose it
         # S re-rooted at path[0]: its old subtree, then each path node with
         # the part of its old subtree that does not hold the previous one.
-        order, pos = self.order, self.pos
         starts = [pos[k] for k in path]
         sizes = [size[k] for k in path]
-        top = depth[anchor] + 1
         subtree = []
         inner = inner_end = starts[0] + sizes[0]  # the previous path node's block
-        for t, k in enumerate(path):
-            start, end = starts[t], starts[t] + sizes[t]
-            piece = order[start:inner] + order[inner_end:end]
-            shift = top + t - depth[k]
-            for j in piece:
-                depth[j] += shift
-            subtree += piece
+        for start, count in zip(starts, sizes):
+            end = start + count
+            subtree += order[start:inner] + order[inner_end:end]
             inner, inner_end = start, end
         self.pot[subtree] += delta * self.sign[subtree]
 

@@ -21,7 +21,7 @@ from .errors import (
     InvalidWeightsError,
     TruncatedPayloadError,
 )
-from .tokens import TokenSet
+from .tokens import WEIGHT_SUM_TOL, TokenSet
 
 MAGIC = b"BMT1"
 FORMATS = ("json", "binary")
@@ -185,6 +185,6 @@ def _validate_file_weights(weights: np.ndarray, n: int) -> np.ndarray:
         raise InvalidWeightsError(
             f"file weights must sum to 1 within {_FILE_WEIGHT_SUM_TOL}, got {total!r}"
         )
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         weights = weights / total
     return weights

@@ -30,7 +30,6 @@ class TestConfig:
         config = BarycenterConfig()
         assert config.max_iterations == 100
         assert config.stop_threshold == 1e-5
-        assert config.measure_weights is None
 
     def test_rejects_bad_iteration_budget(self):
         with pytest.raises(InvalidParameterError):
@@ -54,10 +53,11 @@ class TestConfig:
             BarycenterConfig(stop_threshold=0.0)
 
     def test_rejects_bad_measure_weights(self):
+        left, right = TokenSet([[0.0]]), TokenSet([[1.0]])
         with pytest.raises(InvalidWeightsError):
-            BarycenterConfig(measure_weights=(0.5, 0.6))
+            free_support_barycenter([left, right], left, weights=(0.5, 0.6))
         with pytest.raises(InvalidWeightsError):
-            BarycenterConfig(measure_weights=(-0.5, 1.5))
+            free_support_barycenter([left, right], left, weights=(-0.5, 1.5))
 
 
 class TestFixedPoint:
@@ -65,7 +65,7 @@ class TestFixedPoint:
         left = TokenSet([[0.0, 0.0]])
         right = TokenSet([[2.0, 0.0]])
         result = free_support_barycenter(
-            [left, right], left, BarycenterConfig(measure_weights=(0.5, 0.5))
+            [left, right], left, weights=(0.5, 0.5)
         )
         np.testing.assert_allclose(result.support.points, [[1.0, 0.0]], atol=1e-12)
         assert result.converged
@@ -75,7 +75,7 @@ class TestFixedPoint:
         mu1 = random_tokenset(rng, 5, 2)
         mu2 = random_tokenset(rng, 5, 2)
         result = free_support_barycenter(
-            [mu1, mu2], mu2, BarycenterConfig(measure_weights=(1.0, 0.0))
+            [mu1, mu2], mu2, weights=(1.0, 0.0)
         )
         assert multiset_max_distance(result.support.points, mu1.points) < 1e-9
         assert result.objective == pytest.approx(
@@ -101,13 +101,13 @@ class TestFixedPoint:
         ts = TokenSet([[0.0]])
         with pytest.raises(InvalidParameterError):
             free_support_barycenter(
-                [ts, ts, ts], ts, BarycenterConfig(measure_weights=(0.5, 0.5))
+                [ts, ts, ts], ts, weights=(0.5, 0.5)
             )
 
     def test_three_diracs_weighted_mean(self):
         measures = [TokenSet([[0.0, 0.0]]), TokenSet([[3.0, 0.0]]), TokenSet([[0.0, 3.0]])]
         result = free_support_barycenter(
-            measures, measures[0], BarycenterConfig(measure_weights=(0.2, 0.3, 0.5))
+            measures, measures[0], weights=(0.2, 0.3, 0.5)
         )
         np.testing.assert_allclose(result.support.points, [[0.9, 1.5]], atol=1e-9)
 
@@ -179,7 +179,7 @@ class TestOneSweep:
                    else (0.4, 0.6, 0.0))
             init = TokenSet(rng.normal(size=(6, 2)))
             result = free_support_barycenter(
-                measures, init, BarycenterConfig(max_iterations=1, measure_weights=lam))
+                measures, init, BarycenterConfig(max_iterations=1), weights=lam)
 
             expected = np.zeros((6, 2))
             objective = 0.0
@@ -228,7 +228,7 @@ class TestPairwise:
         target = random_tokenset(rng, 5, 2)
         direct = pairwise_barycenter(source, target, 0.25, source)
         via_free = free_support_barycenter(
-            [source, target], source, BarycenterConfig(measure_weights=(0.75, 0.25))
+            [source, target], source, weights=(0.75, 0.25)
         )
         np.testing.assert_array_equal(direct.support.points, via_free.support.points)
 

@@ -13,14 +13,18 @@ import tokenmorph.cli as cli_module
 from tokenmorph import (
     MorphConfig,
     TokenSet,
+    decode_tokens_to_shape,
     gen_synthetic,
+    index_lerp,
     morph_geometry,
     morph_texture,
+    pairwise_barycenter,
     read_tokens,
+    render_trajectory_svg,
     write_tokens,
 )
 import tokenmorph.ot as ot_module
-from tokenmorph.tokenio import tokens_to_binary_bytes
+from tokenmorph.tokenio import tokens_to_binary_bytes, tokens_to_json_bytes
 from tokenmorph.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
@@ -211,6 +215,19 @@ class TestOtherCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["diagnostics"]["converged"]
 
+    @pytest.mark.parametrize("init", ["lerp", "target"])
+    def test_barycenter_init_modes(self, init, token_files, tmp_path):
+        source_path, target_path = token_files
+        source, target = read_tokens(source_path), read_tokens(target_path)
+        out = tmp_path / "bc"
+        assert main([
+            "barycenter", str(source_path), str(target_path),
+            "--beta", "0.3", "--init", init, "--out-dir", str(out),
+        ]) == EXIT_OK
+        start = index_lerp(source, target, 0.3) if init == "lerp" else target
+        expected = pairwise_barycenter(source, target, 0.3, start)
+        assert (out / "barycenter.json").read_bytes() == tokens_to_json_bytes(expected.support)
+
     def test_texture_select(self, token_files, tmp_path):
         source_path, target_path = token_files
         out = tmp_path / "sel"
@@ -305,7 +322,7 @@ class TestOtherCommands:
          {"tau": 0.3, "format": "json"},
          ("blended", "source", "target")),
         (["sweep-tau", "S", "T", "--frames", "1", "--grid", "0.3,0.5"],
-         {"grid": [0.3, 0.5], "frames": 1, "format": "json"},
+         {"grid": [0.3, 0.5], "frames": 1},
          ("source", "target")),
         (["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2"],
          {"kind": "ring", "n": 4, "d": 2, "seed": 0, "name": "ring", "format": "json"},
@@ -347,6 +364,17 @@ class TestOtherCommands:
         svg = (out / "demo.svg").read_text()
         ET.fromstring(svg)
         assert svg.count("<polygon") == 4
+
+    def test_demo_tau_renders_the_textured_frames(self, tmp_path):
+        out, plain = tmp_path / "demo", tmp_path / "plain"
+        assert main(["demo", "--tau", "0.3", "--out-dir", str(out)]) == EXIT_OK
+        assert main(["demo", "--out-dir", str(plain)]) == EXIT_OK
+        source, target = cli_module._demo_shapes(24)
+        trajectory = morph_geometry(source, target, MorphConfig(J=6))
+        frames = [r.output for r in morph_texture(trajectory, source, target, 0.3)]
+        svg = render_trajectory_svg([decode_tokens_to_shape(frame) for frame in frames])
+        assert (out / "demo.svg").read_bytes() == svg.encode("utf-8")
+        assert (out / "demo.svg").read_bytes() != (plain / "demo.svg").read_bytes()
 
     def test_out_dir_env_default(self, token_files, tmp_path, monkeypatch):
         source_path, _ = token_files
@@ -446,11 +474,14 @@ class TestErrorPaths:
         ])
         assert code == EXIT_INVALID_VALUE
 
-    @pytest.mark.parametrize("flag", ["--max-iter", "--tol"])
+    @pytest.mark.parametrize("flag", ["--max-iter", "--tol", "--format"])
     def test_sweep_tau_has_no_solver_flags(self, flag, token_files, capsys):
         # sweep-tau's morph is closed form; no fixed-point solver reads these.
+        # It writes only JSON reports, so a --format flag would be ignored.
         source_path, target_path = token_files
-        assert main(["sweep-tau", str(source_path), str(target_path), flag, "5"]) == EXIT_USAGE
+        value = "json" if flag == "--format" else "5"
+        assert main(["sweep-tau", str(source_path), str(target_path), flag, value]) \
+            == EXIT_USAGE
         assert "error[usage]" in capsys.readouterr().err
 
     def test_bad_grid(self, token_files):
@@ -458,6 +489,31 @@ class TestErrorPaths:
         assert main([
             "sweep-tau", str(source_path), str(target_path), "--grid", "a,b",
         ]) == EXIT_INVALID_VALUE
+
+    def test_empty_grid(self, token_files, tmp_path, capsys):
+        source_path, target_path = token_files
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep-tau", str(source_path), str(target_path), "--grid", ",",
+            "--out-dir", str(out),
+        ]) == EXIT_INVALID_VALUE
+        assert "error[invalid-value]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_command(self, capsys):
+        assert main([]) == EXIT_USAGE
+        assert capsys.readouterr().out.startswith("usage: tokenmorph")
+
+    @pytest.mark.parametrize("text", [
+        '[{"n": 1, "d": 1, "points": [[0.5]]}]',
+        # Sums to 1, but a zero weight is not strictly positive.
+        '{"n": 2, "d": 1, "points": [[0.0], [1.0]], "weights": [0.0, 1.0]}',
+    ], ids=["top-level array", "zero weight"])
+    def test_rejected_json_file(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["dist", str(bad), str(bad)]) == EXIT_FORMAT
+        assert capsys.readouterr().err.startswith("tokenmorph: error[format]:")
 
     def test_failed_optimality_certificate(self, weighted_files, monkeypatch, capsys):
         # Potentials pushed far down after a pivot stop the pivoting early;

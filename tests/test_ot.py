@@ -575,13 +575,12 @@ def _weighted_pair(rng, n, n2, m, weights, ties):
 
 
 def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
-    """Parent, depth, sizes, thread, potentials and flows of an updated tree
+    """Parent, sizes, thread, potentials and flows of an updated tree
     against a tree walked afresh from its cells."""
     fresh = ot_module._BasisTree(values, tree.cells())
     assert fresh.set_flows(supply, demand)
     size = len(tree.parent)
     assert tree.parent == fresh.parent
-    np.testing.assert_array_equal(tree.depth, fresh.depth)
     assert tree.size == fresh.size
     # The thread is a preorder: it starts at the root, pos inverts it, and
     # every subtree is one block. Sibling order may differ from the walk's.
@@ -609,7 +608,7 @@ def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
 
 
 def _tree_state(tree):
-    return (tree.parent[:], tree.size[:], tree.flow[:], tree.flows_for, tree.depth[:],
+    return (tree.parent[:], tree.size[:], tree.flow[:], tree.flows_for,
             tree.order[:], tree.pos[:], tree.pot.tobytes())
 
 
@@ -644,7 +643,6 @@ class TestBasisTree:
     def test_walk_gives_parent_depth_and_thread(self):
         tree = ot_module._BasisTree(np.ones((3, 3)), _flat(self.STAIRCASE, 3))
         assert tree.parent == [-1, 4, 5, 0, 0, 1]
-        np.testing.assert_array_equal(tree.depth, [0, 2, 4, 1, 1, 3])
         np.testing.assert_array_equal(tree.order, [0, 4, 1, 5, 2, 3])
         assert tree.size == [6, 3, 1, 1, 4, 2]
 
@@ -662,7 +660,6 @@ class TestBasisTree:
         delta = values[2, 0] - tree.pot[2] - tree.pot[3]
         tree.pivot(2, 0, float(delta))
         assert tree.parent == [-1, 4, 3, 0, 0, 1]
-        np.testing.assert_array_equal(tree.depth, [0, 2, 2, 1, 1, 3])
         coupling = np.zeros((3, 3))
         coupling.flat[tree.cells()] = tree.flow[1:]
         np.testing.assert_array_equal(coupling, [[0.125, 0.375, 0.0],
@@ -681,7 +678,6 @@ class TestBasisTree:
         # from row 2 instead.
         tree.pivot(2, 0, float(values[2, 0] - tree.pot[2] - tree.pot[3]))
         assert tree.parent == [-1, 4, 5, 2, 0, 1]
-        np.testing.assert_array_equal(tree.depth, [0, 2, 4, 5, 1, 3])
         _assert_tree_matches_fresh_walk(tree, values, supply, demand)
 
     @settings(max_examples=40, deadline=None)
