@@ -32,7 +32,8 @@ class BarycenterConfig:
     Args:
         max_iterations: hard cap on fixed-point sweeps (default 100).
         stop_threshold: convergence threshold on the mean squared
-            displacement of support points between sweeps (default 1e-5).
+            displacement of support points between sweeps (default 1e-5);
+            a number > 0, not a bool.
     """
 
     max_iterations: int = 100
@@ -40,8 +41,11 @@ class BarycenterConfig:
 
     def __post_init__(self):
         require_count("max_iterations", self.max_iterations, 1)
-        if not (self.stop_threshold > 0.0):
-            raise InvalidParameterError("stop_threshold must be > 0")
+        # A bool compares as 0 or 1, but True is not a threshold.
+        if isinstance(self.stop_threshold, (bool, np.bool_)) or not (self.stop_threshold > 0.0):
+            raise InvalidParameterError(
+                f"stop_threshold must be a number > 0, got {self.stop_threshold!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,8 @@ def free_support_barycenter(
             size, and its weights are ignored (the support is uniform).
         config: iteration budget and stop rule.
         weights: relative weight of each measure; None means uniform.
-            Must be finite, nonnegative and sum to 1.
+            One per measure (shape ``(len(measures),)``), finite,
+            nonnegative and summing to 1.
 
     Returns:
         BarycenterResult; ``converged`` is True when the mean squared
@@ -95,7 +100,8 @@ def free_support_barycenter(
         DimensionMismatchError: if any measure's dimension differs from
             the init's.
         InvalidWeightsError: on negative, non-finite or unnormalized weights.
-        InvalidParameterError: on a weight count other than the measures'.
+        InvalidParameterError: on no measures, or on weights of another
+            shape than ``(len(measures),)``, checked before their values.
         SolverFailureError: propagated from the OT solver.
     """
     if config is None:
@@ -111,14 +117,15 @@ def free_support_barycenter(
         lam = np.full(len(measures), 1.0 / len(measures))
     else:
         lam = np.asarray(weights, dtype=np.float64)
+        if lam.shape != (len(measures),):
+            raise InvalidParameterError(
+                f"measure weights must have shape ({len(measures)},), one per measure, "
+                f"got shape {lam.shape}"
+            )
         if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
             raise InvalidWeightsError("measure weights must be finite and >= 0")
         if abs(float(lam.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidWeightsError(f"measure weights must sum to 1 within {WEIGHT_SUM_TOL}")
-        if lam.shape != (len(measures),):
-            raise InvalidParameterError(
-                f"got {lam.shape[0]} measure weights for {len(measures)} measures"
-            )
 
     n = init.n
     nu_weights = np.full(n, 1.0 / n)

@@ -274,6 +274,8 @@ def _cmd_barycenter(args) -> int:
 
 
 def _cmd_morph(args) -> int:
+    if args.tau is not None:
+        _require_tau(args.tau)  # before any file is read or written
     inputs = _read_inputs(args, "source", "target")
     source, target = inputs.values()
     config = MorphConfig(
@@ -356,6 +358,8 @@ def _cmd_sweep_tau(args) -> int:
         raise InvalidParameterError(f"bad --grid value: {exc}") from None
     if not args.grid:
         raise InvalidParameterError("--grid must name at least one threshold")
+    for tau in args.grid:
+        _require_tau(tau)
 
     inputs = _read_inputs(args, "source", "target")
     source, target = inputs.values()
@@ -363,13 +367,10 @@ def _cmd_sweep_tau(args) -> int:
 
     out_dir = _resolve_out_dir(args.out_dir)
     # Nearest tokens and their similarity do not depend on tau, so one
-    # field per frame serves the whole grid. The first threshold is
-    # checked before the field is computed, as a per-tau pass would.
-    _require_tau(args.grid[0])
+    # field per frame serves the whole grid.
     sims = [_similarity_field(frame, source, target)[2] for frame in trajectory.frames]
     outputs = []
     for tau in args.grid:
-        _require_tau(tau)
         per_frame = []
         for k, frame_sims in enumerate(sims):
             kept = int(np.count_nonzero(_kept(frame_sims, tau)))

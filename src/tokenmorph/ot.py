@@ -16,12 +16,13 @@ parent edge, and the potentials. A pivot re-hangs only the
 subtree that the leaving edge cuts off and shifts only that subtree's
 potentials. It starts from the least-cost (matrix-minimum) basis, or
 from a re-priced copy of the basis tree a previous plan carries when
-its flows are feasible for the current marginals, as on every
-barycenter sweep after the first. The returned flows
-are computed from the final tree and the marginals, in an order fixed
-by the basis alone. Every solve certifies its optimality by LP duality
-on its final duals. The test suite checks both solvers against
-independent oracles (brute force, sorted 1-D, scipy).
+the flows that tree fixes for the current marginals are feasible, as on
+every barycenter sweep after the first. A tree's flows, at the start of
+a warm or cold solve and at its end, are always computed from its basis
+and the marginals, in an order fixed by the basis alone. Every solve
+certifies its optimality by LP duality on its final duals. The test
+suite checks both solvers against independent oracles (brute force,
+sorted 1-D, scipy).
 
 All functions are pure: they never mutate their inputs and hold no
 global state, so concurrent calls on shared token sets are safe.
@@ -362,13 +363,13 @@ def _transportation_simplex(
     """Network simplex on the n x m transportation problem.
 
     Starts from a re-priced copy of ``start``, an earlier solve's final
-    tree, when its flows are feasible for these marginals, and from the
-    least-cost basis otherwise. Entering cells follow Dantzig's
-    most-negative-reduced-cost rule, the first such cell in row-major
-    order on ties, switching to Bland's rule (first negative cell) after
-    a pivot budget so degenerate instances cannot cycle. The leaving cell
-    is the lexicographic minimum of (flow, cell) over the cycle's donor
-    cells. The pivot sequence is fully deterministic.
+    tree, when the flows its basis fixes for these marginals are
+    feasible, and from the least-cost basis otherwise. Entering cells
+    follow Dantzig's most-negative-reduced-cost rule, the first such cell
+    in row-major order on ties, switching to Bland's rule (first negative
+    cell) after a pivot budget so degenerate instances cannot cycle. The
+    leaving cell is the lexicographic minimum of (flow, cell) over the
+    cycle's donor cells. The pivot sequence is fully deterministic.
 
     The last pricing pass is the duality certificate: its potentials
     must price every cell at or above ``-1e-11 * max C`` and every basis
@@ -468,8 +469,8 @@ class _BasisTree:
     is its inverse, so the subtree of k is ``order[pos[k]:pos[k] + size[k]]``. The array ``pot``
     holds the potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
     ``u[i] + v[j] == values[i, j]`` on every basis cell and ``u[0] == 0``.
-    ``flow[k]`` is the flow on node k's parent edge, and ``flows_for``
-    the marginals' bytes they were last set for (None after a pivot).
+    ``flow[k]`` is the flow on node k's parent edge; only ``set_flows``
+    sets all of them, from the basis and the marginals.
     """
 
     def __init__(self, values: np.ndarray, cells: np.ndarray):
@@ -518,7 +519,6 @@ class _BasisTree:
         # +1 on rows, -1 on columns: a subtree shift raises u and lowers v.
         self.sign = np.concatenate((np.ones(n), -np.ones(m)))
         self.flow = [0.0] * nodes
-        self.flows_for = None
 
     def price(self, values: np.ndarray) -> None:
         """Set the potentials for ``values`` down the thread from row 0."""
@@ -530,9 +530,9 @@ class _BasisTree:
         self.pot = np.array(pot)
 
     def priced_copy(self, values: np.ndarray) -> _BasisTree:
-        """A copy priced for ``values``; pivots on it leave this tree as is."""
+        """A copy of the structure priced for ``values``; ``set_flows`` gives it its own flows."""
         tree = copy.copy(self)
-        tree.parent, tree.size, tree.flow = self.parent[:], self.size[:], self.flow[:]
+        tree.parent, tree.size = self.parent[:], self.size[:]
         tree.order, tree.pos = self.order[:], self.pos[:]
         tree.price(values)
         return tree
@@ -557,11 +557,8 @@ class _BasisTree:
         column weights over its subtree) crosses its parent edge, from row to
         column, and children add in ascending order, so the flows depend only
         on the basis, bit for bit. Flows within ``_FLOW_TOL`` below zero are
-        rounding dust and read as zero. Flows set for these marginals stay.
+        rounding dust and read as zero.
         """
-        marginals = supply.tobytes() + demand.tobytes()
-        if marginals == self.flows_for:
-            return True
         n = self.n
         net = supply.tolist() + (-demand).tolist()
         parent = self.parent
@@ -575,7 +572,6 @@ class _BasisTree:
         if min(flow) < -_FLOW_TOL:
             return False
         self.flow = [max(f, 0.0) for f in flow]
-        self.flows_for = marginals
         return True
 
     def pivot(self, ei: int, ej: int, delta: float) -> None:
@@ -618,12 +614,11 @@ class _BasisTree:
                     f, cell = flow[k], self.cell(k)
                     if f < theta or (f == theta and cell < leave_cell):
                         theta, leave_cell, out_side, out_at = f, cell, side, at
-        self.flows_for = None
-        if theta > 0.0:
-            for k in climb_p:
-                flow[k] += -theta if k < n else theta
-            for k in climb_q:
-                flow[k] += theta if k < n else -theta
+        # A degenerate pivot (theta == 0) adds a signed zero: no flow changes.
+        for k in climb_p:
+            flow[k] += -theta if k < n else theta
+        for k in climb_q:
+            flow[k] += theta if k < n else -theta
 
         if out_side == 0:
             path, above, other, anchor = climb_p[:out_at + 1], climb_p[out_at + 1:], climb_q, q

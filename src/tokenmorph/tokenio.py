@@ -69,6 +69,9 @@ def tokens_from_json_bytes(data: bytes) -> TokenSet:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        # Arrays nested about a thousand deep exhaust json.loads's recursion.
+        raise FormatError("not valid token JSON: arrays nested too deep") from None
     if not isinstance(doc, dict):
         raise FormatError("top-level JSON value must be an object")
     for key in ("n", "d", "points"):
@@ -115,6 +118,8 @@ def tokens_from_binary_bytes(data: bytes) -> TokenSet:
         )
     offset = 13
     points = np.frombuffer(data, dtype="<f8", count=n * d, offset=offset).reshape(n, d)
+    if not np.isfinite(points).all():
+        raise FormatError("points payload holds NaN, Infinity or -Infinity")
     offset += 8 * n * d
     weights = None
     if flag:

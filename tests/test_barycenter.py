@@ -52,12 +52,28 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             BarycenterConfig(stop_threshold=0.0)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_rejects_a_bool_threshold(self, flag):
+        # True compared as 1.0 and was accepted before.
+        with pytest.raises(InvalidParameterError, match="stop_threshold"):
+            BarycenterConfig(stop_threshold=flag)
+
     def test_rejects_bad_measure_weights(self):
         left, right = TokenSet([[0.0]]), TokenSet([[1.0]])
         with pytest.raises(InvalidWeightsError):
             free_support_barycenter([left, right], left, weights=(0.5, 0.6))
         with pytest.raises(InvalidWeightsError):
             free_support_barycenter([left, right], left, weights=(-0.5, 1.5))
+        # A scalar raised IndexError and a 1 x 2 array named 1 weight before.
+        for weights, shape in ((1.0, "()"), ([[0.5, 0.5]], "(1, 2)"),
+                               ((0.25, 0.25, 0.5), "(3,)"), ((0.5, 0.6, 0.1), "(3,)")):
+            with pytest.raises(InvalidParameterError, match=r"must have shape \(2,\)") as info:
+                free_support_barycenter([left, right], left, weights=weights)
+            assert str(info.value).endswith(f"got shape {shape}")
+
+    def test_rejects_no_measures(self):
+        with pytest.raises(InvalidParameterError, match="at least one measure"):
+            free_support_barycenter([], TokenSet([[0.0]]))
 
 
 class TestFixedPoint:

@@ -273,13 +273,17 @@ class TestOtherCommands:
                 16 - c for c in expected
             ]
 
-    def test_sweep_tau_writes_thresholds_before_a_bad_one(self, token_files, tmp_path):
+    def test_sweep_tau_checks_every_threshold_before_writing(self, token_files, tmp_path):
+        # Wrote sweep_tau_0.3.json before the bad threshold's exit 6 before.
         source_path, target_path = token_files
         out = tmp_path / "sweep"
         code = main(["sweep-tau", str(source_path), str(target_path),
                      "--grid", "0.3,1.5", "--out-dir", str(out)])
         assert code == EXIT_INVALID_VALUE
-        assert sorted(p.name for p in out.iterdir()) == ["sweep_tau_0.3.json"]
+        assert not out.exists()
+        # The threshold is checked before the inputs are read.
+        assert main(["sweep-tau", str(tmp_path / "nope.json"), str(target_path),
+                     "--grid", "1.5", "--out-dir", str(out)]) == EXIT_INVALID_VALUE
 
     @pytest.mark.parametrize("command, extra", [
         ("morph", ["--frames", "1"]),
@@ -446,6 +450,47 @@ class TestErrorPaths:
         assert err.startswith("tokenmorph: error[format]:")
         assert err.count("\n") == 1
 
+    def test_deeply_nested_json(self, tmp_path, token_files, capsys):
+        # json.loads raised RecursionError, a traceback, before.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["dist", str(deep), str(token_files[0])]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[format]:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_binary_coordinates(self, tmp_path, weighted_files, value, capsys):
+        # Exit 6 ("token coordinates must be finite") before, as in JSON
+        # until non-finite JSON literals became exit 4.
+        tokens = read_tokens(weighted_files[0])
+        data = bytearray(tokens_to_binary_bytes(tokens))
+        data[13:21] = np.float64(value).tobytes()  # the first coordinate
+        bad = tmp_path / "nonfinite.bmt"
+        bad.write_bytes(bytes(data))
+        assert main(["dist", str(bad), str(weighted_files[1])]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[format]:")
+        assert "NaN, Infinity" in err
+
+    def test_json_weights_of_the_wrong_length(self, tmp_path, capsys):
+        bad = tmp_path / "short.json"
+        bad.write_text('{"n":2,"d":1,"points":[[0.0],[1.0]],"weights":[1.0]}')
+        assert main(["dist", str(bad), str(bad)]) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[format]:")
+        assert "weights payload has shape (1,), expected (2,)" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--points", "2"],
+        ["gen-synthetic", "--kind", "gaussian_blob", "--n", "4", "--d", "0"],
+    ], ids=["demo --points 2", "gen-synthetic --d 0"])
+    def test_too_few_points_or_dimensions(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == EXIT_INVALID_VALUE
+        assert capsys.readouterr().err.startswith("tokenmorph: error[invalid-value]:")
+        assert not out.exists()
+
     def test_dimension_mismatch(self, tmp_path, token_files, capsys):
         source_path, _ = token_files
         other = tmp_path / "other.json"
@@ -467,12 +512,16 @@ class TestErrorPaths:
         assert "error[invalid-value]" in capsys.readouterr().err
 
     def test_invalid_tau(self, token_files, tmp_path):
+        # Wrote every frame and frames_index.json before exiting 6 before.
         source_path, target_path = token_files
         code = main([
             "morph", str(source_path), str(target_path),
             "--tau", "2.0", "--out-dir", str(tmp_path / "x"),
         ])
         assert code == EXIT_INVALID_VALUE
+        assert not (tmp_path / "x").exists()
+        assert main(["morph", str(tmp_path / "nope.json"), str(target_path),
+                     "--tau", "2.0", "--out-dir", str(tmp_path / "x")]) == EXIT_INVALID_VALUE
 
     @pytest.mark.parametrize("flag", ["--max-iter", "--tol", "--format"])
     def test_sweep_tau_has_no_solver_flags(self, flag, token_files, capsys):

@@ -608,7 +608,7 @@ def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
 
 
 def _tree_state(tree):
-    return (tree.parent[:], tree.size[:], tree.flow[:], tree.flows_for,
+    return (tree.parent[:], tree.size[:], tree.flow[:],
             tree.order[:], tree.pos[:], tree.pot.tobytes())
 
 

@@ -48,6 +48,18 @@ def test_weight_sum_tolerance_is_tight():
         TokenSet([[0.0], [1.0]], [0.5, 0.5 + 1e-10])
 
 
+@pytest.mark.parametrize("weights", [[1.0], [[0.5, 0.5]], [0.25, 0.25, 0.5], 1.0])
+def test_weights_of_the_wrong_shape_rejected(weights):
+    with pytest.raises(InvalidWeightsError, match=r"shape \(2,\)"):
+        TokenSet([[0.0], [1.0]], weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_weights_rejected(bad):
+    with pytest.raises(InvalidWeightsError, match="finite"):
+        TokenSet([[0.0], [1.0]], [0.5, bad])
+
+
 def test_empty_set_rejected():
     with pytest.raises(InvalidParameterError):
         TokenSet(np.zeros((0, 3)))

@@ -8,6 +8,7 @@ from tokenmorph import (
     InvalidParameterError,
     MorphConfig,
     TokenSet,
+    ToyShape,
     decode_tokens_to_shape,
     morph_geometry,
     render_trajectory_svg,
@@ -32,6 +33,16 @@ class TestDecoder:
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DimensionMismatchError):
             decode_tokens_to_shape(TokenSet(np.zeros((4, 3))))
+
+    @pytest.mark.parametrize("vertices", [np.zeros((4, 3)), np.zeros(4), np.zeros((0, 2))])
+    def test_shape_rejects_vertices_that_are_not_n_by_2(self, vertices):
+        with pytest.raises(InvalidParameterError, match=r"\(n, 2\) array"):
+            ToyShape(vertices)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_shape_rejects_non_finite_vertices(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ToyShape([[0.0, 0.0], [bad, 1.0]])
 
     def test_determinism(self):
         rng = np.random.default_rng(171)

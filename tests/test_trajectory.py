@@ -253,6 +253,15 @@ class TestSequentialClosedForm:
 
 
 class TestDiagnostics:
+    def test_step_lengths_needs_two_frames(self):
+        frame = TokenSet([[1.0, 1.0], [2.0, 2.0]])
+        one = trajectory_module.MorphTrajectory(
+            frames=(frame,), betas=(0.0,),
+            frame_diagnostics=(trajectory_module.FrameDiagnostics(0, True, 0.0),),
+            step_w2=(), init_mode="sequential")
+        with pytest.raises(InvalidParameterError, match="at least 2 frames"):
+            step_lengths(one)
+
     def test_step_lengths_constant_trajectory(self):
         ts = TokenSet([[1.0, 1.0], [2.0, 2.0]])
         traj = morph_geometry(ts, ts, MorphConfig(J=3))
