@@ -33,7 +33,6 @@ from .ot import (
 from .selective import (
     DEFAULT_TAU,
     SelectionReport,
-    TokenDecision,
     morph_texture,
     selective_texture_tokens,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "MorphTrajectory",
     "SelectionReport",
     "SolverFailureError",
-    "TokenDecision",
     "TokenMorphError",
     "TokenSet",
     "ToyShape",

@@ -20,6 +20,7 @@ from .errors import (
     InvalidParameterError,
     InvalidWeightsError,
     require_count,
+    require_fraction,
 )
 from .ot import solve_exact_ot
 from .tokens import WEIGHT_SUM_TOL, TokenSet
@@ -177,6 +178,5 @@ def pairwise_barycenter(
     ``beta`` must lie in [0, 1]; the endpoints run the same optimization
     and converge immediately by construction.
     """
-    if not (0.0 <= beta <= 1.0):
-        raise InvalidParameterError(f"beta must be in [0, 1], got {beta!r}")
+    require_fraction("beta", beta)
     return free_support_barycenter([source, target], init, config, weights=(1.0 - beta, beta))

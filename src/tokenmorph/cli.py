@@ -4,6 +4,8 @@ Every command that writes files also writes a ``manifest.json`` next to
 them recording the full configuration (flags, input digests, per-frame
 diagnostics), with no timestamps or absolute paths, so re-running a
 command with the manifest's settings reproduces byte-identical outputs.
+Every command checks its flag values before it reads an input or
+writes a file.
 
 Exit codes: 0 success, 2 usage, 3 missing file, 4 bad file format,
 5 dimension mismatch, 6 invalid value, 7 solver failure.
@@ -29,11 +31,11 @@ from .errors import (
     InvalidWeightsError,
     SolverFailureError,
     TokenMorphError,
+    require_fraction,
 )
 from .selective import (
     DEFAULT_TAU,
     _kept,
-    _require_tau,
     _similarity_field,
     morph_texture,
     selective_texture_tokens,
@@ -242,10 +244,6 @@ def _finish(args, out_dir: Path, inputs: dict[str, TokenSet], body: dict,
     return EXIT_OK
 
 
-def _copied(report) -> int:
-    return sum(not d.kept_barycenter for d in report.decisions)
-
-
 def _cmd_dist(args) -> int:
     source, target = _read_inputs(args, "source", "target").values()
     print(w2_distance(source, target))
@@ -253,12 +251,13 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_barycenter(args) -> int:
+    require_fraction("beta", args.beta)
+    config = BarycenterConfig(max_iterations=args.max_iter, stop_threshold=args.tol)
     inputs = _read_inputs(args, "source", "target")
     source, target = inputs.values()
     init = {"source": source, "target": target}.get(args.init)
     if init is None:
         init = index_lerp(source, target, args.beta)
-    config = BarycenterConfig(max_iterations=args.max_iter, stop_threshold=args.tol)
     result = pairwise_barycenter(source, target, args.beta, init, config)
 
     out_dir = _resolve_out_dir(args.out_dir)
@@ -275,9 +274,7 @@ def _cmd_barycenter(args) -> int:
 
 def _cmd_morph(args) -> int:
     if args.tau is not None:
-        _require_tau(args.tau)  # before any file is read or written
-    inputs = _read_inputs(args, "source", "target")
-    source, target = inputs.values()
+        require_fraction("tau", args.tau)
     config = MorphConfig(
         J=args.frames,
         init_mode=args.init.replace("-", "_"),
@@ -285,6 +282,8 @@ def _cmd_morph(args) -> int:
             max_iterations=args.max_iter, stop_threshold=args.tol
         ),
     )
+    inputs = _read_inputs(args, "source", "target")
+    source, target = inputs.values()
     trajectory = morph_geometry(source, target, config)
 
     out_dir = _resolve_out_dir(args.out_dir)
@@ -319,7 +318,7 @@ def _cmd_morph(args) -> int:
                 entry = _write(out_dir, name, frame_bytes[k], frames[k]["sha256"])
             else:
                 entry = _write(out_dir, name, writer(report.output))
-            copied = _copied(report)
+            copied = int(np.count_nonzero(~report.decisions.kept_barycenter))
             body["texture_frames"].append({
                 **entry,
                 "copied_from_source": copied,
@@ -329,21 +328,16 @@ def _cmd_morph(args) -> int:
 
 
 def _cmd_texture_select(args) -> int:
+    require_fraction("tau", args.tau)
     inputs = _read_inputs(args, "blended", "source", "target")
     report = selective_texture_tokens(*inputs.values(), args.tau)
 
     out_dir = _resolve_out_dir(args.out_dir)
     selected = f"selected.{_EXTENSIONS[args.format]}"
-    decisions = [
-        {
-            "token": k,
-            "nearest_source_index": d.nearest_source_index,
-            "nearest_target_index": d.nearest_target_index,
-            "sim": d.sim,
-            "kept_barycenter": d.kept_barycenter,
-        }
-        for k, d in enumerate(report.decisions)
-    ]
+    # tolist() gives Python int, float and bool, which json writes as before.
+    fields = report.decisions.dtype.names
+    decisions = [{"token": k, **dict(zip(fields, record))}
+                 for k, record in enumerate(report.decisions.tolist())]
     return _finish(args, out_dir, inputs, {"outputs": [
         _write(out_dir, selected, _tokens_writer(args.format)(report.output)),
         _write(out_dir, "selection_report.json",
@@ -359,11 +353,12 @@ def _cmd_sweep_tau(args) -> int:
     if not args.grid:
         raise InvalidParameterError("--grid must name at least one threshold")
     for tau in args.grid:
-        _require_tau(tau)
+        require_fraction("tau", tau)
+    config = MorphConfig(J=args.frames)
 
     inputs = _read_inputs(args, "source", "target")
     source, target = inputs.values()
-    trajectory = morph_geometry(source, target, MorphConfig(J=args.frames))
+    trajectory = morph_geometry(source, target, config)
 
     out_dir = _resolve_out_dir(args.out_dir)
     # Nearest tokens and their similarity do not depend on tau, so one

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types shared across the package, and the integer and fraction checks."""
 
 import operator
 
@@ -48,3 +48,9 @@ def require_count(name: str, value, minimum: int) -> None:
         count = None
     if isinstance(value, bool) or count is None or count < minimum:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_fraction(name: str, value) -> None:
+    """Raise InvalidParameterError unless ``0 <= value <= 1`` (NaN fails)."""
+    if not (0.0 <= value <= 1.0):
+        raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")

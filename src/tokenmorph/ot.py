@@ -596,14 +596,20 @@ class _BasisTree:
             raise SolverFailureError("transport basis cell priced below zero")
         climb_p: list[int] = []
         climb_q: list[int] = []
+        # Row 0's parent is -1: a climb that steps above the root has an
+        # inconsistent thread, and Python's parent[-1] would cycle.
         a, at_q = p, pos[q]
         while not pos[a] <= at_q < pos[a] + size[a]:
             climb_p.append(a)
             a = parent[a]
+            if a < 0:
+                raise SolverFailureError("transport basis tree thread is inconsistent")
         b = q
         while b != a:
             climb_q.append(b)
             b = parent[b]
+            if b < 0:
+                raise SolverFailureError("transport basis tree thread is inconsistent")
 
         theta = math.inf
         leave_cell = -1

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, require_fraction
 from .ot import squared_distances
 from .tokens import TokenSet
 
@@ -46,24 +46,29 @@ _EPS = float(np.finfo(np.float64).eps)
 _SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
-@dataclass(frozen=True)
-class TokenDecision:
-    nearest_source_index: int
-    nearest_target_index: int
-    sim: float
-    kept_barycenter: bool
+# One record per blended token: its nearest source and target tokens,
+# their cosine similarity, and whether the blended token was kept.
+_DECISION_DTYPE = np.dtype([
+    ("nearest_source_index", np.intp),
+    ("nearest_target_index", np.intp),
+    ("sim", np.float64),
+    ("kept_barycenter", np.bool_),
+])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionReport:
     """Per-token outcome of one selective blending pass.
 
-    Every output token is bit-identical either to its input blended
-    token or to the source token named in its decision record.
+    ``decisions`` is a read-only record array, one record per blended
+    token: read a field as a column (``decisions.sim``) or per record
+    (``decisions[k].sim``). Every output token is bit-identical either
+    to its input blended token or to the source token named in its
+    record. Reports compare by identity.
     """
 
     output: TokenSet
-    decisions: tuple[TokenDecision, ...]
+    decisions: np.recarray
     tau: float
 
 
@@ -89,7 +94,7 @@ def selective_texture_tokens(
             distance overflows float64.
         DimensionMismatchError: if the embedding dimensions differ.
     """
-    _require_tau(tau)
+    require_fraction("tau", tau)
     if not (blended.m == source.m == target.m):
         raise DimensionMismatchError(
             f"dimensions differ: blended {blended.m}, source {source.m}, target {target.m}"
@@ -106,10 +111,8 @@ def selective_texture_tokens(
             np.where(kept[:, None], blended.points, source.points[src_idx]), blended.weights
         )
 
-    decisions = tuple(
-        TokenDecision(*fields)
-        for fields in zip(src_idx.tolist(), tgt_idx.tolist(), sims.tolist(), kept.tolist())
-    )
+    decisions = np.rec.fromarrays([src_idx, tgt_idx, sims, kept], dtype=_DECISION_DTYPE)
+    decisions.flags.writeable = False
     return SelectionReport(output=output, decisions=decisions, tau=float(tau))
 
 
@@ -122,11 +125,6 @@ def morph_texture(trajectory, source: TokenSet, target: TokenSet, tau: float = D
         selective_texture_tokens(frame, source, target, tau)
         for frame in trajectory.frames
     ]
-
-
-def _require_tau(tau: float) -> None:
-    if not (0.0 <= tau <= 1.0):
-        raise InvalidParameterError(f"tau must be in [0, 1], got {tau!r}")
 
 
 def _similarity_field(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_count
 from .tokens import TokenSet
 
 KINDS = ("gaussian_blob", "two_cluster_swap_pair", "ring")
@@ -17,40 +17,39 @@ _CLUSTER_JITTER = 0.3
 
 
 def gen_synthetic(
-    kind: str, n: int, m: int, seed: int = 0
+    kind: str, n: int, d: int, seed: int = 0
 ) -> TokenSet | tuple[TokenSet, TokenSet]:
     """Generate a deterministic synthetic token set (or pair).
 
     Args:
         kind: "gaussian_blob" (standard normal cloud), "ring" (noisy
-            circle in the first two dimensions, m >= 2), or
+            circle in the first two dimensions, d >= 2), or
             "two_cluster_swap_pair" (returns a (source, target) pair in
             which the same two clusters swap index labels, so index-wise
             interpolation crosses the gap while OT stays within
             clusters; n must be even).
         n: token count (>= 1; >= 2 and even for the pair).
-        m: embedding dimension (>= 1; >= 2 for "ring").
+        d: embedding dimension (>= 1; >= 2 for "ring").
         seed: RNG seed; identical seeds give identical outputs.
 
     Raises:
-        InvalidParameterError: on an unknown kind or out-of-range n/m.
+        InvalidParameterError: on an unknown kind, or an n or d that is
+            not an integer in range.
     """
     if kind not in KINDS:
         raise InvalidParameterError(f"kind must be one of {KINDS}, got {kind!r}")
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
+    require_count("n", n, 1)
+    require_count("d", d, 1)
     rng = np.random.default_rng(seed)
 
     if kind == "gaussian_blob":
-        return TokenSet(rng.normal(size=(n, m)))
+        return TokenSet(rng.normal(size=(n, d)))
 
     if kind == "ring":
-        if m < 2:
-            raise InvalidParameterError("ring requires m >= 2")
+        if d < 2:
+            raise InvalidParameterError(f"ring requires d >= 2, got {d!r}")
         theta = 2.0 * np.pi * np.arange(n) / n
-        points = 0.05 * rng.normal(size=(n, m))
+        points = 0.05 * rng.normal(size=(n, d))
         points[:, 0] += np.cos(theta)
         points[:, 1] += np.sin(theta)
         return TokenSet(points)
@@ -59,12 +58,12 @@ def gen_synthetic(
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"two_cluster_swap_pair requires even n >= 2, got {n}")
     half = n // 2
-    center_a = np.zeros(m)
+    center_a = np.zeros(d)
     center_a[0] = -_CLUSTER_OFFSET
     center_b = -center_a
 
     def cluster(center: np.ndarray) -> np.ndarray:
-        return center[None, :] + _CLUSTER_JITTER * rng.normal(size=(half, m))
+        return center[None, :] + _CLUSTER_JITTER * rng.normal(size=(half, d))
 
     source = np.vstack([cluster(center_a), cluster(center_b)])
     target = np.vstack([cluster(center_b), cluster(center_a)])

@@ -21,6 +21,7 @@ from tokenmorph import (
     pairwise_barycenter,
     read_tokens,
     render_trajectory_svg,
+    selective_texture_tokens,
     write_tokens,
 )
 import tokenmorph.ot as ot_module
@@ -238,6 +239,33 @@ class TestOtherCommands:
         assert code == EXIT_OK
         report = json.loads((out / "selection_report.json").read_text())
         assert len(report["decisions"]) == 6
+
+    @pytest.mark.parametrize("tau", [0.3, 0.9])
+    def test_selection_report_holds_the_decisions(self, tau, tmp_path):
+        # A swap-pair midpoint at tau 0.9 copies some tokens and keeps others.
+        source, target = gen_synthetic("two_cluster_swap_pair", 16, 4, 0)
+        blended = index_lerp(source, target, 0.5)
+        paths = [tmp_path / f"{name}.json" for name in ("blended", "source", "target")]
+        for tokens, path in zip((blended, source, target), paths):
+            write_tokens(tokens, path)
+        out = tmp_path / "sel"
+        assert main(["texture-select", *map(str, paths), "--tau", str(tau),
+                     "--out-dir", str(out)]) == EXIT_OK
+        text = (out / "selection_report.json").read_text()
+        written = json.loads(text)["decisions"]
+        expected = selective_texture_tokens(blended, source, target, tau).decisions
+        assert [d["token"] for d in written] == list(range(16))
+        for name in ("nearest_source_index", "nearest_target_index"):
+            assert all(type(d[name]) is int for d in written)
+            assert [d[name] for d in written] == getattr(expected, name).tolist()
+        assert [d["sim"] for d in written] == expected.sim.tolist()
+        kept = [d["kept_barycenter"] for d in written]
+        assert all(type(k) is bool for k in kept)
+        assert kept == expected.kept_barycenter.tolist()
+        assert text.count('"kept_barycenter": ') == 16
+        assert text.count('"kept_barycenter": true') == sum(kept)
+        if tau == 0.9:
+            assert 0 < sum(kept) < 16
 
     def test_sweep_tau_default_grid(self, token_files, tmp_path):
         source_path, target_path = token_files
@@ -510,6 +538,28 @@ class TestErrorPaths:
         ])
         assert code == EXIT_INVALID_VALUE
         assert "error[invalid-value]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["texture-select", "S", "S", "T", "--tau", "2"], "tau must be in [0, 1], got 2.0"),
+        (["barycenter", "S", "T", "--beta", "2"], "beta must be in [0, 1], got 2.0"),
+        (["barycenter", "S", "T", "--beta", "0.5", "--max-iter", "0"], "max_iterations"),
+        (["morph", "S", "T", "--frames", "-1"], "J must be an integer >= 0, got -1"),
+        (["sweep-tau", "S", "T", "--frames", "-1"], "J must be an integer >= 0, got -1"),
+    ], ids=["texture-select --tau", "barycenter --beta", "barycenter --max-iter",
+            "morph --frames", "sweep-tau --frames"])
+    @pytest.mark.parametrize("missing", [False, True], ids=["inputs", "missing input"])
+    def test_values_are_checked_before_inputs_are_read(self, argv, message, missing,
+                                                       token_files, tmp_path, capsys):
+        # Each of these exited 3 with a missing input before, and read
+        # every input before checking its values.
+        source = tmp_path / "nope.json" if missing else token_files[0]
+        paths = {"S": str(source), "T": str(token_files[1])}
+        out = tmp_path / "out"
+        argv = [paths.get(a, a) for a in argv] + ["--out-dir", str(out)]
+        assert main(argv) == EXIT_INVALID_VALUE
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[invalid-value]:") and message in err
+        assert not out.exists()
 
     def test_invalid_tau(self, token_files, tmp_path):
         # Wrote every frame and frames_index.json before exiting 6 before.

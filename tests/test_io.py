@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -322,8 +323,19 @@ class TestSynth:
         with pytest.raises(InvalidParameterError):
             gen_synthetic("gaussian_blob", 0, 2)
 
+    @pytest.mark.parametrize("kind, n, d, message", [
+        ("gaussian_blob", 3.0, 2, "n must be an integer >= 1, got 3.0"),
+        ("gaussian_blob", 4, 2.0, "d must be an integer >= 1, got 2.0"),
+        ("ring", True, 2, "n must be an integer >= 1, got True"),
+        ("gaussian_blob", 4, 0, "d must be an integer >= 1, got 0"),
+    ])
+    def test_counts_must_be_integers(self, kind, n, d, message):
+        # The first three raised TypeError before; d was named m.
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            gen_synthetic(kind, n, d)
+
     def test_ring_needs_two_dims(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="ring requires d >= 2"):
             gen_synthetic("ring", 8, 1)
         ring = gen_synthetic("ring", 16, 2, seed=1)
         radii = np.linalg.norm(ring.points, axis=1)

@@ -17,9 +17,11 @@ from tokenmorph import (
     gen_synthetic,
     solve_exact_ot,
     w2_distance,
+    write_tokens,
 )
 
 import tokenmorph.ot as ot_module
+from tokenmorph.cli import EXIT_SOLVER, main as cli_main
 
 from conftest import (
     brute_force_matching,
@@ -680,6 +682,19 @@ class TestBasisTree:
         assert tree.parent == [-1, 4, 5, 2, 0, 1]
         _assert_tree_matches_fresh_walk(tree, values, supply, demand)
 
+    @pytest.mark.parametrize("node, size", [(0, 5), (2, 2)],
+                             ids=["root block misses column 0", "row 2 block holds column 0"])
+    def test_an_inconsistent_thread_raises(self, node, size):
+        # Entering (2, 0) on the staircase: the root's block must hold
+        # column 0, and row 2's must not. Either corruption sends a climb
+        # above the root, where Python's parent[-1] would cycle forever.
+        values = np.arange(9.0).reshape(3, 3) ** 2
+        tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
+        assert tree.set_flows(np.full(3, 1 / 3), np.full(3, 1 / 3))
+        tree.size[node] = size
+        with pytest.raises(SolverFailureError, match="thread is inconsistent"):
+            tree.pivot(2, 0, float(values[2, 0] - tree.pot[2] - tree.pot[3]))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
            st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
@@ -857,6 +872,38 @@ class TestNetworkSimplex:
         assert cells.tolist() == [0, 1, 2, 5, 7]
         tree = ot_module._BasisTree(values, cells)
         assert tree.set_flows(third, third)
+
+    def test_bland_rule_finishes_the_solve(self, monkeypatch):
+        # The first 40 (n + m) pivots, all under Dantzig's rule, do nothing,
+        # so Bland's rule must reach the optimum alone.
+        rng = np.random.default_rng(5)
+        a, b = _weighted_pair(rng, 7, 5, 2, "dirichlet", False)
+        expected = solve_exact_ot(a, b)
+        bland_after = 40 * (7 + 5)
+        real_pivot = ot_module._BasisTree.pivot
+        calls = []
+
+        def pivot_after_bland(self, ei, ej, delta):
+            calls.append((ei, ej))
+            if len(calls) > bland_after:
+                real_pivot(self, ei, ej, delta)
+
+        monkeypatch.setattr(ot_module._BasisTree, "pivot", pivot_after_bland)
+        plan = solve_exact_ot(a, b)  # certified, or it raises
+        assert len(calls) > bland_after
+        assert plan.total_cost == expected.total_cost
+
+    def test_exhausted_pivot_budget_raises(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(ot_module._BasisTree, "pivot", lambda self, ei, ej, delta: None)
+        rng = np.random.default_rng(5)
+        a, b = _weighted_pair(rng, 7, 5, 2, "dirichlet", False)
+        with pytest.raises(SolverFailureError, match="pivot budget"):
+            solve_exact_ot(a, b)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        write_tokens(a, paths[0])
+        write_tokens(b, paths[1])
+        assert cli_main(["dist", *map(str, paths)]) == EXIT_SOLVER
+        assert "pivot budget" in capsys.readouterr().err
 
     def test_stale_potentials_raise(self, monkeypatch):
         # Pivots that skip the subtree shift leave stale potentials, which

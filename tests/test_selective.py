@@ -250,7 +250,26 @@ class TestSelectiveTextureTokens:
         first = selective_texture_tokens(z, source, target, 0.4)
         second = selective_texture_tokens(z, source, target, 0.4)
         np.testing.assert_array_equal(first.output.points, second.output.points)
-        assert first.decisions == second.decisions
+        assert np.array_equal(first.decisions, second.decisions)
+
+    def test_decisions_are_one_read_only_record_array(self):
+        rng = np.random.default_rng(173)
+        z = random_tokenset(rng, 16, 3)
+        source = random_tokenset(rng, 16, 3)
+        target = random_tokenset(rng, 16, 3)
+        decisions = selective_texture_tokens(z, source, target, 0.6).decisions
+        assert isinstance(decisions, np.recarray) and decisions.shape == (16,)
+        fields = ("nearest_source_index", "nearest_target_index", "sim", "kept_barycenter")
+        assert decisions.dtype.names == fields
+        assert 0 < np.count_nonzero(decisions.kept_barycenter) < 16  # both outcomes
+        for name in fields:
+            column = getattr(decisions, name)
+            assert not column.flags.writeable
+            assert column.tolist() == [getattr(d, name) for d in decisions]
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        with pytest.raises(ValueError, match="read-only"):
+            decisions[0].sim = 0.5
 
 
 class TestMorphTexture:
