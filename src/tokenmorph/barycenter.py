@@ -144,10 +144,14 @@ def free_support_barycenter(
 
         new_support = np.zeros_like(support)
         for l, plan, mu in zip(lam, plans, measures):
-            # No row sum is zero: each is the support weight 1/n within the
-            # 1e-9 that solve_exact_ot's marginal check enforces.
-            row_mass = plan.coupling.sum(axis=1)
-            new_support += l * ((plan.coupling / row_mass[:, None]) @ mu.points)
+            # No row mass is zero: each is the support weight 1/n within the
+            # 1e-9 that solve_exact_ot's marginal check enforces. Dividing
+            # first makes a row's single cell a share of exactly 1.0.
+            row_mass = np.bincount(plan.rows, plan.mass, n)
+            share = plan.mass / row_mass[plan.rows]
+            projection = np.zeros_like(support)
+            np.add.at(projection, plan.rows, share[:, None] * mu.points[plan.cols])
+            new_support += l * projection
 
         displacement = float(np.mean(np.sum((new_support - support) ** 2, axis=1)))
         displacements.append(displacement)

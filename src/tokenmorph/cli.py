@@ -31,6 +31,7 @@ from .errors import (
     InvalidWeightsError,
     SolverFailureError,
     TokenMorphError,
+    require_count,
     require_fraction,
 )
 from .selective import (
@@ -188,6 +189,13 @@ def _add_output_flags(p: argparse.ArgumentParser, with_format: bool = True) -> N
         p.add_argument("--format", choices=tuple(_EXTENSIONS), default="json")
 
 
+def _check_solver_flags(args) -> None:
+    """Check ``--max-iter`` and ``--tol`` under their flag names."""
+    require_count("--max-iter", args.max_iter, 1)
+    if not args.tol > 0.0:
+        raise InvalidParameterError(f"--tol must be a number > 0, got {args.tol!r}")
+
+
 def _resolve_out_dir(arg: str | None) -> Path:
     out = Path(arg or os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
     out.mkdir(parents=True, exist_ok=True)
@@ -252,6 +260,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_barycenter(args) -> int:
     require_fraction("beta", args.beta)
+    _check_solver_flags(args)
     config = BarycenterConfig(max_iterations=args.max_iter, stop_threshold=args.tol)
     inputs = _read_inputs(args, "source", "target")
     source, target = inputs.values()
@@ -275,6 +284,8 @@ def _cmd_barycenter(args) -> int:
 def _cmd_morph(args) -> int:
     if args.tau is not None:
         require_fraction("tau", args.tau)
+    require_count("--frames", args.frames, 0)
+    _check_solver_flags(args)
     config = MorphConfig(
         J=args.frames,
         init_mode=args.init.replace("-", "_"),
@@ -354,6 +365,7 @@ def _cmd_sweep_tau(args) -> int:
         raise InvalidParameterError("--grid must name at least one threshold")
     for tau in args.grid:
         require_fraction("tau", tau)
+    require_count("--frames", args.frames, 0)
     config = MorphConfig(J=args.frames)
 
     inputs = _read_inputs(args, "source", "target")
@@ -402,6 +414,7 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    require_count("--frames", args.frames, 0)
     source, target = _demo_shapes(args.points)
     trajectory = morph_geometry(source, target, MorphConfig(J=args.frames))
     frames = trajectory.frames

@@ -24,6 +24,12 @@ certifies its optimality by LP duality on its final duals. The test
 suite checks both solvers against independent oracles (brute force,
 sorted 1-D, scipy).
 
+A plan is its support: the n matched cells of an assignment, or the
+n + n' - 1 cells of the simplex's final basis, with their masses. No
+solve builds a dense coupling, and the assignment's certificate reads
+its reduced costs in row blocks, so a uniform solve holds one n x n
+float array, the cost matrix.
+
 All functions are pure: they never mutate their inputs and hold no
 global state, so concurrent calls on shared token sets are safe.
 """
@@ -58,52 +64,65 @@ class CostMatrix:
     """Pairwise ground costs between two token sets.
 
     ``values[i, j]`` is the squared Euclidean distance between token i of
-    the first set and token j of the second.
+    the first set and token j of the second. A read-only ``values`` that
+    owns its memory, as ``cost_matrix`` builds it, is kept without a copy
+    (its owner must not make it writable again); any other is copied.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _read_only(self.values, np.float64))
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.flags.writeable or not values.flags.owndata:
+            values = values.copy()
+            values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """A feasible coupling between two token sets and its total cost.
+    """A feasible coupling between two token sets, kept as its support.
 
-    Row sums of ``coupling`` equal the source weights and column sums the
-    target weights, both within 1e-9. ``total_cost`` is its squared-
-    Euclidean cost, summed exactly rounded over its support (see
-    ``_support_cost``). A simplex plan carries its final basis tree, which
-    ``solve_exact_ot(..., start=plan)`` starts from. A read-only coupling
-    that owns its memory is adopted, and its owner must not make it
-    writable again; any other coupling is copied.
+    The coupling of shape ``shape`` carries ``mass[k]`` at cell
+    ``(rows[k], cols[k])`` and nothing elsewhere. Row sums equal the
+    source weights and column sums the target weights, both within 1e-9.
+    An assignment plan lists its n matched cells in row order; a simplex
+    plan its n + n' - 1 basis cells, in an order fixed by the basis alone,
+    some possibly with zero mass. ``total_cost`` is the coupling's
+    squared-Euclidean cost, summed exactly rounded over the support (see
+    ``_support_cost``). The plan holds read-only copies of the three
+    arrays. A simplex plan also carries its final basis tree, which
+    ``solve_exact_ot(..., start=plan)`` starts from.
     """
 
-    coupling: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+    shape: tuple[int, int]
     total_cost: float
     # The simplex's final basis tree, which a warm start copies.
     _tree: _BasisTree | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coupling", _read_only(self.coupling, np.float64))
+        for name, dtype in (("rows", np.intp), ("cols", np.intp), ("mass", np.float64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "shape", tuple(map(int, self.shape)))
         object.__setattr__(self, "total_cost", float(self.total_cost))
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """A fresh dense array of the coupling, built on each access."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.mass
+        return out
 
     @property
     def basis(self) -> np.ndarray | None:
         """A fresh array of the n + n' - 1 final basis cells' flat indices,
         ascending; None on the assignment route."""
         return None if self._tree is None else np.sort(self._tree.cells())
-
-
-def _read_only(array, dtype) -> np.ndarray:
-    """``array`` as read-only ``dtype``: adopted if read-only and owning its
-    memory (its owner must not make it writable again), else copied."""
-    out = np.asarray(array, dtype=dtype)
-    if out.flags.writeable or not out.flags.owndata:
-        out = out.copy()
-        out.setflags(write=False)
-    return out
 
 
 def _support_cost(mass, costs: np.ndarray) -> float:
@@ -183,9 +202,9 @@ def solve_exact_ot(
             the optimal cost. The assignment route ignores it.
 
     Returns:
-        TransportPlan with an exactly optimal coupling; output is
-        deterministic for fixed inputs and ``start`` (ties are resolved by
-        a fixed pivot order toward smallest index pairs).
+        TransportPlan with the support of an exactly optimal coupling;
+        output is deterministic for fixed inputs and ``start`` (ties are
+        resolved by a fixed pivot order toward smallest index pairs).
 
     Raises:
         DimensionMismatchError: on differing embedding dimensions.
@@ -197,23 +216,19 @@ def solve_exact_ot(
     values = cost_matrix(a, b).values
     tree = None
     if a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights():
-        perm, u, v = _min_cost_matching(values)
-        support = np.arange(a.n) * a.n + perm
-        reduced = values - u[:, None]
-        reduced -= v
-        _certify_optimal("assignment", reduced, support, 1e-11 * float(values.max()))
-        coupling = reduced  # one buffer: a solve holds two n x n arrays
-        coupling.fill(0.0)
-        mass = coupling.flat[support] = 1.0 / a.n
+        cols, u, v = _min_cost_matching(values)
+        _certify_assignment(values, cols, u, v)
+        rows = np.arange(a.n)
+        mass = np.full(a.n, 1.0 / a.n)
     else:
-        warm = start._tree if start is not None and start.coupling.shape == values.shape else None
-        coupling, tree, _ = _transportation_simplex(values, a.weights, b.weights, warm)
-        support = tree.cells()
-        mass = coupling.flat[support]
+        warm = start._tree if start is not None and start.shape == values.shape else None
+        tree, _ = _transportation_simplex(values, a.weights, b.weights, warm)
+        rows, cols = np.divmod(tree.cells(), b.n)
+        mass = np.array(tree.flow[1:])
 
-    _check_marginals(coupling, a.weights, b.weights)
-    coupling.setflags(write=False)
-    plan = TransportPlan(coupling, _support_cost(mass, values.flat[support]))
+    _check_marginals(rows, cols, mass, a.weights, b.weights)
+    plan = TransportPlan(rows, cols, mass, values.shape,
+                         _support_cost(mass, values[rows, cols]))
     object.__setattr__(plan, "_tree", tree)
     return plan
 
@@ -240,32 +255,52 @@ def identity_w2(a: TokenSet, b: TokenSet) -> float:
     return math.sqrt(_support_cost(1.0 / a.n, np.einsum("ij,ij->i", diff, diff)))
 
 
-def _check_marginals(coupling: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> None:
-    row_err = float(np.max(np.abs(coupling.sum(axis=1) - supply)))
-    col_err = float(np.max(np.abs(coupling.sum(axis=0) - demand)))
+def _check_marginals(rows, cols, mass, supply: np.ndarray, demand: np.ndarray) -> None:
+    """Raise SolverFailureError unless the support's row and column sums are
+    ``supply`` and ``demand`` and its mass is >= 0, all within ``MARGINAL_TOL``."""
+    row_err = float(abs(np.bincount(rows, mass, len(supply)) - supply).max())
+    col_err = float(abs(np.bincount(cols, mass, len(demand)) - demand).max())
     if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
         raise SolverFailureError(
             f"coupling violates marginals (row err {row_err:.3e}, col err {col_err:.3e})"
         )
-    if float(coupling.min()) < -MARGINAL_TOL:
+    if float(mass.min()) < -MARGINAL_TOL:
         raise SolverFailureError("coupling has a negative entry")
 
 
 def _certify_optimal(what: str, reduced: np.ndarray, tight: np.ndarray, tol: float) -> None:
-    """Certify by LP duality that a feasible coupling on ``tight`` is optimal.
+    """Certify by LP duality that a feasible coupling is optimal.
 
-    ``reduced`` is the cost minus the final row and column duals, and
-    ``tight`` the flat indices of the cells that carry the flow. Raises
-    SolverFailureError unless ``reduced >= -tol`` everywhere (dual
-    feasibility) and ``|reduced| <= tol`` on ``tight`` (complementary
-    slackness).
+    ``reduced`` holds the cost minus the final row and column duals on
+    some or all cells, and ``tight`` those of the cells among them that
+    carry the flow. Raises SolverFailureError unless ``reduced >= -tol``
+    (dual feasibility) and ``|tight| <= tol`` (complementary slackness).
     """
     worst = float(reduced.min())
-    slack = float(np.abs(reduced.flat[tight]).max())
+    slack = float(np.abs(tight).max())
     if not (worst >= -tol and slack <= tol):
         raise SolverFailureError(
             f"{what} is not optimal (reduced cost {worst:.3e}, slack {slack:.3e})"
         )
+
+
+def _certify_assignment(values: np.ndarray, cols: np.ndarray, u: np.ndarray,
+                        v: np.ndarray) -> None:
+    """Certify the matching of row i to column ``cols[i]`` under duals u, v.
+
+    The reduced costs ``(values - u[:, None]) - v`` are computed and checked
+    in row blocks of at most ``_BLOCK_BYTES`` (one row if a single row is
+    larger), each block with its own matched cells, so the certificate
+    holds no second n x n array.
+    """
+    n = len(cols)
+    tol = 1e-11 * float(values.max())
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for lo in range(0, n, step):
+        block = values[lo:lo + step] - u[lo:lo + step, None]
+        block -= v
+        tight = block[np.arange(len(block)), cols[lo:lo + step]]
+        _certify_optimal("assignment", block, tight, tol)
 
 
 def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,7 +333,7 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     v = c.min(axis=0)
     col_of = np.full(n, -1, dtype=np.int64)  # column matched to row i
     row_of = np.full(n, -1, dtype=np.int64)  # row matched to column j
-    for j, i in enumerate(c.argmin(axis=0).tolist()):
+    for j, i in enumerate(_first_rows_at(c, v).tolist()):
         if col_of[i] < 0:
             col_of[i] = j
             row_of[j] = i
@@ -354,12 +389,19 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return col_of, u, v
 
 
+def _first_rows_at(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The first row at each column's minimum ``v = c.min(axis=0)``, as
+    ``c.argmin(axis=0)`` finds it. That call copies ``c`` transposed; this
+    one copies a bool mask of it, an eighth of the bytes."""
+    return (c == v).argmax(axis=0)
+
+
 def _transportation_simplex(
     values: np.ndarray,
     supply: np.ndarray,
     demand: np.ndarray,
     start: _BasisTree | None = None,
-) -> tuple[np.ndarray, _BasisTree, int]:
+) -> tuple[_BasisTree, int]:
     """Network simplex on the n x m transportation problem.
 
     Starts from a re-priced copy of ``start``, an earlier solve's final
@@ -378,8 +420,8 @@ def _transportation_simplex(
     coupling depends only on the final basis.
 
     Returns:
-        ``(coupling, tree, pivots)``: the optimal coupling, the final
-        basis tree holding its flows, and the pivot count.
+        ``(tree, pivots)``: the final basis tree, whose ``flow[1:]`` is
+        the optimal coupling on its ``cells()``, and the pivot count.
 
     Raises:
         SolverFailureError: on an exhausted pivot budget, a final basis
@@ -413,13 +455,11 @@ def _transportation_simplex(
     else:
         raise SolverFailureError("transportation simplex exceeded its pivot budget")
 
-    cells = tree.cells()
-    _certify_optimal("transportation simplex basis", reduced, cells, tol)
+    _certify_optimal("transportation simplex basis", reduced,
+                     reduced.flat[tree.cells()], tol)
     if not tree.set_flows(supply, demand):
         raise SolverFailureError("transportation simplex produced negative mass")
-    coupling = np.zeros((n, m))
-    coupling.flat[cells] = tree.flow[1:]
-    return coupling, tree, pivots
+    return tree, pivots
 
 
 def _least_cost_start(values: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:

@@ -136,8 +136,8 @@ def _displacement_frames(
     zeros included) match what that solver converges to.
     """
     plan = solve_exact_ot(source, target)
-    sigma = np.argmax(plan.coupling, axis=1)
-    matched = target.points[sigma]
+    # An assignment plan lists its matched cells in row order: cols is sigma.
+    matched = target.points[plan.cols]
     frames: list[TokenSet] = []
     diagnostics: list[FrameDiagnostics] = []
     for beta in betas:

@@ -25,10 +25,11 @@ def simplex_cost(a: TokenSet, b: TokenSet) -> float:
     applies.
     """
     values = cost_matrix(a, b).values
-    coupling, tree, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
-    ot_module._check_marginals(coupling, a.weights, b.weights)
-    support = tree.cells()
-    return ot_module._support_cost(coupling.flat[support], values.flat[support])
+    tree, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
+    cells = tree.cells()
+    mass = np.array(tree.flow[1:])
+    ot_module._check_marginals(*np.divmod(cells, b.n), mass, a.weights, b.weights)
+    return ot_module._support_cost(mass, values.flat[cells])
 
 
 def exact_plan_cost(coupling: np.ndarray, values: np.ndarray) -> float:

@@ -542,11 +542,18 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, message", [
         (["texture-select", "S", "S", "T", "--tau", "2"], "tau must be in [0, 1], got 2.0"),
         (["barycenter", "S", "T", "--beta", "2"], "beta must be in [0, 1], got 2.0"),
-        (["barycenter", "S", "T", "--beta", "0.5", "--max-iter", "0"], "max_iterations"),
-        (["morph", "S", "T", "--frames", "-1"], "J must be an integer >= 0, got -1"),
-        (["sweep-tau", "S", "T", "--frames", "-1"], "J must be an integer >= 0, got -1"),
+        (["barycenter", "S", "T", "--beta", "0.5", "--max-iter", "0"],
+         "--max-iter must be an integer >= 1, got 0"),
+        (["barycenter", "S", "T", "--beta", "0.5", "--tol", "0"],
+         "--tol must be a number > 0, got 0.0"),
+        (["morph", "S", "T", "--frames", "-1"], "--frames must be an integer >= 0, got -1"),
+        (["morph", "S", "T", "--max-iter", "0"], "--max-iter must be an integer >= 1, got 0"),
+        (["morph", "S", "T", "--tol", "0"], "--tol must be a number > 0, got 0.0"),
+        (["sweep-tau", "S", "T", "--frames", "-1"], "--frames must be an integer >= 0, got -1"),
+        (["demo", "--frames", "-1"], "--frames must be an integer >= 0, got -1"),
     ], ids=["texture-select --tau", "barycenter --beta", "barycenter --max-iter",
-            "morph --frames", "sweep-tau --frames"])
+            "barycenter --tol", "morph --frames", "morph --max-iter", "morph --tol",
+            "sweep-tau --frames", "demo --frames"])
     @pytest.mark.parametrize("missing", [False, True], ids=["inputs", "missing input"])
     def test_values_are_checked_before_inputs_are_read(self, argv, message, missing,
                                                        token_files, tmp_path, capsys):
