@@ -556,6 +556,83 @@ class TestSolveAssignment:
         rows = ot_module._first_rows_at(values, values.min(axis=0))
         np.testing.assert_array_equal(rows, values.argmin(axis=0))
 
+    @staticmethod
+    def _check_reduction_start(values):
+        """The start's invariants under the certificate's relative tolerance
+        (of the largest magnitude, since test entries can be negative): the
+        two index maps agree on every matched pair, the duals are finite,
+        every reduced cost is >= -tol and every matched one within tol of 0."""
+        col_of, row_of, u, v = ot_module._reduction_start(values)
+        rows = np.flatnonzero(col_of >= 0)
+        cols = np.flatnonzero(row_of >= 0)
+        np.testing.assert_array_equal(row_of[col_of[rows]], rows)
+        np.testing.assert_array_equal(col_of[row_of[cols]], cols)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
+        tol = 1e-11 * float(np.abs(values).max())
+        reduced = values - u[:, None] - v
+        assert reduced.min() >= -tol
+        assert np.abs(reduced[rows, col_of[rows]]).max(initial=0.0) <= tol
+        return col_of
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        )),
+        st.sampled_from([1e-7, 1.0, 1e7]),
+    )
+    def test_reduction_start_invariants_on_tie_heavy_matrices(self, entries, scale):
+        self._check_reduction_start(scale * np.array(entries, dtype=np.float64))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 10_000))
+    def test_reduction_start_invariants_on_random_matrices(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self._check_reduction_start(rng.uniform(0.0, 10.0, size=(n, n)))
+
+    def test_row_reduction_leaves_few_rows_to_the_dijkstra_phase(self):
+        # Column reduction alone leaves 140 of these 256 rows free, more
+        # than one 128-row block of bids.
+        a = gen_synthetic("gaussian_blob", 256, 64, 101)
+        b = gen_synthetic("gaussian_blob", 256, 64, 202)
+        col_of = self._check_reduction_start(cost_matrix(a, b).values)
+        assert (col_of < 0).sum() < 64
+
+    def test_costs_near_the_float64_limit_certify_or_raise(self):
+        # Above half the float64 maximum, c - v and path lengths can
+        # overflow: no step may warn (Tier-1 fails on a RuntimeWarning),
+        # and a solve must end certified or raise SolverFailureError.
+        pairs = [(TokenSet([[6e153], [-6e153]]), TokenSet([[6e153], [-6e153]]))]
+        rng = np.random.default_rng(67)
+        for exponent in (150, 152, 153, 153.5, 153.9, 154):
+            for _ in range(3):
+                n, m = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+                # Coordinates below sqrt(float max / m) * 10**(exponent - 154):
+                # every cost is finite, and near the maximum at 154.
+                scale = math.sqrt(np.finfo(float).max / m) * 10.0 ** (exponent - 154)
+                pairs.append((TokenSet(rng.random((n, m)) * scale),
+                              TokenSet(rng.random((n, m)) * scale)))
+        for a, b in pairs:
+            values = cost_matrix(a, b).values
+            assert values.max() > 1e299
+            self._check_reduction_start(values)
+            try:
+                plan = solve_exact_ot(a, b)
+            except SolverFailureError:
+                continue
+            # Quartered costs keep scipy's own sums finite; the scaling is exact.
+            rows, cols = linear_sum_assignment(values / 4)
+            reference = math.fsum((values[rows, cols] / a.n).tolist())
+            assert abs(plan.total_cost - reference) <= 1e-11 * float(values.max())
+
+        # Free row 1 bids for column 0 with a gap near the maximum: taken,
+        # it would push v[0] to -big and row 2's c - v past the maximum.
+        big = 0.9 * np.finfo(float).max
+        values = np.array([[0.0, 0.0, big], [0.0, big, big], [big, big, 0.0]])
+        self._check_reduction_start(values)
+        perm, u, v = ot_module._min_cost_matching(values)
+        ot_module._certify_assignment(values, perm, u, v)
+
     @pytest.mark.parametrize("seed", [101, 7])
     def test_permutation_equals_scipy_on_blob_pairs(self, seed):
         a = gen_synthetic("gaussian_blob", 256, 64, seed)
