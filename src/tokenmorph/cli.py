@@ -4,8 +4,8 @@ Every command that writes files also writes a ``manifest.json`` next to
 them recording the full configuration (flags, input digests, per-frame
 diagnostics), with no timestamps or absolute paths, so re-running a
 command with the manifest's settings reproduces byte-identical outputs.
-Every command checks its flag values before it reads an input or
-writes a file.
+Every command checks its flag values, and that its output directory
+can be made, before it reads an input or writes a file.
 
 Exit codes: 0 success, 2 usage, 3 missing file, 4 bad file format,
 5 dimension mismatch, 6 invalid value, 7 solver failure.
@@ -82,6 +82,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
+        if hasattr(args, "out_dir"):
+            _check_out_dir(args.out_dir)
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError) as exc:
         return _fail("missing-file", str(exc), EXIT_MISSING_FILE)
@@ -196,8 +198,25 @@ def _check_solver_flags(args) -> None:
         raise InvalidParameterError(f"--tol must be a number > 0, got {args.tol!r}")
 
 
+def _out_dir(arg: str | None) -> Path:
+    return Path(arg or os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
+
+
+def _check_out_dir(arg: str | None) -> None:
+    """Fail before any work if the output directory cannot be made,
+    because it or one of its parents exists and is not a directory."""
+    out = _out_dir(arg)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise InvalidParameterError(
+                    f"output directory {str(out)!r} cannot be made: "
+                    f"{str(path)!r} exists and is not a directory")
+            return
+
+
 def _resolve_out_dir(arg: str | None) -> Path:
-    out = Path(arg or os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
+    out = _out_dir(arg)
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -9,9 +9,11 @@ commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
 The list covers every subcommand, all three ``morph --init`` modes, JSON
-and BMT1 files, copying (a swap pair at tau 0.9) and non-copying taus,
-uniform, Dirichlet and tie-grid barycenters, ``demo`` at 24 and 60 points,
-and every exit code from 2 to 7. Exit 7 has no natural trigger, so one
+and BMT1 files, JSON files of 1 024 values or more read by the numpy
+reader (weighted ones too) and by ``json.loads`` (an indented copy),
+copying (a swap pair at tau 0.9) and non-copying taus, uniform,
+Dirichlet and tie-grid barycenters, ``demo`` at 24 and 60 points, and
+every exit code from 2 to 7. Exit 7 has no natural trigger, so one
 ``dist`` runs with the assignment's row duals raised by 1.
 
 With ``--against REV`` the same list, on the same input files, also runs
@@ -61,6 +63,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
                  ties_equal, [f"{IN}/u24a.json", f"{IN}/w16.json"]):
         runs.append(["dist", *pair])
     runs += [
+        ["dist", f"{IN}/u64a_indented.json", u64[1]],         # not the writer's layout
         ["dist", f"{IN}/nope.json", u24[1]],                    # 3
         ["dist", f"{IN}/bad.json", u24[1]],                     # 4
         ["dist", f"{IN}/badmagic.bmt", u24[1]],                 # 4
@@ -129,6 +132,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
     runs += [
         ["texture-select", f"{IN}/blend24.bmt", *u24_bmt, "--format", "binary", *out],
         ["texture-select", f"{IN}/swap_blend.json", *swap, "--tau", "0.9", *out],
+        ["texture-select", f"{IN}/w64blend.json", f"{IN}/w64a.json", f"{IN}/w64b.json", *out],
         ["texture-select", blended, *u24, "--tau", "2", *out],               # 6
         ["texture-select", blended, u24[0], f"{IN}/d3.json", *out],          # 5
         ["texture-select", f"{IN}/nope.json", *u24, *out],                   # 3
@@ -222,6 +226,12 @@ def write_inputs(in_dir: Path) -> None:
         save(name, TokenSet(rng.integers(-2, 3, size=(n, 2)).astype(float)))
     save("d3", gen_synthetic("gaussian_blob", 24, 3, 41))
     save("huge", TokenSet(np.array([[-1e200, 0.0], [1e200, 0.0]])))
+    # 1 024 values or more: the numpy reader, unless indented.
+    doc = json.loads((in_dir / "u64a.json").read_bytes())
+    (in_dir / "u64a_indented.json").write_text(json.dumps(doc, indent=2) + "\n")
+    rng64 = np.random.default_rng(2064)
+    for name in ("w64a", "w64b", "w64blend"):
+        save(name, TokenSet(rng64.normal(size=(64, 16)), rng64.dirichlet(np.ones(64))))
     (in_dir / "bad.json").write_bytes(b"not json\n")
     (in_dir / "badmagic.bmt").write_bytes(b"BMT2" + bytes(20))
     (in_dir / "truncated.bmt").write_bytes((in_dir / "u24a.bmt").read_bytes()[:100])

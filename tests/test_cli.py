@@ -568,6 +568,34 @@ class TestErrorPaths:
         assert err.startswith("tokenmorph: error[invalid-value]:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["barycenter", "S", "T", "--beta", "0.5"],
+        ["morph", "S", "T", "--frames", "1"],
+        ["texture-select", "S", "S", "T"],
+        ["sweep-tau", "S", "T", "--frames", "1"],
+        ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2"],
+        ["demo", "--frames", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under a file"])
+    @pytest.mark.parametrize("missing", [False, True], ids=["inputs", "missing input"])
+    def test_out_dir_that_is_a_file(self, argv, nested, missing, token_files, tmp_path,
+                                    capsys):
+        # Ran the whole command, then ended in a FileExistsError traceback
+        # (NotADirectoryError under a file) before.
+        blocker = tmp_path / "afile"
+        blocker.write_bytes(b"keep")
+        before = sorted(tmp_path.rglob("*"))
+        source = tmp_path / "nope.json" if missing else token_files[0]
+        paths = {"S": str(source), "T": str(token_files[1])}
+        out = blocker / "sub" if nested else blocker
+        assert main([paths.get(a, a) for a in argv] + ["--out-dir", str(out)]) \
+            == EXIT_INVALID_VALUE
+        err = capsys.readouterr().err
+        assert err == (f"tokenmorph: error[invalid-value]: output directory {str(out)!r} "
+                       f"cannot be made: {str(blocker)!r} exists and is not a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert blocker.read_bytes() == b"keep"
+
     def test_invalid_tau(self, token_files, tmp_path):
         # Wrote every frame and frames_index.json before exiting 6 before.
         source_path, target_path = token_files

@@ -18,15 +18,18 @@ from tokenmorph import (
     read_tokens,
     write_tokens,
 )
-from tokenmorph import _floatrepr
+from tokenmorph import _floatread, _floatrepr
 from tokenmorph.tokenio import (
     _KERNEL_MIN_VALUES,
     MAGIC,
+    _canonical_tokens,
+    _tokens_from_json_doc,
     tokens_from_binary_bytes,
     tokens_from_json_bytes,
     tokens_to_binary_bytes,
     tokens_to_json_bytes,
 )
+from sweep_float_read import midpoint_tokens, random_finite_bits
 
 
 @pytest.fixture
@@ -302,6 +305,113 @@ class TestJsonFloatKernel:
         assert back.points.tobytes() == tokens.points.tobytes()
         if weighted:
             assert back.weights.tobytes() == tokens.weights.tobytes()
+
+
+def _outcome(read, data: bytes):
+    """A read's points and weights as bytes, or the type and message it raised."""
+    try:
+        tokens = read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tokens.points.tobytes(), tokens.weights.tobytes()
+
+
+class TestJsonFloatReader:
+    """The numpy reader against the json.loads path it stands in for."""
+
+    @pytest.mark.parametrize("shape", [(1023, 1), (341, 3), (1024, 1), (256, 4)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), pool=st.lists(_finite, max_size=8))
+    def test_canonical_files_read_as_json_loads_reads_them(self, shape, weighted, seed, pool):
+        # Random bit patterns over every exponent, with hypothesis's own
+        # picks (zeros, subnormals, extremes) at random places.
+        rng = np.random.default_rng(seed)
+        points = random_finite_bits(rng, shape[0] * shape[1]).view(np.float64)
+        points[rng.integers(0, points.size, size=len(pool))] = pool
+        weights = rng.dirichlet(np.ones(shape[0])) if weighted else None
+        tokens = TokenSet(points.reshape(shape), weights)
+        data = tokens_to_json_bytes(tokens)
+        assert (_canonical_tokens(data) is not None) == (points.size >= _KERNEL_MIN_VALUES)
+        read = _outcome(tokens_from_json_bytes, data)
+        assert read == _outcome(_tokens_from_json_doc, data)
+        assert read == (tokens.points.tobytes(), tokens.weights.tobytes())
+
+    @staticmethod
+    def _file_with(first: bytes) -> bytes:
+        """A canonical 512 x 2 file whose first number is ``first``."""
+        data = tokens_to_json_bytes(gen_synthetic("gaussian_blob", 512, 2, 5))
+        start = data.index(b"[[") + 2
+        return data[:start] + first + data[data.index(b",", start):]
+
+    @pytest.mark.parametrize("token, value", [
+        (b"-0", 0.0), (b"-0.0", -0.0), (b"0e7", 0.0), (b"-0E-7", -0.0), (b"1e-400", 0.0),
+        (b"-1e-400", -0.0), (b"1E5", 1e5), (b"5e-324", 5e-324), (b"25e-325", 5e-324),
+        (b"9007199254740993", 9007199254740992.0),
+        (b"1.7976931348623157e308", 1.7976931348623157e308),
+        (b"0.1000000000000000055511151231257827", 0.1),
+        (b"123456789012345678901234", 1.2345678901234568e23),
+    ])
+    def test_edge_numbers_take_the_kernel(self, token, value):
+        data = self._file_with(token)
+        assert _canonical_tokens(data) is not None
+        read = tokens_from_json_bytes(data)
+        assert read.points[0, 0].tobytes() == np.float64(value).tobytes()
+        assert _outcome(tokens_from_json_bytes, data) == _outcome(_tokens_from_json_doc, data)
+
+    @pytest.mark.parametrize("token", [
+        b"1" + b"0" * 399, b"1e400", b"-1e400", b"NaN", b"Infinity", b"01", b"-01", b"1.", b".5",
+        b"+1", b"1e", b"1e+", b"--1", b"1e5.0", b"1.2.3", b"1e2e3", b"0x1", b"true", b"1;2",
+        b"", b" 1",
+    ])
+    def test_other_tokens_fail_as_before(self, token):
+        data = self._file_with(token)
+        assert _canonical_tokens(data) is None
+        assert _outcome(tokens_from_json_bytes, data) == _outcome(_tokens_from_json_doc, data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"]]}", b"],[1.0,2.0]]}"),                     # extra row
+        lambda data: data.replace(b"]]}", b",3.0]]}"),                          # long last row
+        lambda data: data[:data.index(b"[[") + 2]
+        + data[data.index(b",", data.index(b"[[")) + 1:],                      # short row
+        lambda data: data.replace(b"],[", b",", 1),                             # rows merged
+        lambda data: data.replace(b"],[", b"];[", 1),
+        lambda data: data[:-1] + b"x\n",                                       # trailing bytes
+        lambda data: data[:-1],                                                 # no newline
+        lambda data: data.replace(b'"points":', b'"points": '),                 # whitespace
+        lambda data: data.replace(b'"n":512', b'"n":0512'),
+        lambda data: data.replace(b"]]}", b'],[1,2]],"weights":[1]}'),
+    ], ids=["extra row", "long row", "short row", "merged rows", "semicolon", "trailing bytes",
+            "no newline", "whitespace", "leading zero count", "short weights"])
+    def test_other_layouts_fail_or_read_as_before(self, edit):
+        data = edit(tokens_to_json_bytes(gen_synthetic("gaussian_blob", 512, 2, 5)))
+        assert _canonical_tokens(data) is None
+        assert _outcome(tokens_from_json_bytes, data) == _outcome(_tokens_from_json_doc, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.floats(min_value=5e-324, max_value=1.7e308), negative=st.booleans())
+    def test_tokens_at_and_next_to_midpoints(self, x, negative):
+        # The certified product's hardest inputs: decimals within one unit
+        # in their last digit of the midpoint between two doubles.
+        tokens = midpoint_tokens(int(np.float64(x).view(np.uint64)), range(15, 22))
+        if negative:
+            tokens = ["-" + t.lstrip("-") for t in tokens]
+        text = ",".join(tokens).encode()
+        values, row_ends = _floatread.json_numbers(text, 0, len(text))
+        assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+        assert row_ends.tolist() == [False] * (len(tokens) - 1) + [True]
+
+    def test_rows_are_marked(self):
+        text = b"[1,2],[3,4],[5,6]"
+        values, row_ends = _floatread.json_numbers(text, 1, len(text) - 1)
+        assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert row_ends.tolist() == [False, True, False, True, False, True]
+
+    def test_binary_exponents_of_the_powers_of_ten(self):
+        # _scaled's r = floor(q log2 10) - 125, the table's 2**r for 10**q.
+        for q in range(-_floatrepr._K_MAX, -_floatrepr._K_MIN + 1):
+            r = (10 ** q).bit_length() - 126 if q >= 0 else -125 - (10 ** -q).bit_length()
+            assert ((q * 217706) >> 16) - 125 == r, q
 
 
 class TestSynth:
