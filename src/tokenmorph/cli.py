@@ -364,15 +364,38 @@ def _cmd_texture_select(args) -> int:
 
     out_dir = _resolve_out_dir(args.out_dir)
     selected = f"selected.{_EXTENSIONS[args.format]}"
-    # tolist() gives Python int, float and bool, which json writes as before.
-    fields = report.decisions.dtype.names
-    decisions = [{"token": k, **dict(zip(fields, record))}
-                 for k, record in enumerate(report.decisions.tolist())]
     return _finish(args, out_dir, inputs, {"outputs": [
         _write(out_dir, selected, _tokens_writer(args.format)(report.output)),
         _write(out_dir, "selection_report.json",
-               _json_bytes({"tau": args.tau, "decisions": decisions})),
+               _report_bytes(args.tau, report.decisions)),
     ]})
+
+
+# The %-conversion that writes a field of each dtype kind as json does.
+_JSON_CONVERSIONS = {"b": "%s", "i": "%d", "f": "%r"}
+
+
+def _report_bytes(tau: float, decisions: np.recarray) -> bytes:
+    """``_json_bytes({"tau": tau, "decisions": records})``, where record k
+    is ``{"token": k}`` plus decision k's fields, with one ``%`` format
+    per record: json's indented encoder runs in pure Python, and took
+    about five times as long on 512 records.
+
+    ``tau`` and every ``sim`` must be finite: ``%r`` writes ``nan``
+    where json writes ``NaN``.
+    """
+    kinds = {name: decisions.dtype[name].kind for name in decisions.dtype.names}
+    kinds["token"] = "i"
+    names = sorted(kinds)
+    template = "    {\n%s\n    }" % ",\n".join(
+        f"      {json.dumps(name)}: {_JSON_CONVERSIONS[kinds[name]]}" for name in names)
+    columns = dict(zip(decisions.dtype.names, zip(*decisions.tolist())))
+    columns["token"] = range(len(decisions))
+    for name, kind in kinds.items():
+        if kind == "b":
+            columns[name] = [("false", "true")[flag] for flag in columns[name]]
+    records = ",\n".join(template % row for row in zip(*(columns[name] for name in names)))
+    return ('{\n  "decisions": [\n%s\n  ],\n  "tau": %r\n}\n' % (records, tau)).encode()
 
 
 def _cmd_sweep_tau(args) -> int:

@@ -137,15 +137,30 @@ def _similarity_field(
 
     x = source.points[src_idx]
     y = target.points[tgt_idx]
-    x_norm = np.linalg.norm(x, axis=1)
-    y_norm = np.linalg.norm(y, axis=1)
-    sims = np.zeros(blended.n)
-    ok = (x_norm > _NORM_FLOOR) & (y_norm > _NORM_FLOOR)
-    sims[ok] = np.einsum("ij,ij->i", x[ok], y[ok]) / (x_norm[ok] * y_norm[ok])
-    sims = np.clip(sims, -1.0, 1.0)
     # Bitwise-equal pairs have cosine exactly 1; the dot/norm route can
     # land one ulp short of it.
-    sims[ok & np.all(x == y, axis=1)] = 1.0
+    same = np.all(x == y, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_norm = np.linalg.norm(x, axis=1)
+        y_norm = np.linalg.norm(y, axis=1)
+        big = ~np.isfinite(x_norm * y_norm)
+    ok = (x_norm > _NORM_FLOOR) & (y_norm > _NORM_FLOOR)
+    if big.any():
+        # Past about 1.34e154 a norm, or the product of two, overflows
+        # though every coordinate is finite. The cosine does not depend
+        # on scale and a power-of-two scale is exact, so those rows are
+        # scaled to a largest coordinate in [0.5, 1): their sims are
+        # those of the same rows scaled by any power of two that keeps
+        # every step finite and normal. No other row changes.
+        for z in (x, y):
+            _, exponent = np.frexp(np.max(np.abs(z[big]), axis=1))
+            z[big] = np.ldexp(z[big], -exponent[:, None])
+        x_norm = np.linalg.norm(x, axis=1)
+        y_norm = np.linalg.norm(y, axis=1)
+    sims = np.zeros(blended.n)
+    sims[ok] = np.einsum("ij,ij->i", x[ok], y[ok]) / (x_norm[ok] * y_norm[ok])
+    sims = np.clip(sims, -1.0, 1.0)
+    sims[ok & same] = 1.0
     return src_idx, tgt_idx, sims
 
 

@@ -11,7 +11,8 @@ stdout and of its stderr, and the sha256 of every file it wrote, by path.
 The list covers every subcommand, all three ``morph --init`` modes, JSON
 and BMT1 files, JSON files of 1 024 values or more read by the numpy
 reader (weighted ones too) and by ``json.loads`` (an indented copy),
-copying (a swap pair at tau 0.9) and non-copying taus, uniform,
+copying (a swap pair at tau 0.9) and non-copying taus, tokens whose
+norms overflow though their distances do not, uniform,
 Dirichlet and tie-grid barycenters, ``demo`` at 24 and 60 points, and
 every exit code from 2 to 7. Exit 7 has no natural trigger, so one
 ``dist`` runs with the assignment's row duals raised by 1.
@@ -55,6 +56,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
     weighted_small = [f"{IN}/w9.json", f"{IN}/w7.json"]
     ties = [f"{IN}/tie16.json", f"{IN}/tie12.json"]
     ties_equal = [f"{IN}/tie16.json", f"{IN}/tie16b.json"]
+    big = [f"{IN}/big12a.json", f"{IN}/big12b.json"]
     out = ["--out-dir", "out"]
     runs: list[list[str]] = []
 
@@ -112,6 +114,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["morph", *swap, "--init", "naive-lerp", "--frames", "2", "--tau", "0.9", *out],
         ["morph", *u24, "--frames", "0", *out],
         ["morph", *u64, "--tau", "0.3", *out],
+        ["morph", *big, "--frames", "2", "--tau", "0", *out],
         ["morph", *ties_equal, "--frames", "4", *out],
         ["morph", *ties_equal, "--frames", "2", "--init", "linear-init", *out],
         ["morph", *u24, "--frames", "2", "--init", "linear-init", "--max-iter", "1", *out],
@@ -133,6 +136,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["texture-select", f"{IN}/blend24.bmt", *u24_bmt, "--format", "binary", *out],
         ["texture-select", f"{IN}/swap_blend.json", *swap, "--tau", "0.9", *out],
         ["texture-select", f"{IN}/w64blend.json", f"{IN}/w64a.json", f"{IN}/w64b.json", *out],
+        ["texture-select", f"{IN}/big12blend.json", *big, "--tau", "0", *out],
         ["texture-select", blended, *u24, "--tau", "2", *out],               # 6
         ["texture-select", blended, u24[0], f"{IN}/d3.json", *out],          # 5
         ["texture-select", f"{IN}/nope.json", *u24, *out],                   # 3
@@ -226,6 +230,11 @@ def write_inputs(in_dir: Path) -> None:
         save(name, TokenSet(rng.integers(-2, 3, size=(n, 2)).astype(float)))
     save("d3", gen_synthetic("gaussian_blob", 24, 3, 41))
     save("huge", TokenSet(np.array([[-1e200, 0.0], [1e200, 0.0]])))
+    # Finite squared distances, but norms past 1.34e154 overflow.
+    big12a, big12b = (TokenSet(1.5e154 + 1e150 * rng.normal(size=(12, 4))) for _ in range(2))
+    save("big12a", big12a)
+    save("big12b", big12b)
+    save("big12blend", index_lerp(big12a, big12b, 0.5))
     # 1 024 values or more: the numpy reader, unless indented.
     doc = json.loads((in_dir / "u64a.json").read_bytes())
     (in_dir / "u64a_indented.json").write_text(json.dumps(doc, indent=2) + "\n")

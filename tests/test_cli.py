@@ -240,21 +240,41 @@ class TestOtherCommands:
         report = json.loads((out / "selection_report.json").read_text())
         assert len(report["decisions"]) == 6
 
-    @pytest.mark.parametrize("tau", [0.3, 0.9])
-    def test_selection_report_holds_the_decisions(self, tau, tmp_path):
-        # A swap-pair midpoint at tau 0.9 copies some tokens and keeps others.
-        source, target = gen_synthetic("two_cluster_swap_pair", 16, 4, 0)
-        blended = index_lerp(source, target, 0.5)
+    @pytest.mark.parametrize("kind, n, tau", [
+        *(pytest.param("two_cluster_swap_pair", 16, tau, id=str(tau))
+          for tau in (0.0, 1e-05, 0.3, 0.9, 1.0)),
+        pytest.param("gaussian_blob", 1024, 0.3, id="blob-1024"),
+        pytest.param("overflowing_norms", 2, 0.0, id="overflowing-norms"),
+    ])
+    def test_selection_report_holds_the_decisions(self, kind, n, tau, tmp_path):
+        # A swap-pair midpoint at tau 0.9 copies some tokens and keeps others;
+        # 1 024 blob tokens are read by the numpy reader.
+        if kind == "gaussian_blob":
+            blended, source, target = (gen_synthetic(kind, n, 4, seed) for seed in (1, 2, 3))
+        elif kind == "two_cluster_swap_pair":
+            source, target = gen_synthetic(kind, n, 4, 0)
+            blended = index_lerp(source, target, 0.5)
+        else:  # squared distances finite, norms past 1.34e154
+            blended, source, target = map(TokenSet, (
+                [[1.5e154, 0.0], [1.5e154, 2e150]],
+                [[1.5e154, 1e150], [1.5e154, 3e150]],
+                [[1.5e154, 5e149], [1.5e154, 2.5e150]],
+            ))
         paths = [tmp_path / f"{name}.json" for name in ("blended", "source", "target")]
         for tokens, path in zip((blended, source, target), paths):
             write_tokens(tokens, path)
         out = tmp_path / "sel"
         assert main(["texture-select", *map(str, paths), "--tau", str(tau),
                      "--out-dir", str(out)]) == EXIT_OK
-        text = (out / "selection_report.json").read_text()
-        written = json.loads(text)["decisions"]
+        data = (out / "selection_report.json").read_bytes()
+        text = data.decode()
+
+        def reject(constant):
+            raise ValueError(f"{constant} in the selection report")
+
+        written = json.loads(text, parse_constant=reject)["decisions"]
         expected = selective_texture_tokens(blended, source, target, tau).decisions
-        assert [d["token"] for d in written] == list(range(16))
+        assert [d["token"] for d in written] == list(range(n))
         for name in ("nearest_source_index", "nearest_target_index"):
             assert all(type(d[name]) is int for d in written)
             assert [d[name] for d in written] == getattr(expected, name).tolist()
@@ -262,10 +282,16 @@ class TestOtherCommands:
         kept = [d["kept_barycenter"] for d in written]
         assert all(type(k) is bool for k in kept)
         assert kept == expected.kept_barycenter.tolist()
-        assert text.count('"kept_barycenter": ') == 16
+        assert text.count('"kept_barycenter": ') == n
         assert text.count('"kept_barycenter": true') == sum(kept)
         if tau == 0.9:
-            assert 0 < sum(kept) < 16
+            assert 0 < sum(kept) < n
+        # The bytes of json's indented encoder over the records.
+        fields = expected.dtype.names
+        records = [{"token": k, **dict(zip(fields, record))}
+                   for k, record in enumerate(expected.tolist())]
+        assert data == (json.dumps({"tau": tau, "decisions": records},
+                                   sort_keys=True, indent=2) + "\n").encode()
 
     def test_sweep_tau_default_grid(self, token_files, tmp_path):
         source_path, target_path = token_files

@@ -242,6 +242,31 @@ class TestSelectiveTextureTokens:
         with pytest.raises(InvalidParameterError, match="overflow"):
             selective_texture_tokens(blended, TokenSet([[-1e200]]), TokenSet([[1.0]]))
 
+    def test_overflowing_norms_give_the_sims_of_scaled_sets(self):
+        # Every squared distance is finite, but the matched tokens' norms
+        # pass 1.34e154; their cosines are those of the rescaled sets.
+        blended = np.array([[1.5e154, 0.0], [1.5e154, 2e150]])
+        source = np.array([[1.5e154, 1e150], [1.5e154, 3e150]])
+        target = np.array([[1.5e154, 5e149], [1.5e154, 2.5e150]])
+        sets = [TokenSet(p) for p in (blended, source, target)]
+        scaled = [TokenSet(p * 2.0 ** -512) for p in (blended, source, target)]
+        report = selective_texture_tokens(*sets, 0.0)
+        expected = selective_texture_tokens(*scaled, 0.0).decisions
+        assert report.decisions.sim.tobytes() == expected.sim.tobytes()
+        assert np.all(expected.sim < 1.0)
+        assert report.decisions.kept_barycenter.tolist() == [True, True]
+        assert report.output is sets[0]
+
+    @pytest.mark.parametrize("x, sim", [(1e3, 1.0), (0.0, 0.0)])
+    def test_one_overflowing_norm_beside_a_small_one(self, x, sim):
+        # |y| overflows and |x| does not. The parallel pair's cosine is 1,
+        # not a finite dot over an infinite norm product (0); a zero x
+        # still counts as dissimilar, without a 0 * inf warning.
+        report = selective_texture_tokens(
+            TokenSet([[1e154, 0.0]]), TokenSet([[x, 0.0]]), TokenSet([[2e154, 0.0]]), 0.0)
+        assert report.decisions.sim.tolist() == [sim]
+        assert report.decisions.kept_barycenter.tolist() == [sim < 1.0]
+
     def test_determinism(self):
         rng = np.random.default_rng(151)
         z = random_tokenset(rng, 12, 3)
