@@ -418,6 +418,8 @@ def _cmd_sweep_tau(args) -> int:
     # Nearest tokens and their similarity do not depend on tau, so one
     # field per frame serves the whole grid.
     sims = [_similarity_field(frame, source, target)[2] for frame in trajectory.frames]
+    # Frames of weighted or unequal-size sets carry up to n + n' - 1 tokens.
+    tokens = sum(frame_sims.size for frame_sims in sims)
     outputs = []
     for tau in args.grid:
         per_frame = []
@@ -433,7 +435,7 @@ def _cmd_sweep_tau(args) -> int:
         outputs.append({**_write(out_dir, f"sweep_tau_{tau}.json", _json_bytes({
             "tau": tau,
             "per_frame": per_frame,
-            "copied_fraction": total_copied / (len(sims) * source.n),
+            "copied_fraction": total_copied / tokens,
         })), "tau": tau})
     return _finish(args, out_dir, inputs, {"outputs": outputs})
 

@@ -41,13 +41,14 @@ global state, so concurrent calls on shared token sets are safe.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, SolverFailureError
-from .tokens import TokenSet, require_same_dimension, require_same_size
+from .errors import InvalidParameterError, InvalidWeightsError, SolverFailureError
+from .tokens import TokenSet, require_same_dimension
 
 MARGINAL_TOL = 1e-9
 
@@ -66,6 +67,9 @@ _BLOCK_BYTES = 256 * 1024
 # pairs, 30 rounds leave about 7 % of the rows free for the Dijkstra phase
 # (19 of 256, 68 of 1024); later rounds free few more.
 _ROW_REDUCTION_ROUNDS = 30
+
+# Sorted cells that the least-cost start turns into Python ints at once.
+_START_SLICE = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,20 +256,26 @@ def w2_distance(a: TokenSet, b: TokenSet) -> float:
 
 
 def identity_w2(a: TokenSet, b: TokenSet) -> float:
-    """W2 cost of the index-wise matching a_i -> b_i between uniform sets.
+    """W2 cost of the index-wise coupling a_k -> b_k with mass ``a.weights[k]``,
+    between sets with the same weight vector.
 
-    For two frames on one displacement-interpolation geodesic the identity
-    is an optimal matching, and this returns ``w2_distance(a, b)`` without
-    solving for it, bit for bit: each row cost is the cost matrix's own
-    einsum, summed by the same order-free rule as every plan cost.
+    For two frames on one displacement-interpolation geodesic that coupling
+    is optimal, and this returns ``w2_distance(a, b)`` without solving for
+    it: each row cost is the cost matrix's own einsum, summed by the same
+    order-free rule as every plan cost. For uniform equal-size sets the
+    two agree bit for bit. With other weights a solve reaches the same
+    optimum through its own masses, which are sums of the weights and
+    round differently, so the two can differ in the last bits.
 
     Raises:
-        DimensionMismatchError: if the sizes or dimensions differ.
+        DimensionMismatchError: if the dimensions differ.
+        InvalidWeightsError: if the weight vectors differ, sizes included.
     """
     require_same_dimension(a, b)
-    require_same_size(a, b)
+    if not np.array_equal(a.weights, b.weights):
+        raise InvalidWeightsError("index-wise coupling needs equal weight vectors")
     diff = a.points - b.points
-    return math.sqrt(_support_cost(1.0 / a.n, np.einsum("ij,ij->i", diff, diff)))
+    return math.sqrt(_support_cost(a.weights, np.einsum("ij,ij->i", diff, diff)))
 
 
 def _check_marginals(rows, cols, mass, supply: np.ndarray, demand: np.ndarray) -> None:
@@ -556,7 +566,11 @@ def _least_cost_start(values: np.ndarray, supply: np.ndarray, demand: np.ndarray
     col_open = [True] * m
     rows_left, cols_left = n, m
     cells = []
-    for flat in np.argsort(values, axis=None, kind="stable").tolist():
+    # The sorted cells as Python ints, a slice at a time: one list of all
+    # n * m of them would take about five n x m arrays.
+    order = np.argsort(values, axis=None, kind="stable")
+    slices = (order[lo:lo + _START_SLICE].tolist() for lo in range(0, order.size, _START_SLICE))
+    for flat in itertools.chain.from_iterable(slices):
         i, j = divmod(flat, m)
         if not (row_open[i] and col_open[j]):
             continue

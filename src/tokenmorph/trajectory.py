@@ -5,18 +5,23 @@ frame is the W2 barycenter of source and target with weights
 (1 - beta, beta); the modes differ in how they reach it:
 
 * ``sequential`` is McCann's displacement interpolation: one optimal
-  assignment sigma from source to target, then every frame in closed
-  form as ``(1 - beta) * x_i + beta * y_sigma(i)``. This is the point
-  the fixed-point barycenter reaches when each frame is warm-started
-  from the previous one, computed with the same float operations as
-  that solver's first sweep, so the frames are bit-identical to it.
-  Consecutive frames on that geodesic are optimally matched index by
-  index, so ``step_w2`` is read off that matching (``identity_w2``)
-  instead of solved for.
+  plan from source to target, then every frame in closed form with one
+  atom ``(1 - beta) * x_i + beta * y_j`` of weight ``pi_ij`` per support
+  cell (i, j) of positive mass, at most n + n' - 1 of them. This holds
+  for any weights and sizes. For uniform equal-size sets the plan is a
+  permutation sigma, the frames keep n uniform tokens, and each frame is
+  the point the fixed-point barycenter reaches when warm-started from
+  the previous one, computed with the same float operations as that
+  solver's first sweep, so the frames are bit-identical to it.
+  Consecutive frames on the geodesic are optimally coupled atom by atom
+  with the plan's masses, so ``step_w2`` is read off that coupling
+  (``identity_w2``) instead of solved for.
 * ``linear_init`` optimizes every frame independently with the
   fixed-point barycenter, starting from the index-wise lerp of source
   and target.
 * ``naive_lerp`` skips optimization entirely and emits the raw lerp.
+
+Both index-wise modes need uniform weights and equal sizes.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .errors import (
     require_count,
 )
 from .ot import identity_w2, solve_exact_ot, w2_distance
-from .tokens import TokenSet, index_lerp, require_same_dimension, require_same_size
+from .tokens import TokenSet, index_lerp
 
 INIT_MODES = ("sequential", "linear_init", "naive_lerp")
 
@@ -82,36 +87,39 @@ def morph_geometry(
     """Compute the geometric morphing trajectory from source to target.
 
     Args:
-        source: source token set (uniform weights required).
-        target: target token set, same size and dimension as source.
+        source: source token set.
+        target: target token set of the same dimension. ``linear_init``
+            and ``naive_lerp`` also need the same size and uniform
+            weights in both sets.
         config: frame count J, init mode, and barycenter settings.
 
     Returns:
         MorphTrajectory with exactly J+2 frames at beta = alpha/(J+1).
+        A ``sequential`` frame has one weighted token per support cell of
+        the optimal plan with positive mass: n uniform tokens for uniform
+        equal-size sets, at most n + n' - 1 otherwise.
 
     Raises:
-        DimensionMismatchError: on size or dimension mismatch.
-        InvalidWeightsError: if either set has non-uniform weights.
+        DimensionMismatchError: on a dimension mismatch, or on a size
+            mismatch in ``linear_init`` and ``naive_lerp`` mode.
+        InvalidWeightsError: on non-uniform weights in ``linear_init``
+            and ``naive_lerp`` mode.
         SolverFailureError: if an OT solve fails. In ``linear_init`` and
             ``naive_lerp`` mode the message names the failing frame as
             ``frame alpha=<k> failed: ...``; in ``sequential`` mode the
-            single source-to-target assignment's error propagates
-            unchanged, since no frame has been built yet.
+            single source-to-target solve's error propagates unchanged,
+            since no frame has been built yet.
     """
     if config is None:
         config = MorphConfig()
-    require_same_dimension(source, target)
-    require_same_size(source, target)
-    if not (source.has_uniform_weights() and target.has_uniform_weights()):
-        raise InvalidWeightsError("morphing requires uniform token weights")
 
     steps = config.J + 1
     betas = tuple(alpha / steps for alpha in range(config.J + 2))
 
     if config.init_mode == "sequential":
         frames, diagnostics = _displacement_frames(source, target, betas)
-        # Consecutive frames on one geodesic are optimally matched index
-        # by index, so each step's W2 needs no further OT solve.
+        # Consecutive frames on one geodesic are optimally coupled atom
+        # by atom, so each step's W2 needs no further OT solve.
         steps_w2 = tuple(identity_w2(a, b) for a, b in zip(frames, frames[1:]))
     else:
         frames, diagnostics = _optimized_frames(source, target, betas, config)
@@ -129,22 +137,28 @@ def morph_geometry(
 def _displacement_frames(
     source: TokenSet, target: TokenSet, betas: tuple[float, ...]
 ) -> tuple[list[TokenSet], list[FrameDiagnostics]]:
-    """Closed-form frames along one optimal assignment sigma.
+    """Closed-form frames along one optimal plan.
 
-    Each frame repeats the fixed-point solver's update, a zero-initialized
-    sum of the weighted barycentric projections, so its bits (signed
-    zeros included) match what that solver converges to.
+    Cells without mass are dropped, since token weights must be positive;
+    every other cell (i, j) gives one token between source token i and
+    target token j, weighted by its mass. Each frame repeats the
+    fixed-point solver's update, a zero-initialized sum of the weighted
+    barycentric projections, so for an assignment plan (rows ``0..n-1``,
+    masses ``1/n``) its bits, signed zeros included, match what that
+    solver converges to.
     """
     plan = solve_exact_ot(source, target)
-    # An assignment plan lists its matched cells in row order: cols is sigma.
-    matched = target.points[plan.cols]
+    carried = plan.mass > 0
+    start = source.points[plan.rows[carried]]
+    end = target.points[plan.cols[carried]]
+    mass = plan.mass[carried]
     frames: list[TokenSet] = []
     diagnostics: list[FrameDiagnostics] = []
     for beta in betas:
-        support = np.zeros_like(source.points)
-        support += (1.0 - beta) * source.points
-        support += beta * matched
-        frames.append(TokenSet(support))
+        support = np.zeros_like(start)
+        support += (1.0 - beta) * start
+        support += beta * end
+        frames.append(TokenSet(support, mass))
         # (1-b)*W2^2(Z, X) + b*W2^2(Z, Y) at Z on the geodesic.
         diagnostics.append(
             FrameDiagnostics(0, True, beta * (1.0 - beta) * plan.total_cost)
@@ -158,6 +172,11 @@ def _optimized_frames(
     betas: tuple[float, ...],
     config: MorphConfig,
 ) -> tuple[list[TokenSet], list[FrameDiagnostics]]:
+    # index_lerp checks dimensions and sizes, but drops the weights.
+    if not (source.has_uniform_weights() and target.has_uniform_weights()):
+        raise InvalidWeightsError(
+            f"init mode {config.init_mode} requires uniform token weights"
+        )
     frames: list[TokenSet] = []
     diagnostics: list[FrameDiagnostics] = []
     for alpha, beta in enumerate(betas):

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from tokenmorph import DimensionMismatchError, TokenSet, cost_matrix
 from tokenmorph import ot as ot_module
@@ -14,6 +14,26 @@ from tokenmorph import ot as ot_module
 
 def random_tokenset(rng: np.random.Generator, n: int, m: int, scale: float = 1.0) -> TokenSet:
     return TokenSet(scale * rng.normal(size=(n, m)))
+
+
+def dirichlet_tokenset(rng: np.random.Generator, n: int, m: int) -> TokenSet:
+    return TokenSet(rng.normal(size=(n, m)), rng.dirichlet(np.ones(n)))
+
+
+def linprog_plan(a: TokenSet, b: TokenSet) -> tuple[np.ndarray, float]:
+    """Independent oracle: the optimal coupling and cost of the
+    transportation LP, solved by scipy's HiGHS."""
+    values = cost_matrix(a, b).values
+    n, m = values.shape
+    a_eq = np.zeros((n + m, n * m))
+    for i in range(n):
+        a_eq[i, i * m:(i + 1) * m] = 1.0
+    for j in range(m):
+        a_eq[n + j, j::m] = 1.0
+    ref = linprog(values.ravel(), A_eq=a_eq, b_eq=np.concatenate([a.weights, b.weights]),
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.x.reshape(n, m), ref.fun
 
 
 def simplex_cost(a: TokenSet, b: TokenSet) -> float:

@@ -8,8 +8,9 @@ Writes seeded input token files once, then runs about 100 ``tokenmorph``
 commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
-The list covers every subcommand, all three ``morph --init`` modes, JSON
-and BMT1 files, JSON files of 1 024 values or more read by the numpy
+The list covers every subcommand, all three ``morph --init`` modes,
+sequential morphs and ``sweep-tau`` on weighted and unequal-size sets,
+JSON and BMT1 files, JSON files of 1 024 values or more read by the numpy
 reader (weighted ones too) and by ``json.loads`` (an indented copy),
 copying (a swap pair at tau 0.9) and non-copying taus, tokens whose
 norms overflow though their distances do not, uniform,
@@ -119,8 +120,13 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["morph", *ties_equal, "--frames", "2", "--init", "linear-init", *out],
         ["morph", *u24, "--frames", "2", "--init", "linear-init", "--max-iter", "1", *out],
         ["morph", *u24, "--frames", "2"],                        # default out dir
-        ["morph", u24[0], f"{IN}/w24.json", *out],               # 4: weighted
-        ["morph", f"{IN}/u24a.json", f"{IN}/u64b.json", *out],   # 5: sizes
+        ["morph", u24[0], f"{IN}/w24.json", *out],               # weighted
+        ["morph", *weighted, "--tau", "0.9", *out],              # weighted, 20 -> 16
+        ["morph", *ties, "--frames", "3", *out],                 # 16 -> 12, ties
+        ["morph", u24[0], f"{IN}/w24.json", "--init", "linear-init", *out],  # 4
+        ["morph", f"{IN}/u24a.json", f"{IN}/u64b.json", *out],   # 5: dimensions
+        ["morph", f"{IN}/u24a.json", f"{IN}/u64b.json", "--init", "naive-lerp", *out],  # 5
+        ["morph", *ties, "--init", "naive-lerp", *out],          # 5: sizes
         ["morph", *u24, "--tau", "2", *out],                     # 6
         ["morph", *u24, "--frames", "-1", *out],                 # 6
         ["morph", *u24, "--tol", "0", *out],                     # 6
@@ -147,6 +153,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["sweep-tau", *u24, *out],
         ["sweep-tau", *u24, "--grid", "0.1,0.9", "--frames", "2", *out],
         ["sweep-tau", *swap, "--grid", "0.3,0.9", *out],
+        ["sweep-tau", *weighted, "--grid", "0.3,0.9", "--frames", "3", *out],
         ["sweep-tau", *u24, "--grid", "a,b", *out],              # 6
         ["sweep-tau", *u24, "--grid", "0.3,1.5", *out],          # 6
         ["sweep-tau", *u24, "--frames", "-1", *out],             # 6

@@ -1,8 +1,8 @@
 """Sweep random OT instances and morphs through the plan-cost rule.
 
-Usage: PYTHONPATH=src python tests/sweep_plan_cost.py [COUNT] [MORPHS] [SEED]
+Usage: PYTHONPATH=src python tests/sweep_plan_cost.py [COUNT] [MORPHS] [SEED] [WEIGHTED]
 
-Checks two properties on seeded random inputs from SEED (default 0):
+Checks three properties on seeded random inputs from SEED (default 0):
 
 * On COUNT (default 4 000) instances, half uniform equal-size sets (the
   assignment route) and half Dirichlet-weighted sets of unequal size
@@ -14,6 +14,13 @@ Checks two properties on seeded random inputs from SEED (default 0):
   property test, ``step_w2`` equals ``step_lengths`` bit for bit,
   although a full solve can pick another optimal matching than the
   identity.
+* On WEIGHTED (default 1 000) sequential morphs of Dirichlet-weighted
+  sets of unequal size, every other one with its tokens on a {0, 1, 2}
+  grid, ``step_w2`` equals ``step_lengths`` within 1e-12 relative. Bit
+  equality does not hold there: a full solve reaches the same optimum
+  through its own masses, sums of the weights that round differently.
+  These morphs draw after the others, so COUNT and MORPHS instances keep
+  their inputs.
 
 Prints the first failing case and exits 1 on any difference. Not a
 pytest module: it runs as its own CI step, so the search does not
@@ -54,10 +61,24 @@ def duplicate_token_morph(rng: np.random.Generator):
     return morph_geometry(source, target, MorphConfig(J=6))
 
 
+def weighted_morph(rng: np.random.Generator, grid: bool):
+    n, m = int(rng.integers(1, 25)), int(rng.integers(1, 6))
+    n2 = int(rng.integers(1, 24))
+    n2 += n2 >= n  # unequal sizes
+
+    def tokens(size):
+        points = (rng.integers(0, 3, size=(size, m)).astype(float) if grid
+                  else rng.normal(size=(size, m)))
+        return TokenSet(points, rng.dirichlet(np.ones(size)))
+
+    return morph_geometry(tokens(n), tokens(n2), MorphConfig(J=6))
+
+
 def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else 4000
     morphs = int(argv[1]) if len(argv) > 1 else 3000
     seed = int(argv[2]) if len(argv) > 2 else 0
+    weighted = int(argv[3]) if len(argv) > 3 else 1000
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     for k in range(count):
@@ -75,8 +96,16 @@ def main(argv: list[str]) -> int:
             print(f"morph {k} (n={traj.frames[0].n}, m={traj.frames[0].m}): step_w2 "
                   f"{traj.step_w2!r}, step_lengths {full.tolist()!r}")
             return 1
-    print(f"{count} plans and {morphs} morphs, seed {seed}: every total_cost exact, "
-          f"every step_w2 equal to step_lengths ({time.perf_counter() - start:.1f} s)")
+    for k in range(weighted):
+        traj = weighted_morph(rng, grid=k % 2 == 1)
+        steps, full = np.asarray(traj.step_w2), step_lengths(traj)
+        if not np.all(np.abs(steps - full) <= 1e-12 * full):
+            print(f"weighted morph {k} (frames of {traj.frames[0].n}, m={traj.frames[0].m}): "
+                  f"step_w2 {traj.step_w2!r}, step_lengths {full.tolist()!r}")
+            return 1
+    print(f"{count} plans, {morphs} morphs and {weighted} weighted morphs, seed {seed}: "
+          f"every total_cost exact, every step_w2 equal to step_lengths, within 1e-12 "
+          f"on weighted morphs ({time.perf_counter() - start:.1f} s)")
     return 0
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 import tokenmorph.barycenter as barycenter_module
 import tokenmorph.ot as ot_module
@@ -10,7 +9,6 @@ from tokenmorph import (
     InvalidParameterError,
     InvalidWeightsError,
     TokenSet,
-    cost_matrix,
     free_support_barycenter,
     pairwise_barycenter,
     solve_exact_ot,
@@ -19,6 +17,7 @@ from tokenmorph import (
 
 from conftest import (
     brute_force_permutation,
+    linprog_plan,
     multiset_max_distance,
     random_tokenset,
     scipy_assignment_permutation,
@@ -167,21 +166,6 @@ class TestFixedPoint:
         assert np.all(np.isfinite(result.support.points))
 
 
-def _lp_plan(a: TokenSet, b: TokenSet):
-    """Independent oracle: the optimal coupling and cost from scipy's HiGHS."""
-    values = cost_matrix(a, b).values
-    n, m = values.shape
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
-    ref = linprog(values.ravel(), A_eq=a_eq, b_eq=np.concatenate([a.weights, b.weights]),
-                  bounds=(0, None), method="highs")
-    assert ref.status == 0
-    return ref.x.reshape(n, m), ref.fun
-
-
 class TestOneSweep:
     """One fixed-point sweep against an update computed from HiGHS couplings."""
 
@@ -200,7 +184,7 @@ class TestOneSweep:
             expected = np.zeros((6, 2))
             objective = 0.0
             for l, mu in zip(lam, measures):
-                coupling, cost = _lp_plan(init, mu)
+                coupling, cost = linprog_plan(init, mu)
                 expected += l * (coupling / coupling.sum(axis=1)[:, None]) @ mu.points
                 objective += l * cost
             assert result.iterations_used == 1

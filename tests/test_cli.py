@@ -130,6 +130,26 @@ class TestMorph:
         assert main(["morph", *argv_tail, "--out-dir", str(out2)]) == EXIT_OK
         assert _dir_bytes(out1) == _dir_bytes(out2)
 
+    def test_weighted_unequal_sizes(self, weighted_files, tmp_path, capsys):
+        # The sequential morph takes any pair; its frames carry weights.
+        source, target = map(read_tokens, weighted_files)
+        out = tmp_path / "run"
+        argv = ["morph", *map(str, weighted_files), "--frames", "2", "--tau", "0.9"]
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+        trajectory = morph_geometry(source, target, MorphConfig(J=2))
+        for k, frame in enumerate(trajectory.frames):
+            written = read_tokens(out / f"frame_{k:03d}.json")
+            np.testing.assert_array_equal(written.points, frame.points)
+            np.testing.assert_array_equal(written.weights, frame.weights)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [t["copied_from_source"] + t["kept_barycenter"]
+                for t in manifest["texture_frames"]] == [f.n for f in trajectory.frames]
+        # The index-wise modes still need uniform weights and equal sizes.
+        capsys.readouterr()
+        assert main([*argv, "--init", "linear-init", "--out-dir", str(tmp_path / "l")]) \
+            == EXIT_FORMAT
+        assert "init mode linear_init requires uniform token weights" in capsys.readouterr().err
+
     def test_init_mode_flags(self, token_files, tmp_path):
         source_path, target_path = token_files
         for flag in ("sequential", "linear-init", "naive-lerp"):
@@ -326,6 +346,27 @@ class TestOtherCommands:
             assert [f["kept_barycenter"] for f in report["per_frame"]] == [
                 16 - c for c in expected
             ]
+
+    def test_sweep_tau_on_unequal_sizes(self, weighted_files, tmp_path):
+        # Frames of a 9-token and a 7-token set carry up to 15 tokens each:
+        # copied_fraction counts the tokens of every frame, not 8 x 9.
+        source, target = map(read_tokens, weighted_files)
+        grid = [0.3, 0.9]
+        out = tmp_path / "sweep"
+        argv = ["sweep-tau", *map(str, weighted_files), "--frames", "3",
+                "--grid", ",".join(map(str, grid)), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        trajectory = morph_geometry(source, target, MorphConfig(J=3))
+        sizes = [frame.n for frame in trajectory.frames]
+        assert max(sizes) <= source.n + target.n - 1 and sizes != [source.n] * 5
+        for tau in grid:
+            report = json.loads((out / f"sweep_tau_{tau}.json").read_text())
+            copied = [sum(~r.decisions.kept_barycenter)
+                      for r in morph_texture(trajectory, source, target, tau)]
+            assert [f["copied_from_source"] for f in report["per_frame"]] == copied
+            assert [f["copied_from_source"] + f["kept_barycenter"]
+                    for f in report["per_frame"]] == sizes
+            assert report["copied_fraction"] == sum(copied) / sum(sizes)
 
     def test_sweep_tau_checks_every_threshold_before_writing(self, token_files, tmp_path):
         # Wrote sweep_tau_0.3.json before the bad threshold's exit 6 before.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from tokenmorph import (
     DimensionMismatchError,
@@ -27,7 +27,9 @@ from tokenmorph.cli import EXIT_SOLVER, main as cli_main
 from conftest import (
     brute_force_matching,
     brute_force_permutation,
+    dirichlet_tokenset,
     exact_plan_cost,
+    linprog_plan,
     random_tokenset,
     scipy_assignment_permutation,
     simplex_cost,
@@ -187,21 +189,7 @@ class TestSolveExactOT:
             a = TokenSet(rng.normal(size=(n, m)), wa / wa.sum())
             b = TokenSet(rng.normal(size=(n2, m)), wb / wb.sum())
             plan = solve_exact_ot(a, b)
-            values = cost_matrix(a, b).values
-            a_eq = np.zeros((n + n2, n * n2))
-            for i in range(n):
-                a_eq[i, i * n2 : (i + 1) * n2] = 1.0
-            for j in range(n2):
-                a_eq[n + j, j::n2] = 1.0
-            ref = linprog(
-                values.ravel(),
-                A_eq=a_eq,
-                b_eq=np.concatenate([a.weights, b.weights]),
-                bounds=(0, None),
-                method="highs",
-            )
-            assert ref.status == 0
-            assert plan.total_cost == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+            assert plan.total_cost == pytest.approx(linprog_plan(a, b)[1], rel=1e-9, abs=1e-12)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(17)
@@ -280,8 +268,8 @@ class TestPlanCost:
         for _ in range(60):
             n, m = int(rng.integers(2, 30)), int(rng.integers(1, 5))
             if weighted:
-                yield (_dirichlet_tokenset(rng, n, m),
-                       _dirichlet_tokenset(rng, int(rng.integers(2, 30)), m))
+                yield (dirichlet_tokenset(rng, n, m),
+                       dirichlet_tokenset(rng, int(rng.integers(2, 30)), m))
             else:
                 yield random_tokenset(rng, n, m), random_tokenset(rng, n, m)
 
@@ -335,6 +323,20 @@ class TestPlanCost:
         # for the column-reduction start (1.25 n x n arrays); a dense
         # coupling or a full reduced-cost buffer would add a whole one.
         assert self._peak_bytes("solve_exact_ot", 1024) < 1.5 * 8 * 1024 * 1024
+
+    def test_peak_memory_of_a_simplex_solve_at_300_by_200(self):
+        # The cost matrix, the least-cost start's argsort of it and the
+        # pricing buffer: 2.43 n x n' arrays. The start's sorted cells as
+        # one Python list of ints would add about five.
+        rng = np.random.default_rng(53)
+        a, b = dirichlet_tokenset(rng, 300, 64), dirichlet_tokenset(rng, 200, 64)
+        tracemalloc.start()
+        try:
+            solve_exact_ot(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * 300 * 200
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["assignment", "simplex"])
     def test_support_arrays_are_read_only(self, weighted):
@@ -418,10 +420,6 @@ class TestW2Distance:
             assert w2_distance(a, b) == pytest.approx(w2_distance(b, a), abs=1e-9)
 
 
-def _dirichlet_tokenset(rng: np.random.Generator, n: int, m: int) -> TokenSet:
-    return TokenSet(rng.normal(size=(n, m)), rng.dirichlet(np.ones(n)))
-
-
 class TestScaleInvariance:
     """Scaling every coordinate by s scales the optimal cost by exactly s**2.
 
@@ -436,8 +434,8 @@ class TestScaleInvariance:
     @example(6, 5, 3, 0, -6.0)
     def test_simplex_route(self, n, n2, m, seed, exponent):
         rng = np.random.default_rng(seed)
-        a = _dirichlet_tokenset(rng, n, m)
-        b = _dirichlet_tokenset(rng, n2, m)
+        a = dirichlet_tokenset(rng, n, m)
+        b = dirichlet_tokenset(rng, n2, m)
         s = 10.0 ** exponent
         base = simplex_cost(a, b)
         scaled = simplex_cost(
@@ -691,20 +689,6 @@ def _flat(cells, m):
     return np.array(sorted(i * m + j for i, j in cells), dtype=np.int64)
 
 
-def _lp_cost(values, supply, demand):
-    """Independent oracle: the transportation LP solved by scipy's HiGHS."""
-    n, m = values.shape
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m:(i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
-    ref = linprog(values.ravel(), A_eq=a_eq, b_eq=np.concatenate([supply, demand]),
-                  bounds=(0, None), method="highs")
-    assert ref.status == 0
-    return ref.fun
-
-
 def _weighted_pair(rng, n, n2, m, weights, ties):
     def points(size):
         if ties:
@@ -886,7 +870,7 @@ class TestNetworkSimplex:
         assert plan.basis.shape == (n + n2 - 1,)
         # The oracle solves the unscaled problem, where HiGHS's absolute
         # tolerances are meaningful; the optimum scales by s**2.
-        reference = _lp_cost(cost_matrix(a, b).values, a.weights, b.weights)
+        reference = linprog_plan(a, b)[1]
         assert plan.total_cost / (s * s) == pytest.approx(reference, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -965,7 +949,7 @@ class TestNetworkSimplex:
         np.testing.assert_allclose(plan.coupling.sum(axis=1), a.weights, rtol=0, atol=1e-12)
         np.testing.assert_allclose(plan.coupling.sum(axis=0), b.weights, rtol=0, atol=1e-12)
         values = cost_matrix(a, b).values
-        reference = _lp_cost(values, a.weights, b.weights)
+        reference = linprog_plan(a, b)[1]
         assert plan.total_cost == pytest.approx(reference, rel=1e-9, abs=1e-12)
         # A basis infeasible for these marginals is dropped for the cold start.
         tree = ot_module._BasisTree(values, other.basis)

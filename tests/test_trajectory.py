@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,16 @@ from tokenmorph import (
     index_lerp,
     morph_geometry,
     pairwise_barycenter,
+    solve_exact_ot,
     step_lengths,
     w2_distance,
 )
 import tokenmorph.trajectory as trajectory_module
+from tokenmorph.ot import identity_w2
 
 from conftest import (
+    dirichlet_tokenset,
+    linprog_plan,
     multiset_max_distance,
     random_tokenset,
     scipy_assignment_permutation,
@@ -66,18 +72,23 @@ class TestMorphGeometry:
             assert traj.betas == tuple(alpha / (j + 1) for alpha in range(j + 2))
             assert all(f.n == source.n and f.m == source.m for f in traj.frames)
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            morph_geometry(TokenSet([[0.0], [1.0]]), TokenSet([[0.0]]))
+    @pytest.mark.parametrize("mode", ["linear_init", "naive_lerp"])
+    def test_size_mismatch_rejected(self, mode):
+        # Only the index-wise modes need equal sizes; sequential morphs
+        # any pair (TestWeightedGeodesic).
+        with pytest.raises(DimensionMismatchError, match="token counts differ"):
+            morph_geometry(TokenSet([[0.0], [1.0]]), TokenSet([[0.0]]),
+                           MorphConfig(init_mode=mode))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             morph_geometry(TokenSet([[0.0]]), TokenSet([[0.0, 1.0]]))
 
-    def test_non_uniform_weights_rejected(self):
+    @pytest.mark.parametrize("mode", ["linear_init", "naive_lerp"])
+    def test_non_uniform_weights_rejected(self, mode):
         skewed = TokenSet([[0.0], [1.0]], [0.25, 0.75])
-        with pytest.raises(InvalidWeightsError):
-            morph_geometry(skewed, TokenSet([[0.0], [1.0]]))
+        with pytest.raises(InvalidWeightsError, match=f"init mode {mode} requires uniform"):
+            morph_geometry(skewed, TokenSet([[0.0], [1.0]]), MorphConfig(init_mode=mode))
 
     @pytest.mark.parametrize("mode", ["sequential", "linear_init", "naive_lerp"])
     def test_identity_morph(self, mode):
@@ -250,6 +261,78 @@ class TestSequentialClosedForm:
             assert diag.objective == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert diag.iterations_used == 0
             assert diag.converged
+
+
+class TestWeightedGeodesic:
+    """Sequential morphs of Dirichlet-weighted sets of unequal size: the
+    displacement interpolation of one optimal plan, against HiGHS."""
+
+    @staticmethod
+    def _pairs(seed: int, count: int):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            n2 = int(rng.integers(2, 9))
+            if n2 == n:
+                n2 += 1
+            yield dirichlet_tokenset(rng, n, m), dirichlet_tokenset(rng, n2, m)
+
+    def test_frames_lie_on_the_geodesic(self):
+        for source, target in self._pairs(149, 12):
+            w2_squared = linprog_plan(source, target)[1]
+            traj = morph_geometry(source, target, MorphConfig(J=4))
+            for beta, frame, diag in zip(traj.betas, traj.frames, traj.frame_diagnostics):
+                # W2(Z_beta, X) = beta * W and W2(Z_beta, Y) = (1 - beta) * W.
+                assert linprog_plan(frame, source)[1] == pytest.approx(
+                    beta * beta * w2_squared, rel=1e-9, abs=1e-12)
+                assert linprog_plan(frame, target)[1] == pytest.approx(
+                    (1.0 - beta) ** 2 * w2_squared, rel=1e-9, abs=1e-12)
+                assert diag.objective == pytest.approx(
+                    beta * (1.0 - beta) * w2_squared, rel=1e-9, abs=1e-12)
+                assert (diag.iterations_used, diag.converged) == (0, True)
+
+    def test_frames_carry_the_positive_plan_cells(self):
+        for source, target in self._pairs(151, 20):
+            traj = morph_geometry(source, target, MorphConfig(J=3))
+            plan = solve_exact_ot(source, target)
+            weights = plan.mass[plan.mass > 0]
+            assert traj.frames[0].n <= source.n + target.n - 1
+            for frame in traj.frames:
+                np.testing.assert_array_equal(frame.weights, weights)
+                assert frame.weights.min() > 0.0
+            # beta = 0 and 1 put every atom exactly on a source or target token.
+            for frame, ends in ((traj.frames[0], source), (traj.frames[-1], target)):
+                on_token = (frame.points[:, None, :] == ends.points[None]).all(axis=2)
+                assert on_token.any(axis=1).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3), st.booleans(),
+           st.integers(0, 8), st.integers(0, 10_000))
+    def test_steps_on_tie_grids(self, n, n2, m, weighted, J, seed):
+        # Atoms on a {0, 1, 2} grid: ties in every cost matrix, and
+        # duplicated atoms within a set and across the two.
+        rng = np.random.default_rng(seed)
+
+        def grid_set(size):
+            points = rng.integers(0, 3, size=(size, m)).astype(float)
+            return TokenSet(points, rng.dirichlet(np.ones(size)) if weighted else None)
+
+        source, target = grid_set(n), grid_set(n2)
+        traj = morph_geometry(source, target, MorphConfig(J=J))
+        assert all(0 < f.n <= n + n2 - 1 and f.weights.min() > 0 for f in traj.frames)
+        width = math.sqrt(solve_exact_ot(source, target).total_cost)
+        steps = np.asarray(traj.step_w2)
+        # Each step is 1/(J+1) of the geodesic; a full solve may spread
+        # the same optimum over other masses and differ in the last bits.
+        np.testing.assert_allclose(steps, width / (J + 1), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(steps, step_lengths(traj), rtol=1e-12, atol=1e-14)
+
+    def test_identity_w2_needs_equal_weights(self):
+        a = TokenSet([[0.0], [1.0]])
+        with pytest.raises(InvalidWeightsError, match="equal weight vectors"):
+            identity_w2(a, TokenSet([[0.0], [1.0]], [0.25, 0.75]))
+        with pytest.raises(InvalidWeightsError, match="equal weight vectors"):
+            identity_w2(a, TokenSet([[0.0], [1.0], [2.0]]))
 
 
 class TestDiagnostics:
