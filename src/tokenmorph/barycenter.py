@@ -129,8 +129,10 @@ def free_support_barycenter(
             raise InvalidWeightsError(f"measure weights must sum to 1 within {WEIGHT_SUM_TOL}")
 
     n = init.n
+    # Handed over read-only: every sweep's set adopts them without a copy.
     nu_weights = np.full(n, 1.0 / n)
-    support = init.points.copy()
+    nu_weights.setflags(write=False)
+    support = init.points
 
     displacements: list[float] = []
     objectives: list[float] = []
@@ -152,6 +154,7 @@ def free_support_barycenter(
             projection = np.zeros_like(support)
             np.add.at(projection, plan.rows, share[:, None] * mu.points[plan.cols])
             new_support += l * projection
+        new_support.setflags(write=False)
 
         displacement = float(np.mean(np.sum((new_support - support) ** 2, axis=1)))
         displacements.append(displacement)

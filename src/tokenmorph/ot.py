@@ -28,9 +28,15 @@ certifies its optimality by LP duality on its final duals. The test
 suite checks both solvers against independent oracles (brute force,
 sorted 1-D, scipy).
 
-A plan is its support: the n matched cells of an assignment, or the
-n + n' - 1 cells of the simplex's final basis, with their masses. No
-solve builds a dense coupling, and the assignment's certificate reads
+A plan is its support: the cells of positive mass, with their masses.
+They are the n matched cells of an assignment, or at most n + n' - 1
+cells of the simplex's final basis. The simplex runs uniform sets of
+unequal size on integer counts, n' per row and n per column, so every
+flow is an exact integer and a cell that carries nothing holds exactly
+0, not rounding dust; each mass is then count / (n n'), correctly
+rounded. A solve hands its support arrays over read-only, and the plan
+keeps them without a copy (see ``tokens.read_only_array``). No solve
+builds a dense coupling, and the assignment's certificate reads
 its reduced costs in row blocks, so a uniform solve holds one n x n
 float array, the cost matrix.
 
@@ -48,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidWeightsError, SolverFailureError
-from .tokens import TokenSet, require_same_dimension
+from .tokens import TokenSet, read_only_array, require_same_dimension
 
 MARGINAL_TOL = 1e-9
 
@@ -77,19 +83,15 @@ class CostMatrix:
     """Pairwise ground costs between two token sets.
 
     ``values[i, j]`` is the squared Euclidean distance between token i of
-    the first set and token j of the second. A read-only ``values`` that
-    owns its memory, as ``cost_matrix`` builds it, is kept without a copy
-    (its owner must not make it writable again); any other is copied.
+    the first set and token j of the second. ``values`` is adopted or
+    copied by ``read_only_array``'s rule: ``cost_matrix`` hands over its
+    array without a copy.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.flags.writeable or not values.flags.owndata:
-            values = values.copy()
-            values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", read_only_array(self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,13 +101,15 @@ class TransportPlan:
     The coupling of shape ``shape`` carries ``mass[k]`` at cell
     ``(rows[k], cols[k])`` and nothing elsewhere. Row sums equal the
     source weights and column sums the target weights, both within 1e-9.
-    An assignment plan lists its n matched cells in row order; a simplex
-    plan its n + n' - 1 basis cells, in an order fixed by the basis alone,
-    some possibly with zero mass. ``total_cost`` is the coupling's
-    squared-Euclidean cost, summed exactly rounded over the support (see
-    ``_support_cost``). The plan holds read-only copies of the three
-    arrays. A simplex plan also carries its final basis tree, which
-    ``solve_exact_ot(..., start=plan)`` starts from.
+    ``solve_exact_ot`` lists the cells of positive mass: an assignment
+    plan its n matched cells in row order, a simplex plan at most
+    n + n' - 1 cells of its final basis, in an order fixed by the basis
+    alone. ``total_cost`` is the coupling's squared-Euclidean cost, summed
+    exactly rounded over the support (see ``_support_cost``). The three
+    arrays are adopted or copied by ``read_only_array``'s rule, so the
+    plan's own arrays are read-only. A simplex plan also carries its
+    final basis tree, which ``solve_exact_ot(..., start=plan)`` starts
+    from.
     """
 
     rows: np.ndarray
@@ -118,9 +122,7 @@ class TransportPlan:
 
     def __post_init__(self):
         for name, dtype in (("rows", np.intp), ("cols", np.intp), ("mass", np.float64)):
-            array = np.array(getattr(self, name), dtype=dtype)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, read_only_array(getattr(self, name), dtype))
         object.__setattr__(self, "shape", tuple(map(int, self.shape)))
         object.__setattr__(self, "total_cost", float(self.total_cost))
 
@@ -215,9 +217,10 @@ def solve_exact_ot(
             the optimal cost. The assignment route ignores it.
 
     Returns:
-        TransportPlan with the support of an exactly optimal coupling;
-        output is deterministic for fixed inputs and ``start`` (ties are
-        resolved by a fixed pivot order toward smallest index pairs).
+        TransportPlan with the cells of positive mass of an exactly
+        optimal coupling; output is deterministic for fixed inputs and
+        ``start`` (ties are resolved by a fixed pivot order toward
+        smallest index pairs).
 
     Raises:
         DimensionMismatchError: on differing embedding dimensions.
@@ -227,8 +230,9 @@ def solve_exact_ot(
             the optimality certificate.
     """
     values = cost_matrix(a, b).values
+    uniform = a.has_uniform_weights() and b.has_uniform_weights()
     tree = None
-    if a.n == b.n and a.has_uniform_weights() and b.has_uniform_weights():
+    if uniform and a.n == b.n:
         # Near the float64 limit a path length or reduced cost can exceed
         # it: inf orders it after every finite one, and the certificate
         # fails if it lands on a matched cell.
@@ -239,11 +243,24 @@ def solve_exact_ot(
         mass = np.full(a.n, 1.0 / a.n)
     else:
         warm = start._tree if start is not None and start.shape == values.shape else None
-        tree, _ = _transportation_simplex(values, a.weights, b.weights, warm)
+        if uniform:
+            # Integer counts, n' per row and n per column: every flow is an
+            # exact integer k, so a cell without mass holds exactly 0 and
+            # k / (n n') is its correctly rounded mass.
+            supply, demand = np.full(a.n, float(b.n)), np.full(b.n, float(a.n))
+        else:
+            supply, demand = a.weights, b.weights
+        tree, _ = _transportation_simplex(values, supply, demand, warm)
         rows, cols = np.divmod(tree.cells(), b.n)
         mass = np.array(tree.flow[1:])
+        if uniform:
+            mass /= a.n * b.n
 
     _check_marginals(rows, cols, mass, a.weights, b.weights)
+    carried = mass > 0
+    rows, cols, mass = rows[carried], cols[carried], mass[carried]
+    for array in (rows, cols, mass):
+        array.setflags(write=False)
     plan = TransportPlan(rows, cols, mass, values.shape,
                          _support_cost(mass, values[rows, cols]))
     object.__setattr__(plan, "_tree", tree)

@@ -107,9 +107,9 @@ def selective_texture_tokens(
         # ``output is blended`` to reuse work done for the blended frame.
         output = blended
     else:
-        output = TokenSet(
-            np.where(kept[:, None], blended.points, source.points[src_idx]), blended.weights
-        )
+        points = np.where(kept[:, None], blended.points, source.points[src_idx])
+        points.setflags(write=False)
+        output = TokenSet(points, blended.weights)
 
     decisions = np.rec.fromarrays([src_idx, tgt_idx, sims, kept], dtype=_DECISION_DTYPE)
     decisions.flags.writeable = False

@@ -122,9 +122,12 @@ def _canonical_tokens(data: bytes) -> TokenSet | None:
     if len(values) != n * d or not np.array_equal(np.flatnonzero(row_ends),
                                                   np.arange(d - 1, n * d, d)):
         return None
+    # In place, not a reshape view: the set adopts the reader's array.
+    values.shape = (n, d)
+    values.setflags(write=False)
     if weights is None:
-        return TokenSet(values.reshape(n, d))
-    return TokenSet(values.reshape(n, d), _validate_file_weights(weights[0], n))
+        return TokenSet(values)
+    return TokenSet(values, _validate_file_weights(weights[0], n))
 
 
 def _tokens_from_json_doc(data: bytes) -> TokenSet:
@@ -188,9 +191,10 @@ def tokens_from_binary_bytes(data: bytes) -> TokenSet:
     weights = None
     if flag:
         weights = _validate_file_weights(
-            np.frombuffer(data, dtype="<f8", count=n, offset=offset).copy(), n
+            np.frombuffer(data, dtype="<f8", count=n, offset=offset), n
         )
-    return TokenSet(points.copy(), weights)
+    # Views of ``data``: the set copies each exactly once.
+    return TokenSet(points, weights)
 
 
 def write_tokens(tokens: TokenSet, path: str | Path, fmt: str = "json") -> None:
@@ -223,6 +227,7 @@ def _json_array(doc: dict, key: str, may_hold_bool: bool) -> np.ndarray:
     # and turns float literals beyond float64, such as 1e400, into inf.
     if not np.isfinite(values).all():
         raise FormatError(f"{key!r} holds NaN, Infinity or a number beyond float64")
+    values.setflags(write=False)
     return values
 
 
@@ -256,4 +261,5 @@ def _validate_file_weights(weights: np.ndarray, n: int) -> np.ndarray:
         )
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         weights = weights / total
+    weights.setflags(write=False)
     return weights

@@ -16,6 +16,28 @@ from .errors import DimensionMismatchError, InvalidParameterError, InvalidWeight
 WEIGHT_SUM_TOL = 1e-12
 
 
+def read_only_array(value, dtype=np.float64) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array that owns its memory.
+
+    An array that already is one is returned unchanged and adopted: its
+    producer hands it over and must not make it writable again. Anything
+    else (a writable array, a view, a list, another dtype) is copied
+    exactly once, and the copy is marked read-only. This is the one place
+    that decides between copying and keeping an array.
+    """
+    array = np.asarray(value, dtype=dtype)
+    if array is value and not array.flags.writeable and array.flags.owndata:
+        return array
+    # From a list or by a dtype cast, np.asarray built a new array: that is
+    # the copy. Another object's array may be shared, so it is copied.
+    built = (array is not value and array.flags.owndata
+             and isinstance(value, (list, tuple, np.ndarray)))
+    if not built:
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class TokenSet:
     """An immutable set of n embedding tokens in R^m with positive weights.
@@ -26,17 +48,18 @@ class TokenSet:
         weights: optional length-n vector of strictly positive reals
             summing to 1 (within 1e-12). Defaults to uniform 1/n.
 
-    The stored arrays are float64 and marked read-only, so instances can
-    be shared freely between threads.
+    The stored arrays are read-only float64 arrays that own their memory,
+    as ``read_only_array`` makes them, so instances can be shared freely
+    between threads.
     """
 
     points: np.ndarray
     weights: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = read_only_array(self.points)
         if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+            pts = read_only_array(pts.reshape(-1, 1))
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidParameterError(
                 f"token matrix must be n x m with n >= 1 and m >= 1, got shape {pts.shape}"
@@ -45,11 +68,11 @@ class TokenSet:
             raise InvalidParameterError("token coordinates must be finite")
         n = pts.shape[0]
 
-        w = self.weights
-        if w is None:
-            w = np.full(n, 1.0 / n)
+        if self.weights is None:
+            # A broadcast view, so its one copy is the uniform weights.
+            w = read_only_array(np.broadcast_to(1.0 / n, n))
         else:
-            w = np.asarray(w, dtype=np.float64)
+            w = read_only_array(self.weights)
             if w.shape != (n,):
                 raise InvalidWeightsError(
                     f"weights must have shape ({n},), got {w.shape}"
@@ -63,11 +86,6 @@ class TokenSet:
                 raise InvalidWeightsError(
                     f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
                 )
-
-        pts = np.array(pts, copy=True)
-        pts.setflags(write=False)
-        w = np.array(w, copy=True)
-        w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -83,7 +101,9 @@ class TokenSet:
 
     def has_uniform_weights(self) -> bool:
         """True when every weight equals 1/n within 1e-12."""
-        return bool(np.max(np.abs(self.weights - 1.0 / self.n)) <= 1e-12)
+        # max |w - 1/n| from the extremes: rounding w - 1/n is monotone in w.
+        w, uniform = self.weights, 1.0 / self.n
+        return bool(w.max() - uniform <= 1e-12 and uniform - w.min() <= 1e-12)
 
 
 def require_same_dimension(a: TokenSet, b: TokenSet) -> None:
@@ -106,4 +126,6 @@ def index_lerp(a: TokenSet, b: TokenSet, t: float) -> TokenSet:
     """
     require_same_dimension(a, b)
     require_same_size(a, b)
-    return TokenSet((1.0 - t) * a.points + t * b.points)
+    points = (1.0 - t) * a.points + t * b.points
+    points.setflags(write=False)
+    return TokenSet(points)

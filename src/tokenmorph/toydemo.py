@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
-from .tokens import TokenSet
+from .tokens import TokenSet, read_only_array
 
 # Fixed window [-_WINDOW, _WINDOW]^2 mapped onto the unit square. Being
 # input-independent keeps the map injective and shape-preserving.
@@ -27,19 +27,21 @@ _MARGIN_PX = 12
 
 @dataclass(frozen=True, eq=False)
 class ToyShape:
-    """A closed polyline with one vertex per token, in unit-square coords."""
+    """A closed polyline with one vertex per token, in unit-square coords.
+
+    ``vertices`` is adopted or copied by ``read_only_array``'s rule.
+    """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        verts = np.array(np.asarray(self.vertices, dtype=np.float64), copy=True)
+        verts = read_only_array(self.vertices)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 1:
             raise InvalidParameterError(
                 f"vertices must be an (n, 2) array, got shape {verts.shape}"
             )
         if not np.all(np.isfinite(verts)):
             raise InvalidParameterError("vertices must be finite")
-        verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 
 
@@ -55,6 +57,7 @@ def decode_tokens_to_shape(tokens: TokenSet) -> ToyShape:
     tangential = tokens.points[:, 1:2]
     pos = (1.0 + radial) * radial_dir + tangential * tangent_dir
     vertices = 0.5 + pos / (2.0 * _WINDOW)
+    vertices.setflags(write=False)
     return ToyShape(vertices)
 
 

@@ -139,26 +139,25 @@ def _displacement_frames(
 ) -> tuple[list[TokenSet], list[FrameDiagnostics]]:
     """Closed-form frames along one optimal plan.
 
-    Cells without mass are dropped, since token weights must be positive;
-    every other cell (i, j) gives one token between source token i and
-    target token j, weighted by its mass. Each frame repeats the
-    fixed-point solver's update, a zero-initialized sum of the weighted
-    barycentric projections, so for an assignment plan (rows ``0..n-1``,
-    masses ``1/n``) its bits, signed zeros included, match what that
-    solver converges to.
+    Every cell (i, j) of the plan carries mass and gives one token
+    between source token i and target token j, weighted by that mass;
+    every frame adopts ``plan.mass`` as its weights, so they all share it.
+    Each frame repeats the fixed-point solver's update, a zero-initialized
+    sum of the weighted barycentric projections, so for an assignment plan
+    (rows ``0..n-1``, masses ``1/n``) its bits, signed zeros included,
+    match what that solver converges to.
     """
     plan = solve_exact_ot(source, target)
-    carried = plan.mass > 0
-    start = source.points[plan.rows[carried]]
-    end = target.points[plan.cols[carried]]
-    mass = plan.mass[carried]
+    start = source.points[plan.rows]
+    end = target.points[plan.cols]
     frames: list[TokenSet] = []
     diagnostics: list[FrameDiagnostics] = []
     for beta in betas:
         support = np.zeros_like(start)
         support += (1.0 - beta) * start
         support += beta * end
-        frames.append(TokenSet(support, mass))
+        support.setflags(write=False)
+        frames.append(TokenSet(support, plan.mass))
         # (1-b)*W2^2(Z, X) + b*W2^2(Z, Y) at Z on the geodesic.
         diagnostics.append(
             FrameDiagnostics(0, True, beta * (1.0 - beta) * plan.total_cost)

@@ -6,10 +6,13 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
 from tokenmorph import DimensionMismatchError, TokenSet, cost_matrix
 from tokenmorph import ot as ot_module
+from tokenmorph import tokens as tokens_module
+from tokenmorph import toydemo as toydemo_module
 
 
 def random_tokenset(rng: np.random.Generator, n: int, m: int, scale: float = 1.0) -> TokenSet:
@@ -50,6 +53,56 @@ def simplex_cost(a: TokenSet, b: TokenSet) -> float:
     mass = np.array(tree.flow[1:])
     ot_module._check_marginals(*np.divmod(cells, b.n), mass, a.weights, b.weights)
     return ot_module._support_cost(mass, values.flat[cells])
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """The arrays that value types copied instead of adopting, while the
+    test runs. Broadcast views are left out: a token set's uniform
+    weights are one."""
+    copied = []
+    real = tokens_module.read_only_array
+
+    def spy(value, dtype=np.float64):
+        array = real(value, dtype)
+        if array is not value and not (isinstance(value, np.ndarray) and 0 in value.strides):
+            copied.append(value)
+        return array
+
+    for module in (tokens_module, ot_module, toydemo_module):
+        monkeypatch.setattr(module, "read_only_array", spy)
+    return copied
+
+
+def assert_ownership_rule(store, values) -> None:
+    """Check ``tokens.read_only_array``'s rule on a value type's field.
+
+    ``store(array)`` builds a value from ``array`` and returns the array
+    the value keeps. A read-only array that owns its memory must be kept
+    as is; a writable array and read-only views (a slice, ``frombuffer``)
+    must be copied into a read-only array of the value's own, so that
+    changing the input afterwards changes nothing.
+    """
+    values = np.asarray(values)
+    owned = values.copy()
+    owned.setflags(write=False)
+    assert store(owned) is owned
+
+    writable = values.copy()
+    kept = store(writable)
+    writable += 1
+    assert kept is not writable and not kept.flags.writeable
+    np.testing.assert_array_equal(kept, values)
+
+    doubled = np.repeat(values, 2, axis=0)
+    doubled.setflags(write=False)
+    buffer = values.tobytes()
+    for view in (doubled[::2], np.frombuffer(buffer, values.dtype).reshape(values.shape)):
+        assert not view.flags.writeable and not view.flags.owndata
+        kept = store(view)
+        assert kept.flags.owndata and not kept.flags.writeable
+        assert not np.shares_memory(kept, view)
+        np.testing.assert_array_equal(kept, values)
 
 
 def exact_plan_cost(coupling: np.ndarray, values: np.ndarray) -> float:

@@ -9,7 +9,8 @@ commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
 The list covers every subcommand, all three ``morph --init`` modes,
-sequential morphs and ``sweep-tau`` on weighted and unequal-size sets,
+sequential morphs and ``sweep-tau`` on weighted and unequal-size sets
+(uniform 15 -> 3 too, where rounding dust would add tokens),
 JSON and BMT1 files, JSON files of 1 024 values or more read by the numpy
 reader (weighted ones too) and by ``json.loads`` (an indented copy),
 copying (a swap pair at tau 0.9) and non-copying taus, tokens whose
@@ -57,6 +58,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
     weighted_small = [f"{IN}/w9.json", f"{IN}/w7.json"]
     ties = [f"{IN}/tie16.json", f"{IN}/tie12.json"]
     ties_equal = [f"{IN}/tie16.json", f"{IN}/tie16b.json"]
+    uniform_unequal = [f"{IN}/u15.json", f"{IN}/u3.json"]
     big = [f"{IN}/big12a.json", f"{IN}/big12b.json"]
     out = ["--out-dir", "out"]
     runs: list[list[str]] = []
@@ -123,6 +125,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["morph", u24[0], f"{IN}/w24.json", *out],               # weighted
         ["morph", *weighted, "--tau", "0.9", *out],              # weighted, 20 -> 16
         ["morph", *ties, "--frames", "3", *out],                 # 16 -> 12, ties
+        ["morph", *uniform_unequal, "--tau", "0.3", *out],       # uniform 15 -> 3
         ["morph", u24[0], f"{IN}/w24.json", "--init", "linear-init", *out],  # 4
         ["morph", f"{IN}/u24a.json", f"{IN}/u64b.json", *out],   # 5: dimensions
         ["morph", f"{IN}/u24a.json", f"{IN}/u64b.json", "--init", "naive-lerp", *out],  # 5
@@ -154,6 +157,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["sweep-tau", *u24, "--grid", "0.1,0.9", "--frames", "2", *out],
         ["sweep-tau", *swap, "--grid", "0.3,0.9", *out],
         ["sweep-tau", *weighted, "--grid", "0.3,0.9", "--frames", "3", *out],
+        ["sweep-tau", *uniform_unequal, "--grid", "0.3,0.9", *out],
         ["sweep-tau", *u24, "--grid", "a,b", *out],              # 6
         ["sweep-tau", *u24, "--grid", "0.3,1.5", *out],          # 6
         ["sweep-tau", *u24, "--frames", "-1", *out],             # 6
@@ -248,6 +252,11 @@ def write_inputs(in_dir: Path) -> None:
     rng64 = np.random.default_rng(2064)
     for name in ("w64a", "w64b", "w64blend"):
         save(name, TokenSet(rng64.normal(size=(64, 16)), rng64.dirichlet(np.ones(64))))
+    # Uniform sets of unequal size: 15 cells carry mass, and rounding dust
+    # on other basis cells would add tokens to every frame.
+    rng15 = np.random.default_rng(2015)
+    for name, n in (("u15", 15), ("u3", 3)):
+        save(name, TokenSet(rng15.normal(size=(n, 2))))
     (in_dir / "bad.json").write_bytes(b"not json\n")
     (in_dir / "badmagic.bmt").write_bytes(b"BMT2" + bytes(20))
     (in_dir / "truncated.bmt").write_bytes((in_dir / "u24a.bmt").read_bytes()[:100])

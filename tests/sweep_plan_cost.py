@@ -1,8 +1,8 @@
 """Sweep random OT instances and morphs through the plan-cost rule.
 
-Usage: PYTHONPATH=src python tests/sweep_plan_cost.py [COUNT] [MORPHS] [SEED] [WEIGHTED]
+Usage: PYTHONPATH=src python tests/sweep_plan_cost.py [COUNT] [MORPHS] [SEED] [WEIGHTED] [UNIFORM]
 
-Checks three properties on seeded random inputs from SEED (default 0):
+Checks four properties on seeded random inputs from SEED (default 0):
 
 * On COUNT (default 4 000) instances, half uniform equal-size sets (the
   assignment route) and half Dirichlet-weighted sets of unequal size
@@ -21,6 +21,11 @@ Checks three properties on seeded random inputs from SEED (default 0):
   through its own masses, sums of the weights that round differently.
   These morphs draw after the others, so COUNT and MORPHS instances keep
   their inputs.
+* On UNIFORM (default 1 000) instances of uniform sets of unequal size,
+  every other one on a {0, 1, 2} grid, drawn last, every plan mass is
+  k / (n n') for a whole count k >= 1, correctly rounded, with the
+  counts summing to n' in each row and n in each column: no cell holds
+  rounding dust. ``total_cost`` is checked as on the COUNT instances.
 
 Prints the first failing case and exits 1 on any difference. Not a
 pytest module: it runs as its own CI step, so the search does not
@@ -74,11 +79,37 @@ def weighted_morph(rng: np.random.Generator, grid: bool):
     return morph_geometry(tokens(n), tokens(n2), MorphConfig(J=6))
 
 
+def uniform_unequal_instance(rng: np.random.Generator, grid: bool):
+    n, m = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+    n2 = int(rng.integers(1, 39))
+    n2 += n2 >= n  # unequal sizes
+
+    def tokens(size):
+        return TokenSet(rng.integers(0, 3, size=(size, m)).astype(float) if grid
+                        else rng.normal(size=(size, m)))
+
+    return tokens(n), tokens(n2)
+
+
+def count_error(plan, n: int, n2: int) -> str | None:
+    """Why the plan's masses are not whole counts k / (n n'), or None."""
+    counts = np.rint(plan.mass * (n * n2))
+    if counts.min() < 1:
+        return f"a mass of {plan.mass.min()!r} is below 1 / (n n')"
+    if plan.mass.tobytes() != (counts / (n * n2)).tobytes():
+        return "a mass is not a correctly rounded count / (n n')"
+    if not (np.array_equal(np.bincount(plan.rows, counts, n), np.full(n, n2))
+            and np.array_equal(np.bincount(plan.cols, counts, n2), np.full(n2, n))):
+        return "the counts do not sum to n' per row and n per column"
+    return None
+
+
 def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else 4000
     morphs = int(argv[1]) if len(argv) > 1 else 3000
     seed = int(argv[2]) if len(argv) > 2 else 0
     weighted = int(argv[3]) if len(argv) > 3 else 1000
+    uniform = int(argv[4]) if len(argv) > 4 else 1000
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     for k in range(count):
@@ -103,9 +134,20 @@ def main(argv: list[str]) -> int:
             print(f"weighted morph {k} (frames of {traj.frames[0].n}, m={traj.frames[0].m}): "
                   f"step_w2 {traj.step_w2!r}, step_lengths {full.tolist()!r}")
             return 1
-    print(f"{count} plans, {morphs} morphs and {weighted} weighted morphs, seed {seed}: "
-          f"every total_cost exact, every step_w2 equal to step_lengths, within 1e-12 "
-          f"on weighted morphs ({time.perf_counter() - start:.1f} s)")
+    for k in range(uniform):
+        a, b = uniform_unequal_instance(rng, grid=k % 2 == 1)
+        plan = solve_exact_ot(a, b)
+        error = count_error(plan, a.n, b.n)
+        expected = exact_plan_cost(plan.coupling, cost_matrix(a, b).values)
+        if error is None and plan.total_cost != expected:
+            error = f"total_cost {plan.total_cost!r}, exact sum {expected!r}"
+        if error is not None:
+            print(f"uniform instance {k} ({a.n}x{b.n}, m={a.m}): {error}")
+            return 1
+    print(f"{count} plans, {morphs} morphs, {weighted} weighted morphs and {uniform} uniform "
+          f"plans of unequal size, seed {seed}: every total_cost exact, every step_w2 equal "
+          f"to step_lengths, within 1e-12 on weighted morphs, every uniform mass a whole "
+          f"count ({time.perf_counter() - start:.1f} s)")
     return 0
 
 

@@ -165,6 +165,26 @@ class TestFixedPoint:
         assert result.support.n == 2
         assert np.all(np.isfinite(result.support.points))
 
+    def test_sweeps_hand_over_their_supports(self, monkeypatch, copies):
+        rng = np.random.default_rng(17)
+        source = TokenSet(rng.normal(size=(9, 3)), rng.dirichlet(np.ones(9)))
+        target = TokenSet(rng.normal(size=(7, 3)) + 1.0, rng.dirichlet(np.ones(7)))
+        supports = []
+        real_solve = barycenter_module.solve_exact_ot
+
+        def solve(nu, mu, *, start=None):
+            supports.append(nu)
+            return real_solve(nu, mu, start=start)
+
+        monkeypatch.setattr(barycenter_module, "solve_exact_ot", solve)
+        copies.clear()
+        result = pairwise_barycenter(source, target, 0.4, source)
+        assert copies == [] and result.iterations_used > 1
+        # Every sweep's set adopts the support it is given, and all share
+        # one weight vector.
+        assert supports[0].points is source.points
+        assert all(nu.weights is supports[0].weights for nu in supports)
+
 
 class TestOneSweep:
     """One fixed-point sweep against an update computed from HiGHS couplings."""

@@ -368,6 +368,25 @@ class TestOtherCommands:
                     for f in report["per_frame"]] == sizes
             assert report["copied_fraction"] == sum(copied) / sum(sizes)
 
+    def test_sweep_tau_on_uniform_sets_of_unequal_size(self, tmp_path):
+        # A uniform 15-token set morphed to 3 tokens: each frame has 15
+        # tokens, none of them rounding dust, so copied_fraction divides
+        # by 15 x 5 frames.
+        rng = np.random.default_rng(1)
+        paths = [tmp_path / "u15.json", tmp_path / "u3.json"]
+        for path, n in zip(paths, (15, 3)):
+            write_tokens(TokenSet(rng.normal(size=(n, 2))), path)
+        out = tmp_path / "sweep"
+        assert main(["sweep-tau", *map(str, paths), "--frames", "3", "--grid", "0.3,0.9",
+                     "--out-dir", str(out)]) == EXIT_OK
+        for tau in (0.3, 0.9):
+            report = json.loads((out / f"sweep_tau_{tau}.json").read_text())
+            assert [f["copied_from_source"] + f["kept_barycenter"]
+                    for f in report["per_frame"]] == [15] * 5
+            copied = sum(f["copied_from_source"] for f in report["per_frame"])
+            assert report["copied_fraction"] == copied / (15 * 5)
+            assert copied > 0
+
     def test_sweep_tau_checks_every_threshold_before_writing(self, token_files, tmp_path):
         # Wrote sweep_tau_0.3.json before the bad threshold's exit 6 before.
         source_path, target_path = token_files

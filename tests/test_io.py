@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -412,6 +413,50 @@ class TestJsonFloatReader:
         for q in range(-_floatrepr._K_MAX, -_floatrepr._K_MIN + 1):
             r = (10 ** q).bit_length() - 126 if q >= 0 else -125 - (10 ** -q).bit_length()
             assert ((q * 217706) >> 16) - 125 == r, q
+
+
+class TestReadAllocations:
+    """A read allocates its n x d points array once: a reader hands its
+    own arrays over, and the token set copies only views of the file."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+    @pytest.mark.parametrize("fmt", ["json", "binary"])
+    def test_points_are_allocated_once(self, monkeypatch, copies, fmt, weighted):
+        rng = np.random.default_rng(211)
+        n, d = 512, 64
+        tokens = TokenSet(rng.normal(size=(n, d)),
+                          rng.dirichlet(np.ones(n)) if weighted else None)
+        encode, read = {"json": (tokens_to_json_bytes, tokens_from_json_bytes),
+                        "binary": (tokens_to_binary_bytes, tokens_from_binary_bytes)}[fmt]
+        data = encode(tokens)
+        copies.clear()
+        kept = []  # bytes each token set still holds once built
+        real = TokenSet.__post_init__
+
+        def traced(self):
+            before = tracemalloc.get_traced_memory()[0]
+            real(self)
+            kept.append(tracemalloc.get_traced_memory()[0] - before)
+
+        monkeypatch.setattr(TokenSet, "__post_init__", traced)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = read(data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert got.points.tobytes() == tokens.points.tobytes()
+        assert got.weights.tobytes() == tokens.weights.tobytes()
+        points = 8 * n * d
+        if fmt == "json":
+            # The canonical reader's numbers are the points: adopted.
+            assert copies == [] and kept[0] < points / 8
+        else:
+            # Each frombuffer view is copied once, by the set.
+            assert [view.shape for view in copies] == [(n, d)] + [(n,)] * weighted
+            assert points <= kept[0] < 1.1 * points
+            assert peak < 1.5 * points
 
 
 class TestSynth:

@@ -25,6 +25,7 @@ import tokenmorph.ot as ot_module
 from tokenmorph.cli import EXIT_SOLVER, main as cli_main
 
 from conftest import (
+    assert_ownership_rule,
     brute_force_matching,
     brute_force_permutation,
     dirichlet_tokenset,
@@ -61,6 +62,14 @@ class TestCostMatrix:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             cost_matrix(TokenSet([[0.0]]), TokenSet([[0.0, 1.0]]))
+
+    def test_values_are_adopted_or_copied(self, copies):
+        assert_ownership_rule(lambda values: ot_module.CostMatrix(values).values,
+                              [[0.0, 1.0], [4.0, 9.0]])
+        a, b = TokenSet([[0.0], [1.0]]), TokenSet([[3.0], [5.0]])
+        copies.clear()
+        cost_matrix(a, b)
+        assert copies == []
 
 
 def _one_shot_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,20 +348,25 @@ class TestPlanCost:
         assert peak <= 3 * 8 * 300 * 200
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["assignment", "simplex"])
-    def test_support_arrays_are_read_only(self, weighted):
+    def test_support_arrays_are_read_only(self, weighted, copies):
         a, b = next(self._instances(weighted))
+        copies.clear()
         plan = solve_exact_ot(a, b)
+        assert copies == []  # the solve hands its support arrays over
         for array in (plan.rows, plan.cols, plan.mass):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-        # A caller's arrays are copied: changing them leaves the plan as it was.
-        rows, cols, mass = (np.array(x) for x in ([0, 1], [1, 0], [0.5, 0.5]))
-        built = TransportPlan(rows, cols, mass, (2, 2), 1.0)
-        rows[0], mass[0] = 1, 9.0
-        np.testing.assert_array_equal(built.rows, [0, 1])
-        np.testing.assert_array_equal(built.mass, [0.5, 0.5])
-        assert built.shape == (2, 2) and not built.rows.flags.writeable
+        # A caller's read-only owned array is adopted; any other is copied,
+        # so changing it leaves the plan as it was.
+        support = {"rows": np.array([0, 1]), "cols": np.array([1, 0]),
+                   "mass": np.array([0.5, 0.5])}
+        for name, values in support.items():
+            def store(array):
+                built = TransportPlan(**{**support, name: array}, shape=(2, 2), total_cost=1.0)
+                assert built.shape == (2, 2)
+                return getattr(built, name)
+            assert_ownership_rule(store, values)
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["assignment", "simplex"])
     def test_coupling_is_a_fresh_dense_array_of_the_support(self, weighted):
@@ -375,15 +389,37 @@ class TestPlanCost:
     def test_support_mass_sums_to_the_weights(self, weighted):
         for a, b in self._instances(weighted):
             plan = solve_exact_ot(a, b)
-            n_cells = a.n + b.n - 1 if weighted else a.n
-            assert plan.rows.shape == plan.cols.shape == plan.mass.shape == (n_cells,)
-            if not weighted:
+            assert plan.rows.shape == plan.cols.shape == plan.mass.shape
+            if weighted:
+                assert len(plan.mass) <= a.n + b.n - 1
+            else:
                 np.testing.assert_array_equal(plan.rows, np.arange(a.n))
             np.testing.assert_allclose(np.bincount(plan.rows, plan.mass, a.n), a.weights,
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(np.bincount(plan.cols, plan.mass, b.n), b.weights,
                                        rtol=0, atol=1e-12)
-            assert plan.mass.min() >= 0.0
+            assert plan.mass.min() > 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 3), st.booleans(),
+           st.integers(0, 10_000))
+    @example(15, 3, 2, False, 1)
+    @example(16, 12, 2, True, 3)
+    def test_uniform_masses_are_whole_counts(self, n, n2, m, ties, seed):
+        # Uniform sets of unequal size run the simplex on counts, n' per
+        # row and n per column: each mass is k / (n n') for a whole k >= 1,
+        # correctly rounded, and no cell holds rounding dust.
+        if n == n2:
+            n2 += 1  # stay off the assignment route
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, n, n2, m, "uniform", ties)
+        plan = solve_exact_ot(a, b)
+        counts = np.rint(plan.mass * (n * n2))
+        assert counts.min() >= 1
+        assert plan.mass.tobytes() == (counts / (n * n2)).tobytes()
+        assert len(plan.mass) <= n + n2 - 1
+        np.testing.assert_array_equal(np.bincount(plan.rows, counts, n), np.full(n, n2))
+        np.testing.assert_array_equal(np.bincount(plan.cols, counts, n2), np.full(n2, n))
 
 
 class TestW2Distance:

@@ -151,10 +151,14 @@ class TestSelectiveTextureTokens:
         assert decision.kept_barycenter
         np.testing.assert_array_equal(report.output.points, [[0.5, 0.5]])
 
-    def test_similar_pair_copies_source(self):
+    def test_similar_pair_copies_source(self, copies):
         source = TokenSet([[1.0, 0.0]])
         target = TokenSet([[0.8, 0.6]])  # cos = 0.8, so 0.2 <= tau
-        report = selective_texture_tokens(TokenSet([[0.9, 0.2]]), source, target, 0.3)
+        blended = TokenSet([[0.9, 0.2]])
+        copies.clear()
+        report = selective_texture_tokens(blended, source, target, 0.3)
+        assert copies == []  # the output adopts its points and the blended weights
+        assert report.output.weights is blended.weights
         decision = report.decisions[0]
         assert decision.sim == pytest.approx(0.8, abs=1e-12)
         assert not decision.kept_barycenter

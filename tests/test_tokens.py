@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import assert_ownership_rule
 from tokenmorph import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -8,6 +11,7 @@ from tokenmorph import (
     TokenSet,
     index_lerp,
 )
+from tokenmorph.tokens import read_only_array
 
 
 def test_default_weights_are_uniform():
@@ -85,6 +89,55 @@ def test_construction_copies_input():
     ts = TokenSet(raw)
     raw[0, 0] = 99.0
     assert ts.points[0, 0] == 0.0
+    # A read-only array that owns its memory is adopted instead.
+    assert_ownership_rule(lambda points: TokenSet(points).points, [[0.0, 1.0], [2.0, 3.0]])
+    assert_ownership_rule(lambda w: TokenSet(np.zeros((2, 1)), w).weights, [0.25, 0.75])
+
+
+def test_read_only_array_builds_lists_and_casts_once():
+    from_list = read_only_array([[1, 2], [3, 4]])
+    assert from_list.dtype == np.float64 and from_list.flags.owndata
+    assert not from_list.flags.writeable
+    ints = np.arange(4)
+    cast = read_only_array(ints)
+    assert cast.dtype == np.float64 and cast.flags.owndata and not cast.flags.writeable
+    assert ints.flags.writeable  # the caller's array is left as it was
+    assert read_only_array(cast) is cast
+    assert read_only_array(cast, np.intp).dtype == np.intp
+    # The array np.asarray builds is the one copy: no second one is made.
+    values, ints = [0.5] * 100_000, np.arange(100_000, dtype=np.int32)
+    for value in (values, ints):
+        tracemalloc.start()
+        try:
+            read_only_array(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 * 100_000 <= peak < 1.5 * 8 * 100_000
+
+
+def test_read_only_array_copies_another_objects_array():
+    # np.asarray returns the array an __array__ method hands out, which
+    # its object may still write to: it is copied, not frozen.
+    class Holder:
+        def __init__(self):
+            self.data = np.zeros(3)
+
+        def __array__(self, dtype=None, copy=None):
+            return self.data
+
+    holder = Holder()
+    kept = read_only_array(holder)
+    assert kept is not holder.data and holder.data.flags.writeable
+    assert kept.flags.owndata and not kept.flags.writeable
+
+
+def test_index_lerp_hands_over_its_points(copies):
+    a = TokenSet([[0.0, 0.0], [2.0, 2.0]])
+    b = TokenSet([[4.0, 0.0], [6.0, 2.0]])
+    copies.clear()
+    index_lerp(a, b, 0.5)
+    assert copies == []
 
 
 def test_index_lerp_endpoints_and_midpoint():

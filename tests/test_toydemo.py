@@ -14,6 +14,8 @@ from tokenmorph import (
     render_trajectory_svg,
 )
 
+from conftest import assert_ownership_rule
+
 
 class TestDecoder:
     def test_zero_tokens_give_regular_octagon(self):
@@ -43,6 +45,14 @@ class TestDecoder:
     def test_shape_rejects_non_finite_vertices(self, bad):
         with pytest.raises(InvalidParameterError, match="finite"):
             ToyShape([[0.0, 0.0], [bad, 1.0]])
+
+    def test_vertices_are_adopted_or_copied(self, copies):
+        assert_ownership_rule(lambda vertices: ToyShape(vertices).vertices,
+                              [[0.0, 1.0], [0.5, 0.25]])
+        tokens = TokenSet(np.zeros((8, 2)))
+        copies.clear()
+        decode_tokens_to_shape(tokens)
+        assert copies == []
 
     def test_determinism(self):
         rng = np.random.default_rng(171)
