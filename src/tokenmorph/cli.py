@@ -85,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "out_dir"):
             _check_out_dir(args.out_dir)
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail("missing-file", str(exc), EXIT_MISSING_FILE)
     except (FormatError, InvalidWeightsError) as exc:
         return _fail("format", str(exc), EXIT_FORMAT)
@@ -238,18 +238,35 @@ def _tokens_writer(fmt: str):
     return tokens_to_json_bytes if fmt == "json" else tokens_to_binary_bytes
 
 
-def _read_inputs(args, *names: str) -> dict[str, TokenSet]:
-    """Parse the token files named by the positional arguments ``names``."""
-    return {name: read_tokens(getattr(args, name)) for name in names}
+def _read_inputs(args, *names: str) -> tuple[list[TokenSet], dict[str, dict]]:
+    """Parse the token files named by the positional arguments ``names``.
+
+    Returns the token sets and each input's manifest entry: its file
+    name, digest and shape. The entries are taken here, before the
+    command writes anything, so an input that an output overwrites is
+    recorded as it was read.
+    """
+    tokens, entries = [], {}
+    for name in names:
+        arg = getattr(args, name)
+        tokens.append(read_tokens(arg))
+        path = Path(arg)
+        entries[name] = {
+            "file": path.name,
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "n": tokens[-1].n,
+            "d": tokens[-1].m,
+        }
+    return tokens, entries
 
 
-def _finish(args, out_dir: Path, inputs: dict[str, TokenSet], body: dict,
+def _finish(args, out_dir: Path, inputs: dict[str, dict], body: dict,
             shown: Path | None = None) -> int:
     """Write the run's ``manifest.json`` and print ``shown`` (default ``out_dir``).
 
     The manifest holds the command's own ``body`` fields plus its name,
     every parsed flag except ``--out-dir`` as ``parameters``, and the
-    file name, digest and shape of each input in ``inputs``.
+    ``_read_inputs`` entries in ``inputs``.
     """
     skip = {"command", "func", "out_dir", *inputs}
     manifest = {
@@ -258,22 +275,16 @@ def _finish(args, out_dir: Path, inputs: dict[str, TokenSet], body: dict,
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items() if k not in skip},
     }
-    for name, tokens in inputs.items():
-        path = Path(getattr(args, name))
-        manifest.setdefault("inputs", {})[name] = {
-            "file": path.name,
-            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-            "n": tokens.n,
-            "d": tokens.m,
-        }
+    if inputs:
+        manifest["inputs"] = inputs
     (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
     print(shown or out_dir)
     return EXIT_OK
 
 
 def _cmd_dist(args) -> int:
-    source, target = _read_inputs(args, "source", "target").values()
-    print(w2_distance(source, target))
+    # No manifest, so no digests: the inputs are only parsed.
+    print(w2_distance(read_tokens(args.source), read_tokens(args.target)))
     return EXIT_OK
 
 
@@ -281,8 +292,7 @@ def _cmd_barycenter(args) -> int:
     require_fraction("beta", args.beta)
     _check_solver_flags(args)
     config = BarycenterConfig(max_iterations=args.max_iter, stop_threshold=args.tol)
-    inputs = _read_inputs(args, "source", "target")
-    source, target = inputs.values()
+    (source, target), inputs = _read_inputs(args, "source", "target")
     init = {"source": source, "target": target}.get(args.init)
     if init is None:
         init = index_lerp(source, target, args.beta)
@@ -312,8 +322,7 @@ def _cmd_morph(args) -> int:
             max_iterations=args.max_iter, stop_threshold=args.tol
         ),
     )
-    inputs = _read_inputs(args, "source", "target")
-    source, target = inputs.values()
+    (source, target), inputs = _read_inputs(args, "source", "target")
     trajectory = morph_geometry(source, target, config)
 
     out_dir = _resolve_out_dir(args.out_dir)
@@ -359,8 +368,8 @@ def _cmd_morph(args) -> int:
 
 def _cmd_texture_select(args) -> int:
     require_fraction("tau", args.tau)
-    inputs = _read_inputs(args, "blended", "source", "target")
-    report = selective_texture_tokens(*inputs.values(), args.tau)
+    tokens, inputs = _read_inputs(args, "blended", "source", "target")
+    report = selective_texture_tokens(*tokens, args.tau)
 
     out_dir = _resolve_out_dir(args.out_dir)
     selected = f"selected.{_EXTENSIONS[args.format]}"
@@ -410,8 +419,7 @@ def _cmd_sweep_tau(args) -> int:
     require_count("--frames", args.frames, 0)
     config = MorphConfig(J=args.frames)
 
-    inputs = _read_inputs(args, "source", "target")
-    source, target = inputs.values()
+    (source, target), inputs = _read_inputs(args, "source", "target")
     trajectory = morph_geometry(source, target, config)
 
     out_dir = _resolve_out_dir(args.out_dir)
@@ -441,6 +449,9 @@ def _cmd_sweep_tau(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
+    if args.name is not None and Path(args.name).name != args.name:
+        raise InvalidParameterError(
+            f"--name must be a file stem inside the output directory, got {args.name!r}")
     generated = gen_synthetic(args.kind, args.n, args.d, args.seed)
     out_dir = _resolve_out_dir(args.out_dir)
     ext = _EXTENSIONS[args.format]

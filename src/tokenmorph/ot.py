@@ -127,13 +127,6 @@ class TransportPlan:
         object.__setattr__(self, "total_cost", float(self.total_cost))
 
     @property
-    def coupling(self) -> np.ndarray:
-        """A fresh dense array of the coupling, built on each access."""
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.mass
-        return out
-
-    @property
     def basis(self) -> np.ndarray | None:
         """A fresh array of the n + n' - 1 final basis cells' flat indices,
         ascending; None on the assignment route."""

@@ -59,7 +59,12 @@ class TokenSet:
     def __post_init__(self):
         pts = read_only_array(self.points)
         if pts.ndim == 1:
-            pts = read_only_array(pts.reshape(-1, 1))
+            # A column in place, not a reshape view, which would be copied
+            # again; only a caller's adopted array needs a copy first.
+            if pts is self.points:
+                pts = pts.copy()
+            pts.shape = (-1, 1)
+            pts.setflags(write=False)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidParameterError(
                 f"token matrix must be n x m with n >= 1 and m >= 1, got shape {pts.shape}"

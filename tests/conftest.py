@@ -105,10 +105,18 @@ def assert_ownership_rule(store, values) -> None:
         np.testing.assert_array_equal(kept, values)
 
 
-def exact_plan_cost(coupling: np.ndarray, values: np.ndarray) -> float:
-    """Independent oracle: the rounded products ``coupling * values`` summed
-    as exact fractions, then rounded once; cells without mass add 0."""
-    return float(sum(map(Fraction, (coupling * values).ravel().tolist()), Fraction(0)))
+def exact_plan_cost(plan, values: np.ndarray) -> float:
+    """Independent oracle: the rounded products ``mass * values`` over a
+    plan's support cells, summed as exact fractions, then rounded once."""
+    products = plan.mass * values[plan.rows, plan.cols]
+    return float(sum(map(Fraction, products.tolist()), Fraction(0)))
+
+
+def dense(plan) -> np.ndarray:
+    """A plan's coupling as a dense array, for comparison with dense oracles."""
+    out = np.zeros(plan.shape)
+    out[plan.rows, plan.cols] = plan.mass
+    return out
 
 
 def brute_force_permutation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:

@@ -4,7 +4,7 @@ Usage:
     PYTHONPATH=src python tests/sweep_cli.py
     PYTHONPATH=src python tests/sweep_cli.py --against REV
 
-Writes seeded input token files once, then runs about 100 ``tokenmorph``
+Writes seeded input token files once, then runs 120 ``tokenmorph``
 commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
@@ -70,6 +70,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
     runs += [
         ["dist", f"{IN}/u64a_indented.json", u64[1]],         # not the writer's layout
         ["dist", f"{IN}/nope.json", u24[1]],                    # 3
+        ["dist", f"{IN}/u24a.json/x", u24[1]],                  # 3: a path through a file
         ["dist", f"{IN}/bad.json", u24[1]],                     # 4
         ["dist", f"{IN}/badmagic.bmt", u24[1]],                 # 4
         ["dist", f"{IN}/truncated.bmt", u24[1]],                # 4
@@ -172,6 +173,9 @@ def _commands() -> list[tuple[list[str], str | None]]:
     runs += [
         ["gen-synthetic", "--kind", "gaussian_blob", "--n", "5", "--d", "2", "--name", "blob"],
         ["gen-synthetic", "--kind", "ring", "--n", "8", "--d", "1", *out],             # 6
+        ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name", "../escaped",
+         *out],                                                                        # 6
+        ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name", "a/b", *out],  # 6
         ["gen-synthetic", "--kind", "gaussian_blob", "--n", "0", "--d", "2", *out],    # 6
         ["gen-synthetic", "--kind", "bogus", "--n", "4", "--d", "2", *out],            # 2
     ]

@@ -7,8 +7,8 @@ Checks four properties on seeded random inputs from SEED (default 0):
 * On COUNT (default 4 000) instances, half uniform equal-size sets (the
   assignment route) and half Dirichlet-weighted sets of unequal size
   (the network simplex), ``solve_exact_ot(a, b).total_cost`` equals the
-  rounded products ``coupling * values`` summed as exact fractions and
-  rounded once.
+  rounded products ``mass * values`` over the plan's support cells,
+  summed as exact fractions and rounded once.
 * On MORPHS (default 3 000) sequential morphs of sets with duplicated
   integer tokens, the distribution of the test suite's duplicate-token
   property test, ``step_w2`` equals ``step_lengths`` bit for bit,
@@ -115,7 +115,7 @@ def main(argv: list[str]) -> int:
     for k in range(count):
         a, b = random_instance(rng, weighted=k % 2 == 1)
         plan = solve_exact_ot(a, b)
-        expected = exact_plan_cost(plan.coupling, cost_matrix(a, b).values)
+        expected = exact_plan_cost(plan, cost_matrix(a, b).values)
         if plan.total_cost != expected:
             print(f"instance {k} ({a.n}x{b.n}, m={a.m}): total_cost "
                   f"{plan.total_cost!r}, exact sum {expected!r}")
@@ -138,7 +138,7 @@ def main(argv: list[str]) -> int:
         a, b = uniform_unequal_instance(rng, grid=k % 2 == 1)
         plan = solve_exact_ot(a, b)
         error = count_error(plan, a.n, b.n)
-        expected = exact_plan_cost(plan.coupling, cost_matrix(a, b).values)
+        expected = exact_plan_cost(plan, cost_matrix(a, b).values)
         if error is None and plan.total_cost != expected:
             error = f"total_cost {plan.total_cost!r}, exact sum {expected!r}"
         if error is not None:

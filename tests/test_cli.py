@@ -428,6 +428,34 @@ class TestOtherCommands:
             assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
             assert (entry["n"], entry["d"]) == (6, 3)
 
+    @pytest.mark.parametrize("command, output, extra", [
+        ("texture-select", "selected.json", ["--tau", "0.9"]),
+        ("morph", "frame_000.json", ["--frames", "1"]),
+    ])
+    def test_an_input_that_an_output_replaces_keeps_its_digest(
+        self, command, output, extra, token_files, tmp_path
+    ):
+        # Recorded the digest of the output that replaced the input before.
+        source_path, target_path = token_files
+        out = tmp_path / "out"
+        out.mkdir()
+        replaced = out / output
+        if command == "texture-select":
+            source, target = read_tokens(source_path), read_tokens(target_path)
+            write_tokens(index_lerp(source, target, 0.5), replaced)
+            inputs = {"blended": replaced, "source": source_path, "target": target_path}
+        else:
+            replaced.write_bytes(target_path.read_bytes())
+            inputs = {"source": source_path, "target": replaced}
+        read = replaced.read_bytes()
+        argv = [command, *map(str, inputs.values()), *extra, "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert replaced.read_bytes() != read  # the output did replace it
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name, path in inputs.items():
+            data = read if path == replaced else path.read_bytes()
+            assert manifest["inputs"][name]["sha256"] == hashlib.sha256(data).hexdigest()
+
     @pytest.mark.parametrize("argv, parameters, inputs", [
         (["barycenter", "S", "T", "--beta", "0.5"],
          {"beta": 0.5, "init": "source", "max_iter": 100, "tol": 1e-5, "format": "json"},
@@ -511,6 +539,26 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("tokenmorph: error[missing-file]:")
         assert err.count("\n") == 1
+
+    def test_input_path_through_a_file(self, token_files, capsys):
+        # Ended in a NotADirectoryError traceback before.
+        source_path, target_path = token_files
+        assert main(["dist", str(source_path / "x"), str(target_path)]) == EXIT_MISSING_FILE
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[missing-file]:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "."])
+    def test_gen_synthetic_name_outside_the_out_dir(self, name, tmp_path, capsys):
+        # "../escaped" wrote escaped.json next to the out dir and "a/b"
+        # exited 3 after making the out dir before.
+        out = tmp_path / "sub"
+        assert main(["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2",
+                     "--name", name, "--out-dir", str(out)]) == EXIT_INVALID_VALUE
+        assert capsys.readouterr().err == (
+            "tokenmorph: error[invalid-value]: --name must be a file stem inside the "
+            f"output directory, got {name!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag(self, token_files, capsys):
         source_path, target_path = token_files
@@ -783,11 +831,8 @@ def test_repeated_main_calls_match_fresh_processes(token_files, weighted_files, 
     for k, argv in enumerate(cases):
         cwd = tmp_path / f"fresh{k}"
         cwd.mkdir()
-        src = str(Path(cli_module.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         result = subprocess.run([sys.executable, "-m", "tokenmorph.cli", *argv], cwd=cwd,
-                                capture_output=True, text=True, timeout=60, env=env)
+                                capture_output=True, text=True, timeout=60, env=_child_env())
         files = _dir_bytes(cwd / "out") if (cwd / "out").exists() else {}
         fresh.append((result.returncode, result.stdout, files))
     assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
@@ -803,14 +848,18 @@ def test_repeated_main_calls_match_fresh_processes(token_files, weighted_files, 
             assert (code, capsys.readouterr().out, files) == fresh[k], (round_, argv)
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child process that imports this tokenmorph."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _run_cli(*args: str) -> subprocess.CompletedProcess:
     """Run the CLI in a child process; the timeout turns a hang into a failure."""
-    src = str(Path(cli_module.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, "-m", "tokenmorph.cli", *args],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_child_env(),
     )
 
 
@@ -860,3 +909,32 @@ def test_console_entry_point(token_files):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "0.0"
+
+
+# Runs each argv given as JSON through cli.main, then prints the test-only
+# packages that were imported.
+_IMPORT_PROBE = """
+import json, sys
+from tokenmorph.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.partition(".")[0] in ("scipy", "hypothesis", "pytest"))))
+"""
+
+
+def test_the_runtime_imports_numpy_only(token_files, weighted_files, tmp_path):
+    # The test extras are installed wherever the suite runs, so a stray
+    # import of one of them would go unnoticed in-process.
+    out = str(tmp_path / "out")
+    cases = [
+        ["demo", "--frames", "2", "--tau", "0.3", "--out-dir", out],
+        ["morph", *map(str, token_files), "--frames", "2", "--tau", "0.3", "--out-dir", out],
+        ["morph", *map(str, token_files), "--frames", "2", "--init", "linear-init",
+         "--out-dir", out],
+        ["morph", *map(str, weighted_files), "--frames", "2", "--out-dir", out],
+    ]
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(cases)],
+                            capture_output=True, text=True, timeout=60, env=_child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

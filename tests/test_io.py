@@ -515,5 +515,5 @@ class TestSynth:
         midpoint = index_lerp(source, target, 0.5)
         assert np.abs(midpoint.points[:, 0]).max() < 1.0  # collapsed to the gap center
         plan = solve_exact_ot(source, target)
-        ii, jj = np.nonzero(plan.coupling > 1e-12)
-        assert np.all(np.sign(source.points[ii, 0]) == np.sign(target.points[jj, 0]))
+        assert np.all(np.sign(source.points[plan.rows, 0])
+                      == np.sign(target.points[plan.cols, 0]))

@@ -28,6 +28,7 @@ from conftest import (
     assert_ownership_rule,
     brute_force_matching,
     brute_force_permutation,
+    dense,
     dirichlet_tokenset,
     exact_plan_cost,
     linprog_plan,
@@ -36,6 +37,12 @@ from conftest import (
     simplex_cost,
     sorted_1d_ot,
 )
+
+
+def _support(plan):
+    """A plan's shape and the bytes of its support arrays, for comparing
+    two plans byte for byte."""
+    return plan.shape, plan.rows.tobytes(), plan.cols.tobytes(), plan.mass.tobytes()
 
 
 class TestCostMatrix:
@@ -135,7 +142,7 @@ class TestSquaredDistances:
 class TestSolveExactOT:
     def test_identical_single_diracs(self):
         plan = solve_exact_ot(TokenSet([[1.0, 2.0]]), TokenSet([[1.0, 2.0]]))
-        np.testing.assert_array_equal(plan.coupling, [[1.0]])
+        np.testing.assert_array_equal(dense(plan), [[1.0]])
         assert plan.total_cost == 0.0
 
     def test_1d_derived_example(self):
@@ -143,11 +150,11 @@ class TestSolveExactOT:
         # the swap (25+4)/2 = 14.5, so the optimum matches 0->3, 1->5.
         plan = solve_exact_ot(TokenSet([[0.0], [1.0]]), TokenSet([[3.0], [5.0]]))
         assert plan.total_cost == pytest.approx(12.5, rel=1e-12)
-        np.testing.assert_array_equal(plan.coupling, [[0.5, 0.0], [0.0, 0.5]])
+        np.testing.assert_array_equal(dense(plan), [[0.5, 0.0], [0.0, 0.5]])
 
     def test_forced_coupling_to_single_atom(self):
         plan = solve_exact_ot(TokenSet([[0.0], [1.0]]), TokenSet([[5.0]]))
-        np.testing.assert_array_equal(plan.coupling, [[0.5], [0.5]])
+        np.testing.assert_array_equal(dense(plan), [[0.5], [0.5]])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -182,12 +189,13 @@ class TestSolveExactOT:
             a = TokenSet(rng.normal(size=(n, m)), wa / wa.sum())
             b = TokenSet(rng.normal(size=(n2, m)), wb / wb.sum())
             plan = solve_exact_ot(a, b)
-            np.testing.assert_allclose(plan.coupling.sum(axis=1), a.weights, atol=1e-9)
-            np.testing.assert_allclose(plan.coupling.sum(axis=0), b.weights, atol=1e-9)
-            assert plan.coupling.min() >= 0.0
-            assert plan.total_cost == pytest.approx(
-                float(np.sum(plan.coupling * cost_matrix(a, b).values)), rel=1e-9
-            )
+            np.testing.assert_allclose(np.bincount(plan.rows, plan.mass, n), a.weights,
+                                       atol=1e-9)
+            np.testing.assert_allclose(np.bincount(plan.cols, plan.mass, n2), b.weights,
+                                       atol=1e-9)
+            assert plan.mass.min() > 0.0
+            costs = cost_matrix(a, b).values[plan.rows, plan.cols]
+            assert plan.total_cost == pytest.approx(float(np.sum(plan.mass * costs)), rel=1e-9)
 
     def test_general_weights_match_reference_lp(self):
         rng = np.random.default_rng(13)
@@ -211,9 +219,10 @@ class TestSolveExactOT:
             plan_shifted = solve_exact_ot(
                 TokenSet(a.points + shift), TokenSet(b.points + shift)
             )
-            np.testing.assert_allclose(
-                plan.coupling, plan_shifted.coupling, atol=1e-12
-            )
+            assert plan_shifted.shape == plan.shape
+            np.testing.assert_array_equal(plan_shifted.rows, plan.rows)
+            np.testing.assert_array_equal(plan_shifted.cols, plan.cols)
+            np.testing.assert_allclose(plan_shifted.mass, plan.mass, rtol=0, atol=1e-12)
             assert plan_shifted.total_cost == pytest.approx(
                 plan.total_cost, rel=1e-9, abs=1e-9
             )
@@ -232,7 +241,10 @@ class TestSolveExactOT:
                 TokenSet(a.points + shift, a.weights),
                 TokenSet(b.points + shift, b.weights),
             )
-            np.testing.assert_allclose(plan.coupling, plan_shifted.coupling, atol=1e-12)
+            assert plan_shifted.shape == plan.shape
+            np.testing.assert_array_equal(plan_shifted.rows, plan.rows)
+            np.testing.assert_array_equal(plan_shifted.cols, plan.cols)
+            np.testing.assert_allclose(plan_shifted.mass, plan.mass, rtol=0, atol=1e-12)
             assert plan_shifted.total_cost == pytest.approx(
                 plan.total_cost, rel=1e-9, abs=1e-9
             )
@@ -242,7 +254,7 @@ class TestSolveExactOT:
         b = TokenSet([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         first = solve_exact_ot(a, b)
         second = solve_exact_ot(a, b)
-        np.testing.assert_array_equal(first.coupling, second.coupling)
+        assert _support(first) == _support(second)
         assert first.total_cost == pytest.approx((0 + 2 + 0) / 3, rel=1e-9)
 
     def test_determinism(self):
@@ -251,7 +263,7 @@ class TestSolveExactOT:
         b = random_tokenset(rng, 9, 3)
         p1 = solve_exact_ot(a, b)
         p2 = solve_exact_ot(a, b)
-        np.testing.assert_array_equal(p1.coupling, p2.coupling)
+        assert _support(p1) == _support(p2)
         assert p1.total_cost == p2.total_cost
 
     def test_concurrent_solves_on_shared_sets(self):
@@ -264,7 +276,7 @@ class TestSolveExactOT:
         with ThreadPoolExecutor(max_workers=4) as pool:
             plans = list(pool.map(lambda _: solve_exact_ot(a, b), range(8)))
         for plan in plans:
-            np.testing.assert_array_equal(plan.coupling, reference.coupling)
+            assert _support(plan) == _support(reference)
 
 
 class TestPlanCost:
@@ -289,8 +301,8 @@ class TestPlanCost:
             plan = solve_exact_ot(a, b)
             values = cost_matrix(a, b).values
             assert (plan.basis is None) != weighted
-            assert plan.total_cost == exact_plan_cost(plan.coupling, values)
-            layout_differs += plan.total_cost != float(np.sum(plan.coupling * values))
+            assert plan.total_cost == exact_plan_cost(plan, values)
+            layout_differs += plan.total_cost != float(np.sum(dense(plan) * values))
         # The instances reach the last bit: a sum grouped by the n x n'
         # layout, as numpy's pairwise reduction groups it, misses it on some.
         assert layout_differs > 0
@@ -300,9 +312,11 @@ class TestPlanCost:
         real_sqrt = math.sqrt
         monkeypatch.setattr(math, "sqrt", lambda x: squared.append(x) or real_sqrt(x))
         for a, b in self._instances(weighted=False):
-            # The identity plan's cells: 1/n times the cost matrix's diagonal.
-            diagonal = np.diag(np.diag(cost_matrix(a, b).values))
-            expected = exact_plan_cost(np.full((a.n, a.n), 1.0 / a.n), diagonal)
+            # The identity plan: mass 1/n on each diagonal cell.
+            diagonal = np.arange(a.n)
+            identity = TransportPlan(diagonal, diagonal, np.full(a.n, 1.0 / a.n),
+                                     (a.n, a.n), 0.0)
+            expected = exact_plan_cost(identity, cost_matrix(a, b).values)
             assert ot_module.identity_w2(a, b) == real_sqrt(expected)
             assert squared.pop() == expected
 
@@ -367,23 +381,6 @@ class TestPlanCost:
                 assert built.shape == (2, 2)
                 return getattr(built, name)
             assert_ownership_rule(store, values)
-
-    @pytest.mark.parametrize("weighted", [False, True], ids=["assignment", "simplex"])
-    def test_coupling_is_a_fresh_dense_array_of_the_support(self, weighted):
-        for a, b in itertools.islice(self._instances(weighted), 10):
-            plan = solve_exact_ot(a, b)
-            coupling = plan.coupling
-            assert coupling.shape == plan.shape == (a.n, b.n)
-            assert coupling[plan.rows, plan.cols].tobytes() == plan.mass.tobytes()
-            off_support = np.ones(plan.shape, dtype=bool)
-            off_support[plan.rows, plan.cols] = False
-            assert not coupling[off_support].any()
-            # Each access builds a new writable array; writing to one
-            # changes neither the plan nor the next.
-            coupling[:] = 1.0
-            again = plan.coupling
-            assert again is not coupling and not again[off_support].any()
-            assert again[plan.rows, plan.cols].tobytes() == plan.mass.tobytes()
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["assignment", "simplex"])
     def test_support_mass_sums_to_the_weights(self, weighted):
@@ -900,9 +897,11 @@ class TestNetworkSimplex:
         s = 10.0 ** exponent
         plan = solve_exact_ot(TokenSet(s * a.points, a.weights),
                               TokenSet(s * b.points, b.weights))
-        np.testing.assert_allclose(plan.coupling.sum(axis=1), a.weights, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(plan.coupling.sum(axis=0), b.weights, rtol=0, atol=1e-12)
-        assert plan.coupling.min() >= 0.0
+        np.testing.assert_allclose(np.bincount(plan.rows, plan.mass, n), a.weights,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.bincount(plan.cols, plan.mass, n2), b.weights,
+                                   rtol=0, atol=1e-12)
+        assert plan.mass.min() > 0.0
         assert plan.basis.shape == (n + n2 - 1,)
         # The oracle solves the unscaled problem, where HiGHS's absolute
         # tolerances are meaningful; the optimum scales by s**2.
@@ -968,7 +967,7 @@ class TestNetworkSimplex:
         assert first[0].flow == second[0].flow
         moved = TokenSet(a.points + 1.0, a.weights)
         again = [solve_exact_ot(moved, b, start=plan) for _ in range(2)]
-        assert again[0].coupling.tobytes() == again[1].coupling.tobytes()
+        assert _support(again[0]) == _support(again[1])
         np.testing.assert_array_equal(again[0].basis, again[1].basis)
 
     @settings(max_examples=40, deadline=None)
@@ -982,8 +981,10 @@ class TestNetworkSimplex:
         other = solve_exact_ot(TokenSet(a.points, rng.dirichlet(np.ones(n))),
                                TokenSet(b.points, rng.dirichlet(np.ones(n2))))
         plan = solve_exact_ot(a, b, start=other)
-        np.testing.assert_allclose(plan.coupling.sum(axis=1), a.weights, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(plan.coupling.sum(axis=0), b.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.bincount(plan.rows, plan.mass, n), a.weights,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.bincount(plan.cols, plan.mass, n2), b.weights,
+                                   rtol=0, atol=1e-12)
         values = cost_matrix(a, b).values
         reference = linprog_plan(a, b)[1]
         assert plan.total_cost == pytest.approx(reference, rel=1e-9, abs=1e-12)
@@ -991,7 +992,7 @@ class TestNetworkSimplex:
         tree = ot_module._BasisTree(values, other.basis)
         if not tree.set_flows(a.weights, b.weights):
             cold = solve_exact_ot(a, b)
-            assert plan.coupling.tobytes() == cold.coupling.tobytes()
+            assert _support(plan) == _support(cold)
 
     def test_start_of_another_shape_or_route_is_ignored(self):
         rng = np.random.default_rng(41)
@@ -1003,13 +1004,13 @@ class TestNetworkSimplex:
                       TransportPlan(cold.rows, cold.cols, cold.mass, cold.shape,
                                     cold.total_cost)):
             plan = solve_exact_ot(a, b, start=start)
-            assert plan.coupling.tobytes() == cold.coupling.tobytes()
+            assert _support(plan) == _support(cold)
             assert plan.total_cost == cold.total_cost
             np.testing.assert_array_equal(plan.basis, cold.basis)
         uniform = TokenSet(a.points)
         plan = solve_exact_ot(uniform, uniform, start=cold)
         assert plan.basis is None
-        np.testing.assert_array_equal(plan.coupling, np.eye(6) / 6)
+        np.testing.assert_array_equal(dense(plan), np.eye(6) / 6)
         # basis: the carried tree's cells, ascending, in a fresh array each
         # time; writing to one changes neither the plan nor a warm start.
         basis = cold.basis
@@ -1022,7 +1023,7 @@ class TestNetworkSimplex:
         basis[:] = 0
         np.testing.assert_array_equal(cold.basis, expected)
         again = solve_exact_ot(moved, b, start=cold)
-        assert again.coupling.tobytes() == warm.coupling.tobytes()
+        assert _support(again) == _support(warm)
         np.testing.assert_array_equal(again.basis, warm.basis)
 
     def test_least_cost_start_builds_a_spanning_tree(self):

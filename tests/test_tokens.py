@@ -107,13 +107,29 @@ def test_read_only_array_builds_lists_and_casts_once():
     # The array np.asarray builds is the one copy: no second one is made.
     values, ints = [0.5] * 100_000, np.arange(100_000, dtype=np.int32)
     for value in (values, ints):
-        tracemalloc.start()
-        try:
-            read_only_array(value)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert 8 * 100_000 <= _peak_bytes(read_only_array, value) < 1.5 * 8 * 100_000
+    # A token set of 1-D points makes one copy in column shape, also of a
+    # read-only array that it would adopt in (n, 1) shape.
+    weights = np.full(100_000, 1e-5)
+    weights.setflags(write=False)
+    owned = np.arange(100_000.0)
+    owned.setflags(write=False)
+    for value in (values, ints, np.arange(100_000.0), owned):
+        peak = _peak_bytes(lambda points: TokenSet(points, weights), value)
         assert 8 * 100_000 <= peak < 1.5 * 8 * 100_000
+        points = TokenSet(value, weights).points
+        assert points.shape == (100_000, 1) and points.flags.owndata
+        assert not points.flags.writeable and not np.shares_memory(points, value)
+    assert owned.shape == (100_000,) and not owned.flags.writeable
+
+
+def _peak_bytes(build, value) -> int:
+    tracemalloc.start()
+    try:
+        build(value)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_read_only_array_copies_another_objects_array():
