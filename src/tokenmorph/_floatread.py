@@ -4,12 +4,13 @@
 per value. ``json_numbers`` reads a run of them to the same doubles
 with no per-value Python, in blocks of about 64 KiB:
 
-- Tokens: ``bytes.translate`` codes every byte; each point, sign and e
-  is checked against strict JSON number grammar from its own code and
-  its neighbours'. With its points removed (``bytes.replace``) the text
-  is a digit stream, and each mantissa of up to 19 digits is read from
-  three unaligned 8-byte windows ending at it, masked to its own digits
-  and combined eight digits at a time (SWAR).
+- Tokens: ``bytes.translate`` codes every byte, each digit as its
+  value; each bracket, point, sign and e is checked against strict JSON
+  number grammar from its own code and its neighbours'. With its points
+  removed (``bytes.replace``) the coded text is a digit stream, and each
+  mantissa of up to 19 digits is read from three unaligned 8-byte
+  windows ending at it, masked to its own digits and combined eight
+  digits at a time (SWAR).
 - Values ``w * 10**q``: Clinger's exact path ("How to read floating
   point numbers accurately", PLDI 1990) when ``w < 2**53`` and
   ``|q| <= 22``, one correctly rounded multiply or divide. Otherwise, as
@@ -29,30 +30,36 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._floatrepr import _G0, _G1, _K_MAX, _K_MIN, _U, _mulhi
+from ._floatrepr import _G0, _G1, _K_MAX, _K_MIN, _M32, _U
 
 # Bytes of text per block. Interleaved reads of a 512 x 64 blob file,
-# medians of 60, 2 vCPUs: 19.7 ms in blocks of 32 KiB (tracemalloc peak
-# 0.65 MiB), 15.5 ms at 64 KiB (1.00 MiB), 13.7 ms at 128 KiB (1.70 MiB);
-# json.loads and np.asarray took 22.7 ms (1.64 MiB).
+# medians of 60 in two sessions, 2 vCPUs: 12.4-16.4 ms in blocks of 32 KiB
+# (tracemalloc peak 0.65 MiB), 9.7-12.3 ms at 64 KiB (1.00 MiB), 8.6-10.8
+# ms at 128 KiB (1.70 MiB); json.loads and np.asarray took 13.4-18.5 ms.
 _READ_BLOCK = 1 << 16
 
-# Byte codes for bytes.translate, 0 for digits: bits 4-6 say what a
-# byte is (1 ",", 2 ";", 3 ".", 4 "-", 5 "+", 6 "e" or "E", 7 else),
-# bits 2-3 what it is as the byte before another (0 digit, 1 separator,
-# 2 e, 3 else), bits 0-1 what it is as the byte after one (0 digit,
-# 1 sign, 2 else).
-_CODE = bytes(0 if 48 <= b <= 57 else
-              {44: 0x16, 59: 0x26, 46: 0x3E, 45: 0x4D, 43: 0x5D, 101: 0x6A, 69: 0x6A}.get(b, 0x7E)
-              for b in range(256))
-_SEMICOLON, _POINT, _MINUS, _E = 0x26, 0x3E, 0x4D, 0x6A
-# Where strict JSON number grammar allows a point, sign or e, by its
-# bits 4-6 and the before and after bits of its neighbours: a point
-# between digits, a "-" that starts a token or follows an e, a "+" after
-# an e, an e after a digit and before a digit or sign. Every token then
-# ends in a digit, since the text ends in a separator.
-_ALLOWED = np.zeros(128, dtype=bool)
-_ALLOWED[[0x30, 0x44, 0x48, 0x58, 0x60, 0x61]] = True
+# Byte codes for bytes.translate. A digit codes as its value 0-9, so
+# that the coded text without its points is a digit stream. Every other
+# byte codes as 0x40 or more: bits 6-7 say what it is as the byte before
+# another (0 digit, 1 separator, 2 e, 3 else), bits 4-5 what it is as the
+# byte after one (0 digit, 1 sign, 2 else), bits 0-3 what it is (1 ",",
+# 2 "]", 3 ".", 4 "-", 5 "+", 6 "e" or "E", 7 else, 8 "[").
+_CODE = bytes(b - 48 if 48 <= b <= 57 else
+              {44: 0x61, 93: 0xE2, 46: 0xE3, 45: 0xD4, 43: 0xD5, 101: 0xA6, 69: 0xA6,
+               91: 0x68}.get(b, 0xE7) for b in range(256))
+_COMMA, _CLOSE, _POINT, _MINUS, _E, _OPEN = 0x61, 0xE2, 0xE3, 0xD4, 0xA6, 0x68
+# A coded token back to text that float() reads as it read the original.
+_DECODE = bytes.maketrans(bytes([*range(10), _POINT, _MINUS, 0xD5, _E]), b"0123456789.-+e")
+_BRACKETS = bytes([_CLOSE, _OPEN])
+# Where strict JSON number grammar allows a bracket, point, sign or e, by
+# its bits 0-3 and the before and after bits of its neighbours: a "]"
+# after a digit and before a separator, a "[" after a separator and
+# before a digit or sign, a point between digits, a "-" that starts a
+# token or follows an e, a "+" after an e, an e after a digit and before
+# a digit or sign. Every token then ends in a digit, since the text ends
+# in a separator.
+_ALLOWED = np.zeros(256, dtype=bool)
+_ALLOWED[[0x22, 0x48, 0x58, 0x03, 0x44, 0x84, 0x85, 0x06, 0x16]] = True
 _LOW_NIBBLES = _U(0x0F0F0F0F0F0F0F0F)
 # Zero digits ahead of the digit stream, so that every mantissa's three
 # windows start inside the stream.
@@ -65,6 +72,15 @@ _EXACT_POW10 = np.array([float(10 ** k) for k in range(23)])
 _kept = np.clip(np.arange(20)[:, None] - np.array([16, 8, 0]), 0, 8)
 _WINDOW_MASK = _LOW_NIBBLES << (8 * (8 - _kept)).astype(np.uint64)
 del _kept
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b."""
+    a0, a1 = a & _M32, a >> _U(32)
+    b0, b1 = b & _M32, b >> _U(32)
+    lo, m1, m2 = a0 * b0, a1 * b0, a0 * b1
+    mid = (lo >> _U(32)) + (m1 & _M32) + (m2 & _M32)
+    return a1 * b1 + (m1 >> _U(32)) + (m2 >> _U(32)) + (mid >> _U(32))
 
 
 def _eight_digits(v: np.ndarray) -> np.ndarray:
@@ -103,10 +119,7 @@ def json_numbers(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.nda
             while cut > 0 and text[cut - 1] == ord("]"):
                 cut = text.find(b",", cut + 1, stop)
             cut = stop if cut < 0 else cut
-        block = text[start:cut]
-        # Rows end in ";" and every other number in ","; a ";" in the
-        # text itself is no JSON.
-        read = None if b";" in block else _read_block(block.replace(b"],[", b";") + b",")
+        read = _read_block(text[start:cut] + b",")
         if read is None:
             return None
         values.append(read[0])
@@ -119,19 +132,25 @@ def json_numbers(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.nda
 
 
 def _read_block(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """``json_numbers`` on ``text``, JSON numbers each followed by one
-    ``,`` or ``;``: the values, and whether each is followed by ``;``."""
-    layout = _layout(text)
+    """``json_numbers`` on ``text``, JSON numbers each followed by ``,``
+    or ``],[``, then by a final ``,``: the values, and whether a row ends
+    after each."""
+    coded = text.translate(_CODE)
+    layout = _layout(coded)
     if layout is None:
         return None
-    bounds, row_ends, neg, first, last, ends, nfrac, exp_at = layout
-    stream = b"0" * _PAD + text.replace(b".", b"")
+    bounds, row_ends, first, last, ends, nfrac, exp_at = layout
+    stream = b"\0" * _PAD + coded.replace(bytes([_POINT]), b"")
+    digits = np.frombuffer(stream, dtype=np.uint8)
+    neg = digits.take(first) == _MINUS
+    first += neg
     size = last - first
     # A leading zero before a digit.
-    if ((np.frombuffer(stream, dtype=np.uint8)[first] == ord("0")) & (size - nfrac > 1)).any():
+    if ((digits.take(first) == 0) & (size - nfrac > 1)).any():
         return None
-    windows = np.ndarray((len(stream) - 23, 3), dtype="<u8", buffer=stream, strides=(1, 8))
-    v = windows[last - 24]
+    # Each mantissa's three windows as one 24-byte item.
+    windows = np.ndarray((len(stream) - 23,), dtype="V24", buffer=stream, strides=(1,))
+    v = windows[last - 24].view("<u8").reshape(-1, 3)
     v &= _WINDOW_MASK.take(size, axis=0, mode="clip")
     v = _eight_digits(v)
     w = v[:, 0] * _U(10 ** 16)
@@ -163,62 +182,77 @@ def _read_block(text: bytes) -> tuple[np.ndarray, np.ndarray] | None:
         neg[zero[(last[zero] == ends[zero]) & (nfrac[zero] == 0)]] = False
     out.view(np.uint64)[:] |= neg.astype(np.uint64) << _U(63)
     for t in np.flatnonzero(fallback).tolist():
-        value = float(text[bounds[t - 1] + 1 if t else 0:bounds[t]])
+        value = float(coded[bounds[t - 1] + 1 if t else 0:bounds[t]].translate(_DECODE, _BRACKETS))
         if value in (np.inf, -np.inf):
             return None
         out[t] = value
     return out, row_ends
 
 
-def _layout(text: bytes):
+def _layout(coded: bytes):
     """Where each token's parts lie, or None if one breaks the grammar.
 
-    Returns the tokens' separator offsets in ``text``, whether each is
-    ";", and per token its sign, the digit stream offsets of its
-    mantissa's first digit and end and of its separator, its fraction
+    Returns the tokens' separator offsets in the coded text, whether a
+    row ends after each, and per token the digit stream offsets of its
+    first byte, of its mantissa's end and of its own end, its fraction
     digits, and one row (token, e offset, exponent sign is "-", exponent
-    digits) per token with an e. The digit stream is the text without
-    its points, after _PAD zeros.
+    digits) per token with an e. The digit stream is the coded text
+    without its points, after _PAD zeros.
     """
-    c = np.frombuffer(text.translate(_CODE), dtype=np.uint8)
-    special = np.flatnonzero(c != 0)
-    kind = c[special]
-    is_sep = kind < 0x30
+    c = np.frombuffer(coded, dtype=np.uint8)
+    special = np.flatnonzero(c > 9)
+    kind = c.take(special)
+    is_sep = kind == _COMMA
     sep_at = np.flatnonzero(is_sep)
     other = np.flatnonzero(~is_sep)
-    pos, k = special[other], kind[other]
-    before = c[pos - 1]  # c[-1] is the last separator
-    if not _ALLOWED[(k & 0x70) | (before & 0x0C) | (c[pos + 1] & 0x03)].all():
+    pos, k = special.take(other), kind.take(other)
+    # c[-1] is the last separator.
+    context = c.take(pos - 1) & 0xC0
+    context |= c.take(pos + 1) & 0x30
+    context |= k & 0x0F
+    if not _ALLOWED.take(context).all():
         return None
-    tok = other - np.arange(len(other))  # the token of each point, sign and e
-    is_dot, is_e = k == _POINT, k == _E
-    dot_tok, e_tok = tok[is_dot], tok[is_e]
-    if (dot_tok[1:] == dot_tok[:-1]).any() or (e_tok[1:] == e_tok[:-1]).any():
+    tok = other - np.arange(len(other))  # the token of each bracket, point, sign and e
+    dots, es = np.flatnonzero(k == _POINT), np.flatnonzero(k == _E)
+    dot_tok, e_tok = tok.take(dots), tok.take(es)
+    # Rows end at "],[": each "]" is followed by the "[" two bytes on.
+    closes, opens = np.flatnonzero(k == _CLOSE), np.flatnonzero(k == _OPEN)
+    if (len(closes) != len(opens) or (pos.take(opens) != pos.take(closes) + 2).any()
+            or (dot_tok[1:] == dot_tok[:-1]).any() or (e_tok[1:] == e_tok[:-1]).any()):
         return None
 
-    # A mantissa runs from its token's first digit to its e or
-    # separator; its point, if any, is nfrac digits before that end.
+    # A mantissa runs from its token's first digit to its e or the end of
+    # the token; its point, if any, is nfrac digits before that end.
     count = len(sep_at)
-    at = special - np.cumsum(kind == _POINT) + _PAD
-    ends = at[sep_at]
-    neg = np.zeros(count, dtype=bool)
-    neg[tok[(k == _MINUS) & ((before & 0x0C) == 0x04)]] = True
+    bounds = special.take(sep_at)
+    # A byte's stream offset is its coded offset less the points before
+    # it, plus _PAD; shift counts a token's point as before its e and its
+    # end (a point after the e then gives nfrac < 0).
+    shift = np.zeros(count, dtype=np.int64)
+    shift[dot_tok] = 1
+    shift = np.cumsum(shift) - _PAD
+    ends = bounds - shift
     first = np.empty(count, dtype=np.int64)
     first[0] = _PAD
     first[1:] = ends[:-1] + 1
-    first += neg
+    # A row's last token ends at its "]", and the next one starts after "[".
+    row_end = tok.take(closes)
+    ends[row_end] -= 1
+    first[row_end + 1] += 1
+    row_ends = np.zeros(count, dtype=bool)
+    row_ends[row_end] = True
     last = ends.copy()
-    e_at = at[other[is_e]]
+    e_at = pos.take(es) - shift.take(e_tok)
     last[e_tok] = e_at
     nfrac = np.zeros(count, dtype=np.int64)
-    nfrac[dot_tok] = last[dot_tok] - at[other[is_dot]] - 1
+    nfrac[dot_tok] = last.take(dot_tok) - (pos.take(dots) - shift.take(dot_tok)) - 1
     # An empty token, or a point after the e.
     if (last <= first).any() or (nfrac < 0).any():
         return None
-    sign = c[pos[is_e] + 1] & 0x03  # 1 for "+" or "-"
-    exp_at = np.stack([e_tok, e_at, c[pos[is_e] + 1] == _MINUS, ends[e_tok] - e_at - 1 - sign],
-                      axis=1)
-    return special[sep_at], kind[sep_at] == _SEMICOLON, neg, first, last, ends, nfrac, exp_at
+    after_e = c.take(pos.take(es) + 1)
+    sign = (after_e & 0x30) >> 4  # 1 for "+" or "-"
+    exp_at = np.stack([e_tok, e_at, after_e == _MINUS, ends.take(e_tok) - e_at - 1 - sign], axis=1)
+    return bounds, row_ends, first, last, ends, nfrac, exp_at
 
 
 def _scaled(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -55,19 +55,18 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
 _G1, _G0 = _powers_of_ten()
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b."""
-    a0, a1 = a & _M32, a >> _U(32)
-    b0, b1 = b & _M32, b >> _U(32)
-    lo, m1, m2 = a0 * b0, a1 * b0, a0 * b1
-    mid = (lo >> _U(32)) + (m1 & _M32) + (m2 & _M32)
-    return a1 * b1 + (m1 >> _U(32)) + (m2 >> _U(32)) + (mid >> _U(32))
+def _mulhi(a1: np.ndarray, a0: np.ndarray, b1: np.ndarray, b0: np.ndarray) -> np.ndarray:
+    """High 64 bits of a * b from 32-bit halves; a < 2^63, b < 2^60: no sum overflows."""
+    mid = ((a0 * b0) >> _U(32)) + a1 * b0 + a0 * b1
+    return a1 * b1 + (mid >> _U(32))
 
 
-def _rop(g1: np.ndarray, g0: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """cp * g / 2^127 rounded to odd."""
-    z = ((g1 * cp) >> _U(1)) + _mulhi(g0, cp)
-    return (_mulhi(g1, cp) + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
+def _rop(g: tuple, g1: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """cp * g / 2^127 rounded to odd, for cp < 2^60; ``g`` holds the
+    32-bit halves of g1 and g0, which a value's three products share."""
+    c1, c0 = cp >> _U(32), cp & _M32
+    z = ((g1 * cp) >> _U(1)) + _mulhi(g[2], g[3], c1, c0)
+    return (_mulhi(g[0], g[1], c1, c0) + (z >> _U(63))) | (((z & _M63) + _M63) >> _U(63))
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,26 +84,26 @@ def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cb = c << _U(2)
     k = (q * 661971961083 - irregular * 274743187321) >> 41
     h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
-    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
-    vb = _rop(g1, g0, cb << h)
-    vbl = _rop(g1, g0, (cb - _U(2) + irregular) << h)
-    vbr = _rop(g1, g0, (cb + _U(2)) << h)
+    g1, g0 = _G1.take(k - _K_MIN), _G0.take(k - _K_MIN)
+    # cp = c 2^(h + 2) < 2^60, as h <= 5.
+    g = (g1 >> _U(32), g1 & _M32, g0 >> _U(32), g0 & _M32)
+    vb = _rop(g, g1, cb << h)
+    vbl = _rop(g, g1, (cb - _U(2) + irregular) << h) + out
+    vbr = _rop(g, g1, (cb + _U(2)) << h) - out
 
     s = vb >> _U(2)
+    s4 = s << _U(2)
     # One digit shorter: the multiples of ten around s, if exactly one of
-    # them rounds back to the value.
+    # them rounds back to the value (lies within [vbl, vbr] / 4).
     sp10 = (s // _U(10)) * _U(10)
-    tp10 = sp10 + _U(10)
-    upin = vbl + out <= sp10 << _U(2)
-    wpin = (tp10 << _U(2)) + out <= vbr
-    # Else s or s + 1: whichever alone rounds back, or the nearer one.
-    t1 = s + _U(1)
-    uin = vbl + out <= s << _U(2)
-    win = (t1 << _U(2)) + out <= vbr
-    mid = (s + t1) << _U(1)
-    nearer_s = (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0))
-    f = np.where(upin != wpin, np.where(upin, sp10, tp10),
-                 np.where(np.where(uin != win, uin, nearer_s), s, t1))
+    upin = vbl <= sp10 << _U(2)
+    wpin = (sp10 << _U(2)) + _U(40) <= vbr
+    # Else s or s + 1: whichever alone rounds back, or the nearer (s on an even tie).
+    uin = vbl <= s4
+    win = s4 + _U(4) <= vbr
+    nearer_s = vb + (s & _U(1)) <= s4 + _U(2)
+    f = s + _U(1) - ((uin & ~win) | (nearer_s & (uin == win)))
+    np.copyto(f, sp10 + wpin * _U(10), where=upin != wpin)
     return f, k
 
 
@@ -120,68 +119,70 @@ _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 #   1-4: digits 2..17 as (separator, digit) byte pairs; a separator
 #        byte is NUL, or the decimal point before that digit
 #   5: exponent ("e-05"), closing bracket, comma
-_CELL = 48
-_HEAD = _words([b"\0" + sign + prefix for sign in (b"", b"-")
-                for prefix in (b"", b"0.", b"0.0", b"0.00", b"0.000")], 8)
-_EXP = _words([b"e%+03d" % e for e in range(-324, 309)] + [b""], 8)
-_EXP_NONE = len(_EXP) - 1
+# The layout depends on the decimal exponent x only through its class
+# clip(x, -5, 16) + 5: -4..15 are positional, -5 and 16 stand for the rest.
+_X = np.arange(-5, 17)
+_HEAD = _words([b"\0" + sign + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")
+                for sign in (b"", b"-") for x in _X.tolist()], 8)
+_EXP = _words([(b"" if -4 <= x <= 15 else b"e%+03d" % x).ljust(5, b"\0") + b","
+               for x in range(-324, 309)], 8)
 
-_g = np.arange(10000, dtype=np.uint64)
-# Each 4-digit group as (0xFF, digit) pairs; masks then pick what shows.
-_GROUP = sum(((_g // _U(10 ** (3 - i)) % _U(10) + _U(48)) << _U(16 * i + 8))
-              | _U(0xFF << (16 * i)) for i in range(4))
-# Significant digits of a nonzero group (-99 for 0000, so it never wins).
-_SIG = 4 - sum((_g % _U(10 ** i) == 0) for i in (1, 2, 3)).astype(np.int64)
-_SIG[0] = -99
-del _g
+# Each 4-digit group 0000-9999 as (0xFF, digit) pairs, its digit i running
+# through "0"-"9" in steps of 10^(3 - i) groups; masks then pick what shows.
+_GROUP = sum((np.tile(np.repeat(np.arange(48, 58, dtype=np.uint64), 10 ** (3 - i)), 10 ** i)
+              << _U(16 * i + 8)) | _U(0xFF << (16 * i)) for i in range(4))
+# Significant digits of a nonzero group, 4 less its trailing zeros; -12
+# for 0000, so that only a value whose four groups are all 0000 gets 1.
+_SIG = 4 - sum(np.tile(np.arange(10 ** i) == 0, 10 ** (4 - i)) for i in (1, 2, 3)).astype(np.int16)
+_SIG[0] = -12
+_SIG_AT = np.array([[1], [5], [9], [13]], dtype=np.int16)
 
-# Masks for words 1-4 by (digits shown L, point position p): keep the
-# first L digits and put "." after the first p (p = 0: no point).
-_j = np.arange(1, 17)
-_mask = np.zeros((18, 17, 16, 2), dtype=np.uint8)
-_mask[..., 0] = np.where(_j == np.arange(17)[:, None], ord("."), 0)
-_mask[..., 1] = np.where(_j < np.arange(18)[:, None, None], 0xFF, 0)
-_MASK = _mask.reshape(18 * 17, 32).view("<u8")
-del _j, _mask
+# Masks for words 1-4 by (significant digits L, exponent class): show L
+# digits, or up to one past a positional point, and "." after the first p.
+_sig = np.arange(18)[:, None]
+_whole = (_X >= 0) & (_X <= 15)
+_shown = np.where(_whole, np.maximum(_sig, _X + 2), _sig)
+_point = np.where(_whole, _X + 1, ((_X < -4) | (_X > 15)) & (_sig > 1))
+_mask = np.zeros((18, 22, 16, 2), dtype=np.uint8)
+_mask[..., 0] = np.where(np.arange(1, 17) == _point[..., None], ord("."), 0)
+_mask[..., 1] = np.where(np.arange(1, 17) < _shown[..., None], 0xFF, 0)
+_MASK = np.ascontiguousarray(_mask.reshape(18 * 22, 32).view("<u8").T)
+del _sig, _whole, _shown, _point, _mask
 
-# Values per pass: large enough to amortize numpy's per-call cost, small
-# enough that a pass's temporaries stay in cache. Medians of 60
-# interleaved calls, 2 vCPUs: a 256x64 frame took 6.6 ms in passes of
-# 4096, 7.5 at 8192, 8.7 at 2048 and 9.2 in one pass of 16384; a 512x64
-# array 13.2, 14.1, 16.0 and 16.5 ms.
+# Values per pass: enough to amortize numpy's per-call cost, few enough
+# that a pass's temporaries stay small. Medians of 60 interleaved calls,
+# 2 vCPUs, in passes of 4096/8192/2048/16384: a 256x64 frame 4.9/4.7/5.4/6.3
+# ms, a 512x64 array 9.1/9.0/10.8/11.0 ms; 8192 is within noise of 4096.
 _BLOCK = 4096
 
 
-def _fill(cells: np.ndarray, bits: np.ndarray) -> None:
-    """Write the text of the doubles ``bits`` into words 0-5 of ``cells``."""
+def _fill(words: np.ndarray, bits: np.ndarray) -> None:
+    """Write the text of the doubles ``bits`` into their cells, held as
+    the rows of ``words``: row j holds word j of every cell."""
     f, e = _shortest(bits)
     zero = (bits << _U(1)) == 0
     f[zero] = 0
     nd = np.searchsorted(_POW10, f, side="right")
-    f17 = f * _POW10[17 - nd]
-    exp10 = np.where(zero, 0, e + nd - 1)
+    f17 = f * _POW10.take(17 - nd)
+    exp10 = e + nd - 1
+    exp10[zero] = 0
     hi = f17 // _U(10 ** 8)
     lo = f17 - hi * _U(10 ** 8)
     top = hi // _U(10 ** 4)
     first = top // _U(10 ** 4)
-    groups = np.empty((len(bits), 4), dtype=np.intp)
-    groups[:, 0] = top - first * _U(10 ** 4)
-    groups[:, 1] = hi - top * _U(10 ** 4)
-    groups[:, 2] = lo // _U(10 ** 4)
-    groups[:, 3] = lo % _U(10 ** 4)
-    sig = np.maximum(np.maximum(1 + _SIG[groups[:, 0]], 5 + _SIG[groups[:, 1]]),
-                     np.maximum(9 + _SIG[groups[:, 2]], 13 + _SIG[groups[:, 3]]))
-    np.maximum(sig, 1, out=sig)
+    groups = np.empty((4, len(bits)), dtype=np.uint64)
+    np.subtract(top, first * _U(10 ** 4), out=groups[0])
+    np.subtract(hi, top * _U(10 ** 4), out=groups[1])
+    np.floor_divide(lo, _U(10 ** 4), out=groups[2])
+    np.subtract(lo, groups[2] * _U(10 ** 4), out=groups[3])
+    groups = groups.view(np.intp)
+    sig = np.maximum.reduce(_SIG.take(groups) + _SIG_AT)
 
-    positional = (exp10 >= -4) & (exp10 <= 15)
-    whole = positional & (exp10 >= 0)
-    # Digits shown: the significant ones, plus zeros up to one past the point.
-    shown = np.where(whole, np.maximum(sig, exp10 + 2), sig)
-    point = np.where(whole, exp10 + 1, (~positional & (sig > 1)).astype(np.int64))
-    head = (bits >> _U(63)).astype(np.intp) * 5 + np.where(positional & (exp10 < 0), -exp10, 0)
-    cells[:, 0] = _HEAD[head] | ((first + _U(48)) << _U(56))
-    cells[:, 1:5] = _GROUP[groups] & _MASK[shown * 17 + point]
-    cells[:, 5] = _EXP[np.where(positional, _EXP_NONE, exp10 + 324)]
+    x = np.clip(exp10, -5, 16) + 5
+    head = (bits >> _U(63)).view(np.int64) * 22 + x
+    words[0] = _HEAD.take(head) | ((first + _U(48)) << _U(56))
+    np.bitwise_and(_GROUP.take(groups), _MASK.take(sig * 22 + x, axis=1), out=words[1:5])
+    words[5] = _EXP.take(exp10 + 324)
 
 
 def json_float_array(values: np.ndarray) -> bytes:
@@ -192,18 +193,17 @@ def json_float_array(values: np.ndarray) -> bytes:
     values = np.asarray(values, dtype=np.float64)
     d = values.shape[-1]
     bits = np.ascontiguousarray(values).reshape(-1).view(np.uint64)
-    cells = np.empty((min(_BLOCK, bits.size), _CELL // 8), dtype="<u8")
+    words = np.empty((6, min(_BLOCK, bits.size)), dtype="<u8")
     outer = values.ndim == 2
     parts = [b"[" * outer]
     for start in range(0, bits.size, _BLOCK):
         block = bits[start:start + _BLOCK]
-        _fill(cells[:len(block)], block)
-        # Value start + i opens a row when (start + i) % d == 0 and closes
-        # one when it is d - 1; every value is followed by a comma.
-        text = cells[:len(block)].view(np.uint8)
-        text[:, 45] = ord(",")
-        text[-start % d::d, 0] = ord("[")
-        text[(d - 1 - start) % d::d, 45:47] = (ord("]"), ord(","))
-        parts.append(text.tobytes().translate(None, b"\0"))
+        cells = words[:, :len(block)]
+        _fill(cells, block)
+        # Value start + i opens a row when (start + i) % d == 0, and closes
+        # one when it is d - 1: the "," of its word 5 turns into "],".
+        cells[0, -start % d::d] |= _U(ord("["))
+        cells[5, (d - 1 - start) % d::d] += _U(((ord("]") - ord(",")) << 40) | (ord(",") << 48))
+        parts.append(cells.T.tobytes().translate(None, b"\0"))
     parts[-1] = parts[-1][:-1] + b"]" * outer
     return b"".join(parts)

@@ -408,14 +408,22 @@ def _report_bytes(tau: float, decisions: np.recarray) -> bytes:
 
 
 def _cmd_sweep_tau(args) -> int:
+    parts = [part.strip() for part in args.grid.split(",") if part.strip()]
     try:
-        args.grid = [float(part) for part in args.grid.split(",") if part.strip()]
+        args.grid = [float(part) for part in parts]
     except ValueError as exc:
         raise InvalidParameterError(f"bad --grid value: {exc}") from None
     if not args.grid:
         raise InvalidParameterError("--grid must name at least one threshold")
-    for tau in args.grid:
+    # Equal thresholds, such as 0.3 and 0.30 or -0.0 and 0.0, would list
+    # one report twice or write two reports of one threshold.
+    spelled = {}
+    for part, tau in zip(parts, args.grid):
         require_fraction("tau", tau)
+        if tau in spelled:
+            raise InvalidParameterError(
+                f"--grid repeats threshold {tau!r}: {spelled[tau]!r} and {part!r}")
+        spelled[tau] = part
     require_count("--frames", args.frames, 0)
     config = MorphConfig(J=args.frames)
 

@@ -42,10 +42,12 @@ FORMATS = ("json", "binary")
 _FILE_WEIGHT_SUM_TOL = 1e-9
 
 # Arrays this large are written by the numpy kernel, smaller ones by
-# json.dumps, whose fixed cost is lower: medians of 400 interleaved calls
-# on n x 8 arrays took 0.51-0.53 ms against 0.71-0.74 ms at 1 024 values,
-# about even near 600 and 0.30-0.50 ms against 0.18-0.19 ms at 128.
-# Canonical files with this many points are read by the numpy kernel too.
+# json.dumps, and canonical files with this many points are read by the
+# numpy kernel, smaller ones by json.loads: their fixed costs are lower.
+# Medians of 400 interleaved calls on n x 8 arrays in two sessions:
+# writes took 0.54-0.64 ms against 0.89-1.12 ms at 1 024 values, 0.48-0.51
+# against 0.54-0.67 ms at 512 and 0.35 against 0.16-0.18 ms at 128; reads
+# 0.65-0.70 ms against 0.63-0.65 ms at 1 024, about even.
 _KERNEL_MIN_VALUES = 1024
 
 # The writer's layout up to the first point; a canonical file then has

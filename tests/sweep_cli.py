@@ -4,7 +4,7 @@ Usage:
     PYTHONPATH=src python tests/sweep_cli.py
     PYTHONPATH=src python tests/sweep_cli.py --against REV
 
-Writes seeded input token files once, then runs 120 ``tokenmorph``
+Writes seeded input token files once, then runs 121 ``tokenmorph``
 commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
@@ -161,6 +161,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["sweep-tau", *uniform_unequal, "--grid", "0.3,0.9", *out],
         ["sweep-tau", *u24, "--grid", "a,b", *out],              # 6
         ["sweep-tau", *u24, "--grid", "0.3,1.5", *out],          # 6
+        ["sweep-tau", *u24, "--grid=0.3,0.30,-0.0,0.0", *out],   # 6
         ["sweep-tau", *u24, "--frames", "-1", *out],             # 6
         ["sweep-tau", *u24, "--format", "json", *out],           # 2
     ]

@@ -6,7 +6,8 @@ Two parts, both seeded by SEED (default 0):
 
 - Round trips: COUNT (default 4 194 304) finite float64 bit patterns,
   drawn as in ``sweep_float_repr.py`` (sign, every biased exponent 0 to
-  2046, significand uniform), are written by
+  2046, significand uniform), and that script's short decimals (1 to 17
+  significant digits at every decimal exponent), are written by
   ``tokenmorph._floatrepr.json_float_array`` and read back by
   ``tokenmorph._floatread.json_numbers``, which must give
   ``float(token)`` bit for bit.
@@ -29,6 +30,7 @@ import time
 
 import numpy as np
 
+from sweep_float_repr import short_decimals
 from tokenmorph._floatrepr import json_float_array
 from tokenmorph._floatread import json_numbers
 
@@ -98,6 +100,15 @@ def main(argv: list[str]) -> int:
             return 1
     print(f"{count} written doubles, seed {seed}: read as float() reads them "
           f"({time.perf_counter() - start:.1f} s)")
+    start = time.perf_counter()
+    short = short_decimals(seed)
+    for done in range(0, len(short), CHUNK):
+        bad = _check(json_float_array(short[done:done + CHUNK])[1:-1].split(b","))
+        if bad:
+            print(f"short decimal round trip mismatch (token, reader, float): {bad}")
+            return 1
+    print(f"{len(short)} written short decimals of 1-17 digits, seed {seed}: read as "
+          f"float() reads them ({time.perf_counter() - start:.1f} s)")
 
     start = time.perf_counter()
     tokens: list[bytes] = []

@@ -399,6 +399,24 @@ class TestOtherCommands:
         assert main(["sweep-tau", str(tmp_path / "nope.json"), str(target_path),
                      "--grid", "1.5", "--out-dir", str(out)]) == EXIT_INVALID_VALUE
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0.3,0.30", "--grid repeats threshold 0.3: '0.3' and '0.30'"),
+        ("0.2,-0.0,0.0", "--grid repeats threshold 0.0: '-0.0' and '0.0'"),
+    ])
+    @pytest.mark.parametrize("missing", [False, True], ids=["inputs", "missing input"])
+    def test_sweep_tau_rejects_a_repeated_threshold(self, grid, message, missing, token_files,
+                                                     tmp_path, capsys):
+        # Exited 0 before, listing sweep_tau_0.3.json twice in the manifest
+        # or writing both sweep_tau_-0.0.json and sweep_tau_0.0.json.
+        source_path, target_path = token_files
+        source = tmp_path / "nope.json" if missing else source_path
+        out = tmp_path / "sweep"
+        code = main(["sweep-tau", str(source), str(target_path), f"--grid={grid}",
+                     "--out-dir", str(out)])
+        assert code == EXIT_INVALID_VALUE
+        assert capsys.readouterr().err == f"tokenmorph: error[invalid-value]: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, extra", [
         ("morph", ["--frames", "1"]),
         ("barycenter", ["--beta", "0.5"]),
