@@ -135,7 +135,7 @@ _GROUP = sum((np.tile(np.repeat(np.arange(48, 58, dtype=np.uint64), 10 ** (3 - i
 # for 0000, so that only a value whose four groups are all 0000 gets 1.
 _SIG = 4 - sum(np.tile(np.arange(10 ** i) == 0, 10 ** (4 - i)) for i in (1, 2, 3)).astype(np.int16)
 _SIG[0] = -12
-_SIG_AT = np.array([[1], [5], [9], [13]], dtype=np.int16)
+_DIGITS_BEFORE = np.array([[1], [5], [9], [13]], dtype=np.int16)
 
 # Masks for words 1-4 by (significant digits L, exponent class): show L
 # digits, or up to one past a positional point, and "." after the first p.
@@ -176,7 +176,7 @@ def _fill(words: np.ndarray, bits: np.ndarray) -> None:
     np.floor_divide(lo, _U(10 ** 4), out=groups[2])
     np.subtract(lo, groups[2] * _U(10 ** 4), out=groups[3])
     groups = groups.view(np.intp)
-    sig = np.maximum.reduce(_SIG.take(groups) + _SIG_AT)
+    sig = np.maximum.reduce(_SIG.take(groups) + _DIGITS_BEFORE)
 
     x = np.clip(exp10, -5, 16) + 5
     head = (bits >> _U(63)).view(np.int64) * 22 + x

@@ -17,7 +17,8 @@ Two populations, both seeded by SEED (default 0), checked in chunks:
 
 Prints the first mismatching values and exits 1 on any difference. Not
 a pytest module: it runs as its own CI step, so rare digit cases are
-searched without lengthening the test suite."""
+searched without lengthening the test suite.
+"""
 
 from __future__ import annotations
 
@@ -39,14 +40,14 @@ def random_finite_doubles(rng: np.random.Generator, count: int) -> np.ndarray:
     return (sign | exponent | significand).view(np.float64)
 
 
-def short_decimals(seed: int, per_cell: int = 16) -> np.ndarray:
-    """The finite doubles ``float(f"{digits}e{exp}")`` of ``per_cell``
-    random ``digits`` of each length 1-17 at each decimal exponent -324
-    to 308 of the leading digit, with random signs."""
+def short_decimals(seed: int) -> np.ndarray:
+    """The finite doubles ``float(f"{digits}e{exp}")`` of 16 random
+    ``digits`` of each length 1-17 at each decimal exponent -324 to 308
+    of the leading digit, with random signs."""
     rng = np.random.default_rng([seed, 1])
     values = []
     for n in range(1, 18):
-        digits = rng.integers(10 ** (n - 1), 10 ** n, size=(633, per_cell))
+        digits = rng.integers(10 ** (n - 1), 10 ** n, size=(633, 16))
         for exponent, row in zip(range(-324 - n + 1, 309 - n + 1), digits.tolist()):
             values += [float(f"{d}e{exponent}") for d in row]
     values = np.array(values)
