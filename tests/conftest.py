@@ -165,3 +165,35 @@ def multiset_max_distance(a: np.ndarray, b: np.ndarray) -> float:
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(d)
     return float(d[rows, cols].max())
+
+
+# Query and candidate sets for the nearest-token search: its property test
+# and tests/sweep_nearest.py draw from the same kinds and scales.
+SEARCH_KINDS = ("ties", "duplicates", "jittered", "offset", "normal", "outlier")
+# Distances are subnormal near 1e-160 and overflow near 1e155, where the
+# search falls back to the full kernel.
+SEARCH_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e-160, 1e-161, 1e-162, 1e150, 1e154, 1e155)
+
+
+def search_inputs(kind, n, n_cand, m, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ties":  # {0, 1, 2} coordinates: exact ties in most rows
+        q, c = rng.integers(0, 3, (n, m)), rng.integers(0, 3, (n_cand, m))
+    elif kind in ("duplicates", "jittered"):  # few distinct tokens, repeated
+        base = rng.normal(size=(max(1, n_cand // 3), m))
+        q, c = base[rng.integers(0, len(base), n)], base[rng.integers(0, len(base), n_cand)]
+        if kind == "jittered":  # near-ties that only the einsum's rounding breaks
+            q = q + 1e-9 * rng.normal(size=q.shape)
+            c = c + 1e-9 * rng.normal(size=c.shape)
+    elif kind == "offset":  # one cluster far from the origin
+        q, c = rng.normal(size=(n, m)) + 1e3, rng.normal(size=(n_cand, m)) + 1e3
+    elif kind == "outlier":  # one candidate, one query or one of each 1e4-1e8 times out
+        q, c = rng.normal(size=(n, m)), rng.normal(size=(n_cand, m))
+        which = rng.integers(1, 4)
+        if which & 1:
+            c[rng.integers(n_cand)] *= 10.0 ** rng.uniform(4, 8)
+        if which & 2:
+            q[rng.integers(n)] *= 10.0 ** rng.uniform(4, 8)
+    else:
+        q, c = rng.normal(size=(n, m)), rng.normal(size=(n_cand, m))
+    return scale * q.astype(np.float64), scale * c.astype(np.float64)

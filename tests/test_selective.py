@@ -11,6 +11,7 @@ from tokenmorph import (
     InvalidParameterError,
     MorphConfig,
     TokenSet,
+    gen_synthetic,
     morph_geometry,
     morph_texture,
     selective_texture_tokens,
@@ -18,7 +19,7 @@ from tokenmorph import (
 from tokenmorph import selective as selective_module
 from tokenmorph.ot import squared_distances
 
-from conftest import random_tokenset
+from conftest import SEARCH_KINDS, SEARCH_SCALES, random_tokenset, search_inputs
 
 
 def _nearest_source(points, tokens: TokenSet) -> list[int]:
@@ -73,37 +74,14 @@ def _outcome(search, queries, candidates):
             return str(exc)
 
 
-_KINDS = ("ties", "duplicates", "jittered", "offset", "normal")
-# Distances are subnormal near 1e-160 and overflow near 1e155, where the
-# search falls back to the full kernel.
-_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e-160, 1e-161, 1e-162, 1e150, 1e154, 1e155)
-
-
-def _search_inputs(kind, n, n_cand, m, scale, seed):
-    rng = np.random.default_rng(seed)
-    if kind == "ties":  # {0, 1, 2} coordinates: exact ties in most rows
-        q, c = rng.integers(0, 3, (n, m)), rng.integers(0, 3, (n_cand, m))
-    elif kind in ("duplicates", "jittered"):  # few distinct tokens, repeated
-        base = rng.normal(size=(max(1, n_cand // 3), m))
-        q, c = base[rng.integers(0, len(base), n)], base[rng.integers(0, len(base), n_cand)]
-        if kind == "jittered":  # near-ties that only the einsum's rounding breaks
-            q = q + 1e-9 * rng.normal(size=q.shape)
-            c = c + 1e-9 * rng.normal(size=c.shape)
-    elif kind == "offset":  # one cluster far from the origin
-        q, c = rng.normal(size=(n, m)) + 1e3, rng.normal(size=(n_cand, m)) + 1e3
-    else:
-        q, c = rng.normal(size=(n, m)), rng.normal(size=(n_cand, m))
-    return scale * q.astype(np.float64), scale * c.astype(np.float64)
-
-
 class TestScreenedSearch:
     """``_nearest_indices`` screens with a GEMM but must return the einsum's argmin."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(_KINDS), st.integers(1, 40), st.integers(1, 40),
-           st.integers(1, 70), st.sampled_from(_SCALES), st.integers(0, 2**32 - 1))
+    @given(st.sampled_from(SEARCH_KINDS), st.integers(1, 40), st.integers(1, 40),
+           st.integers(1, 70), st.sampled_from(SEARCH_SCALES), st.integers(0, 2**32 - 1))
     def test_equals_einsum_argmin(self, kind, n, n_cand, m, scale, seed):
-        q, c = _search_inputs(kind, n, n_cand, m, scale, seed)
+        q, c = search_inputs(kind, n, n_cand, m, scale, seed)
         expected = _outcome(_einsum_argmin, q, c)
         assert _outcome(selective_module._nearest_indices, q, c) == expected
 
@@ -131,6 +109,60 @@ class TestScreenedSearch:
         np.testing.assert_array_equal(nearest, expected)
         # The full 2048 x 2048 distance matrix alone would take 32 MiB.
         assert peak < 4 * selective_module._SCREEN_BLOCK_BYTES + 64 * (q.shape[0] + c.shape[0])
+
+
+def _einsum_rows(monkeypatch, search, queries, *args):
+    """Run a search; return its result and the query rows, in call order,
+    that it re-ran through the exact einsum."""
+    rows = []
+
+    def spy(q, c):
+        rows.extend(int(np.flatnonzero((queries == row).all(axis=1))[0]) for row in q)
+        return squared_distances(q, c)
+
+    monkeypatch.setattr(selective_module, "squared_distances", spy)
+    return search(queries, *args), rows
+
+
+class TestTwoStageScreen:
+    """The row band settles what it can; the per-pair bound takes the rest."""
+
+    def test_far_candidate_sends_the_per_pair_rows_to_the_einsum(self, monkeypatch):
+        rng = np.random.default_rng(181)
+        q = rng.normal(size=(256, 64))
+        c = rng.normal(size=(256, 64))
+        c[100:110] = c[0:10]  # duplicated candidates, and queries on them
+        q[:10] = c[:10]
+        c[200] *= 1e8  # widens every row's band past its runner-up
+        c_sq = np.einsum("ij,ij->i", c, c)
+        _, per_pair = _einsum_rows(
+            monkeypatch, selective_module._per_pair_nearest, q, c, c_sq, np.sqrt(c_sq))
+        nearest, screened = _einsum_rows(monkeypatch, selective_module._nearest_indices, q, c)
+        expected = _einsum_argmin(q, c)
+        # Exactly the rows whose nearest token is duplicated hold a tie.
+        tied = np.flatnonzero(expected < 10).tolist()
+        assert screened == per_pair == tied
+        assert set(range(10)) < set(tied)
+        np.testing.assert_array_equal(nearest, expected)
+
+    def test_morph_frames_never_leave_the_band(self, monkeypatch):
+        source = gen_synthetic("gaussian_blob", 256, 64, seed=101)
+        target = gen_synthetic("gaussian_blob", 256, 64, seed=202)
+        frames = morph_geometry(source, target, MorphConfig(J=6)).frames
+        calls = []
+
+        def per_pair(*args):
+            calls.append(len(args[0]))
+            raise AssertionError("a row left the band")
+
+        monkeypatch.setattr(selective_module, "_per_pair_nearest", per_pair)
+        for frame in frames:
+            for tokens in (source, target):
+                nearest, rows = _einsum_rows(
+                    monkeypatch, selective_module._nearest_indices, frame.points, tokens.points)
+                assert rows == []
+                np.testing.assert_array_equal(nearest, _einsum_argmin(frame.points, tokens.points))
+        assert calls == [] and len(frames) == 8
 
 
 class TestSelectiveTextureTokens:
