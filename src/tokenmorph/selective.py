@@ -16,11 +16,12 @@ smallest index), but does its bulk work in BLAS:
   farthest candidate, is that row's band. A row whose second-best
   score lies more than its band below its best takes the best: it is
   the einsum's unique minimum.
-- **Per-pair bound.** A row the band leaves open (ties, duplicated
-  tokens, or one far-out candidate that widens every band) gets
-  distances ``|q|^2 + |c|^2 - 2 q.c`` and one bound per pair, which
-  keeps every candidate that could be the einsum's minimum and in
-  practice almost nothing else.
+- **Per-pair bound on the same scores.** A row the band leaves open
+  (ties, duplicated tokens, or one far-out candidate that widens every
+  band) takes the band's bound per pair instead of at the farthest
+  candidate, on the scores it already has. That keeps every candidate
+  that could be the einsum's minimum and in practice almost nothing
+  else.
 - **Confirm.** A row left with one candidate takes it. A row left with
   more re-runs the einsum on its candidates.
 - **Fallback.** When the bounds are not finite, the einsum kernel runs
@@ -191,18 +192,20 @@ def _nearest_indices(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     cases where that call does.
 
     Each block of query rows gets the scores ``g = q.c - |c|^2 / 2`` from
-    one GEMM and one subtraction. As ``|q - c|^2 = |q|^2 - 2 (q.c -
-    |c|^2 / 2)``, the nearest candidate has the largest exact score. With
-    ``rho`` bounding how far ``2 g_k`` can sit from ``|q|^2 - e_k`` for
-    the einsum's distance ``e_k``, every k with ``e_k <= e_j`` has ``g_k
-    >= g_j - rho``. The band ``B = gamma (|q| + max |c|)^2 + beta`` is at
-    least ``rho`` for every candidate of the row. So when the row's
-    second-best score is below ``best - B``, the argmax j has ``e_j <
-    e_k`` for every other k: it is the einsum's unique minimum, and no
-    tie rule comes into play.
+    one GEMM and one subtraction, the block's only matrix product. As
+    ``|q - c|^2 = |q|^2 - 2 (q.c - |c|^2 / 2)``, the nearest candidate
+    has the largest exact score. With ``rho`` bounding how far ``2 g_k``
+    can sit from ``|q|^2 - e_k`` for the einsum's distance ``e_k``, the
+    einsum's minimizer k has ``g_k + rho_k / 2 >= g_j - rho_j / 2`` for
+    every j. The band ``B = gamma (|q| + max |c|)^2 + beta`` is at least
+    every ``rho`` of the row. So when the row's second-best score is below
+    ``best - B``, the argmax is the einsum's unique minimum, and no tie
+    rule comes into play.
 
-    Rows the band leaves open go to ``_per_pair_nearest``, the per-pair
-    bound, and those it leaves open to the einsum on their candidates.
+    Rows the band leaves open go to ``_per_pair_nearest`` with their
+    scores, where ``b = gamma (|q| + |c|)^2 + beta`` bounds each pair's
+    own ``rho``, and those it leaves open to the einsum on their
+    candidates.
 
     Memory stays at a few n_rows x n' blocks of at most
     ``_SCREEN_BLOCK_BYTES`` each plus O(n + n').
@@ -225,20 +228,22 @@ def _nearest_indices(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     #   subtraction adds u |q.c - |c|^2 / 2| <= u S / 2, as |q| |c| +
     #   |c|^2 / 2 <= S / 2: |g - G| <= gamma_{m+1} S / 2 + (3m/2 + 1) eta.
     # - So r = 2 g + e - |q|^2 = 2 (g - G) + (e - D) has |r| <= rho :=
-    #   2 gamma_{m+2} S + (4m + 2) eta. If e_k <= e_j, then 2 g_k =
-    #   |q|^2 - e_k + r_k >= |q|^2 - e_j + r_k = 2 g_j - r_j + r_k, so
-    #   g_k >= g_j - rho with rho taken at S_max = (|q| + max |c|)^2.
-    # - The test's own subtraction best - B rounds by at most u (|best| +
-    #   B) <= u (S_max / 2 + B); B's rounding, from the computed norms
-    #   on, is relative, a few u.
+    #   2 gamma_{m+2} S + (4m + 2) eta, at the pair's own S. If e_k <= e_j,
+    #   then 2 g_k = |q|^2 - e_k + r_k >= |q|^2 - e_j + r_k = 2 g_j - r_j
+    #   + r_k, so g_k + rho_k / 2 >= g_j - rho_j / 2.
+    # - Band: with both rho taken at S_max = (|q| + max |c|)^2, g_k >= g_j
+    #   - rho. The test's own subtraction best - B rounds by at most u
+    #   (|best| + B) <= u (S_max / 2 + B).
+    # - Per pair: with b_k >= rho_k, the exact g_k + b_k / 2 >= g_j - b_j /
+    #   2, and as rounding is monotone the computed sides keep it.
+    # - B's and b's rounding, from the computed norms on, is relative, a
+    #   few u.
     # So the band needs about (m + 2.5) eps S_max + (2m + 1) 2^-1074.
     # gamma = 2 (m + 4) eps is about twice that factor, the slack covering
     # the rounding of the computed norms and of B itself; beta =
     # 8 (m + 4) 2^-1074 is over four times the absolute term, which only
-    # bites when distances are subnormal (coordinates near 1e-160). The
-    # per-pair bound of ``_per_pair_nearest`` is the same gamma and beta
-    # at (|q| + |c|)^2.
-    gamma, beta = _bound_terms(m)
+    # bites when distances are subnormal (coordinates near 1e-160).
+    gamma, beta = 2.0 * (m + 4) * _EPS, 8.0 * (m + 4) * _SMALLEST_SUBNORMAL
 
     q_sq = np.einsum("ij,ij->i", queries, queries)
     c_sq = np.einsum("ij,ij->i", candidates, candidates)
@@ -247,7 +252,7 @@ def _nearest_indices(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     # Python floats: an overflow here gives inf, without a RuntimeWarning.
     c_max = float(c_norm.max())
     s = float(q_norm.max()) + c_max
-    # (1 + 2 gamma) S bounds every d, e, 2 |g| and d + b, so none can
+    # (1 + 2 gamma) S bounds every e, 2 |g| and 2 |g| + b, so none can
     # overflow; past it no bound is certified, and the einsum decides
     # (and raises exactly as the full kernel does).
     if not math.isfinite((1.0 + 2.0 * gamma) * s * s):
@@ -268,57 +273,47 @@ def _nearest_indices(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         # The second-best score; argmax and a gather take half the time
         # of a max along rows.
         second = g[block_rows, np.argmax(g, axis=1)]
-        open_rows = lo + np.flatnonzero(second >= best - band[lo:hi])
-        del g  # before the per-pair bound allocates its own blocks
         nearest[lo:hi] = best_col
+        open_rows = np.flatnonzero(second >= best - band[lo:hi])
         if open_rows.size:
-            nearest[open_rows] = _per_pair_nearest(queries[open_rows], candidates, c_sq, c_norm)
+            g[block_rows, best_col] = best
+            # A block with every row open (one far-out candidate) is
+            # scored in place: copying it took such a search from 0.7-0.9
+            # to 1.5-2.1 ms, as glibc trimmed the heap top and faulted it
+            # back in on every call.
+            if open_rows.size < hi - lo:
+                g = g[open_rows]
+            open_rows += lo
+            nearest[open_rows] = _per_pair_nearest(
+                g, queries[open_rows], candidates, q_norm[open_rows], c_norm, gamma, beta)
+        # Held into the next block's product, g took 16 searches over
+        # criterion 10's frames from 4.6-5.1 to 7.8-9.9 ms (page faults).
+        del g
     return nearest
 
 
-def _bound_terms(m: int) -> tuple[float, float]:
-    """gamma and beta of the rounding-error bounds for dimension m, as
-    derived in ``_nearest_indices``."""
-    return 2.0 * (m + 4) * _EPS, 8.0 * (m + 4) * _SMALLEST_SUBNORMAL
+def _per_pair_nearest(g: np.ndarray, queries: np.ndarray, candidates: np.ndarray,
+                      q_norm: np.ndarray, c_norm: np.ndarray, gamma: float,
+                      beta: float) -> np.ndarray:
+    """The einsum's nearest candidate for query rows the band left open,
+    from their scores ``g``, which it overwrites.
 
-
-def _per_pair_nearest(queries: np.ndarray, candidates: np.ndarray, c_sq: np.ndarray,
-                      c_norm: np.ndarray) -> np.ndarray:
-    """The einsum's nearest candidate for at most one block of query rows,
-    screened with one rounding-error bound per pair.
-
-    ``d = |q|^2 + |c|^2 - 2 q.c`` comes from one GEMM. With ``b = gamma
-    (|q| + |c|)^2 + beta`` bounding ``|d - e|`` for the einsum's distance
-    ``e``, candidate j stays when ``d_j - b_j <= min_k (d_k + b_k)``. The
-    einsum's minimizer always stays: ``d_j - b_j <= e_j <= e_k <= d_k +
-    b_k``, and rounding is monotone, so each computed side keeps its
-    inequality against the float ``e``. The GEMM's own argmin stays too
-    (b >= 0), so a row with one candidate takes it. Rows with more re-run
-    ``squared_distances`` on their candidates, whose values are the
-    einsum's bit for bit, and take the smallest index among the exact
-    minima.
-
-    ``c_sq`` and ``c_norm`` are the candidates' squared norms and norms
-    as ``_nearest_indices`` computes them. On the error model there,
-    ``|q|^2`` and ``|c|^2`` are within gamma_m of their values plus m eta
-    each, q.c within gamma_m |q| |c| + m eta, doubling is exact, and the
-    two additions add u each: |d - D| <= gamma_{m+2} S + 4 m eta, so
-    |d - e| <= 2 gamma_{m+2} S + 5 m eta, under ``b`` with the same slack.
+    Candidate k stays when ``g_k + b_k / 2 >= max_j (g_j - b_j / 2)``,
+    with ``b = gamma (|q| + |c|)^2 + beta`` the per-pair bound derived in
+    ``_nearest_indices``. Every minimizer of the einsum stays, and so does
+    the largest score (b >= 0), so a row with one candidate takes it. Rows
+    with more re-run ``squared_distances`` on their candidates, whose
+    values are the einsum's bit for bit, and take the smallest index among
+    the exact minima.
     """
-    gamma, beta = _bound_terms(queries.shape[1])
-    q_sq = np.einsum("ij,ij->i", queries, queries)
-    d = queries @ candidates.T
-    d *= -2.0
-    d += q_sq[:, None]
-    d += c_sq
-    b = np.add.outer(np.sqrt(q_sq), c_norm)
-    b *= b
-    b *= gamma
-    b += beta
-    nearest = np.argmin(d, axis=1)
-    cutoff = np.min(d + b, axis=1)
-    d -= b
-    candidate = d <= cutoff[:, None]
+    half_b = np.add.outer(q_norm, c_norm)
+    half_b *= half_b
+    half_b *= 0.5 * gamma
+    half_b += 0.5 * beta
+    floor = np.max(g - half_b, axis=1)
+    g += half_b
+    candidate = g >= floor[:, None]
+    nearest = np.argmax(candidate, axis=1)
     for i in np.flatnonzero(np.count_nonzero(candidate, axis=1) > 1):
         cols = np.flatnonzero(candidate[i])
         exact = squared_distances(queries[i:i + 1], candidates[cols])

@@ -30,16 +30,18 @@ def gen_synthetic(
             clusters; n must be even).
         n: token count (>= 1; >= 2 and even for the pair).
         d: embedding dimension (>= 1; >= 2 for "ring").
-        seed: RNG seed; identical seeds give identical outputs.
+        seed: RNG seed, an integer >= 0; identical seeds give identical
+            outputs.
 
     Raises:
-        InvalidParameterError: on an unknown kind, or an n or d that is
-            not an integer in range.
+        InvalidParameterError: on an unknown kind, or an n, d or seed
+            that is not an integer in range.
     """
     if kind not in KINDS:
         raise InvalidParameterError(f"kind must be one of {KINDS}, got {kind!r}")
     require_count("n", n, 1)
     require_count("d", d, 1)
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
 
     if kind == "gaussian_blob":

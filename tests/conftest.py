@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 
-from tokenmorph import DimensionMismatchError, TokenSet, cost_matrix
+from tokenmorph import DimensionMismatchError, InvalidParameterError, TokenSet, cost_matrix
 from tokenmorph import ot as ot_module
 from tokenmorph import tokens as tokens_module
 from tokenmorph import toydemo as toydemo_module
+from tokenmorph.ot import squared_distances
 
 
 def random_tokenset(rng: np.random.Generator, n: int, m: int, scale: float = 1.0) -> TokenSet:
@@ -197,3 +199,19 @@ def search_inputs(kind, n, n_cand, m, scale, seed):
     else:
         q, c = rng.normal(size=(n, m)), rng.normal(size=(n_cand, m))
     return scale * q.astype(np.float64), scale * c.astype(np.float64)
+
+
+def einsum_argmin(queries, candidates):
+    """The full-matrix search that the screened one must reproduce."""
+    return np.argmin(squared_distances(queries, candidates), axis=1)
+
+
+def search_outcome(search, queries, candidates):
+    """Indices as a list, or the message of the InvalidParameterError raised."""
+    with warnings.catch_warnings():
+        # The full kernel warns where a difference overflows.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return search(queries, candidates).tolist()
+        except InvalidParameterError as exc:
+            return str(exc)

@@ -4,7 +4,7 @@ Usage:
     PYTHONPATH=src python tests/sweep_cli.py
     PYTHONPATH=src python tests/sweep_cli.py --against REV
 
-Writes seeded input token files once, then runs 121 ``tokenmorph``
+Writes seeded input token files once, then runs 122 ``tokenmorph``
 commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
@@ -178,6 +178,8 @@ def _commands() -> list[tuple[list[str], str | None]]:
          *out],                                                                        # 6
         ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name", "a/b", *out],  # 6
         ["gen-synthetic", "--kind", "gaussian_blob", "--n", "0", "--d", "2", *out],    # 6
+        ["gen-synthetic", "--kind", "gaussian_blob", "--n", "4", "--d", "2", "--seed", "-1",
+         *out],                                                                        # 6
         ["gen-synthetic", "--kind", "bogus", "--n", "4", "--d", "2", *out],            # 2
     ]
 

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import sys
 import time
-import warnings
 from collections import Counter
 
 import numpy as np
 
-from conftest import SEARCH_KINDS, SEARCH_SCALES, search_inputs
-from tokenmorph import InvalidParameterError
+from conftest import SEARCH_KINDS, SEARCH_SCALES, einsum_argmin, search_inputs, search_outcome
 from tokenmorph import selective
 from tokenmorph.ot import squared_distances
 
@@ -47,13 +45,13 @@ class StageCounter:
         selective._per_pair_nearest = self.per_pair
         selective.squared_distances = self.einsum
 
-    def per_pair(self, queries, *args):
+    def per_pair(self, scores, *args):
         self._in_per_pair = True
         try:
-            return self._per_pair(queries, *args)
+            return self._per_pair(scores, *args)
         finally:
             self._in_per_pair = False
-            self.rows["per_pair"] += len(queries)
+            self.rows["per_pair"] += len(scores)
 
     def einsum(self, queries, candidates):
         self.rows["einsum" if self._in_per_pair else "fallback"] += len(queries)
@@ -62,26 +60,11 @@ class StageCounter:
     def search(self, queries, candidates) -> tuple[Counter, list | str]:
         """Rows per stage for one search, its result or error message."""
         before = self.rows.copy()
-        result = _outcome(selective._nearest_indices, queries, candidates)
+        result = search_outcome(selective._nearest_indices, queries, candidates)
         rows = self.rows - before
         rows["per_pair"] -= rows["einsum"]
         rows["band"] = len(queries) - rows["per_pair"] - rows["einsum"] - rows["fallback"]
         return rows, result
-
-
-def _outcome(search, queries, candidates):
-    """Indices as a list, or the message of the InvalidParameterError raised."""
-    with warnings.catch_warnings():
-        # The full kernel warns where a difference overflows.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            return search(queries, candidates).tolist()
-        except InvalidParameterError as exc:
-            return str(exc)
-
-
-def _einsum_argmin(queries, candidates):
-    return np.argmin(squared_distances(queries, candidates), axis=1)
 
 
 def main(argv: list[str]) -> int:
@@ -98,7 +81,7 @@ def main(argv: list[str]) -> int:
         m, instance_seed = int(rng.integers(1, 71)), int(rng.integers(2**32))
         q, c = search_inputs(kind, n, n_cand, m, scale, instance_seed)
         rows, result = counter.search(q, c)
-        expected = _outcome(_einsum_argmin, q, c)
+        expected = search_outcome(einsum_argmin, q, c)
         if result != expected:
             print(f"instance {k}: search_inputs({kind!r}, {n}, {n_cand}, {m}, {scale!r}, "
                   f"{instance_seed}) gives {result!r:.200}, the einsum {expected!r:.200}")

@@ -671,6 +671,15 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("tokenmorph: error[invalid-value]:")
         assert not out.exists()
 
+    def test_gen_synthetic_negative_seed(self, tmp_path, capsys):
+        # Ended in a numpy ValueError traceback before.
+        out = tmp_path / "out"
+        assert main(["gen-synthetic", "--kind", "gaussian_blob", "--n", "4", "--d", "2",
+                     "--seed", "-1", "--out-dir", str(out)]) == EXIT_INVALID_VALUE
+        assert capsys.readouterr().err == (
+            "tokenmorph: error[invalid-value]: seed must be an integer >= 0, got -1\n")
+        assert not out.exists()
+
     def test_dimension_mismatch(self, tmp_path, token_files, capsys):
         source_path, _ = token_files
         other = tmp_path / "other.json"

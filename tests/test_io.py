@@ -516,6 +516,15 @@ class TestSynth:
         with pytest.raises(InvalidParameterError, match=re.escape(message)):
             gen_synthetic(kind, n, d)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be an integer >= 0, got -1"),
+        (1.5, "seed must be an integer >= 0, got 1.5"),
+    ])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed, message):
+        # numpy raised ValueError on -1 and TypeError on 1.5 before.
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            gen_synthetic("gaussian_blob", 4, 2, seed)
+
     def test_ring_needs_two_dims(self):
         with pytest.raises(InvalidParameterError, match="ring requires d >= 2"):
             gen_synthetic("ring", 8, 1)

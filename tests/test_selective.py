@@ -19,7 +19,14 @@ from tokenmorph import (
 from tokenmorph import selective as selective_module
 from tokenmorph.ot import squared_distances
 
-from conftest import SEARCH_KINDS, SEARCH_SCALES, random_tokenset, search_inputs
+from conftest import (
+    SEARCH_KINDS,
+    SEARCH_SCALES,
+    einsum_argmin,
+    random_tokenset,
+    search_inputs,
+    search_outcome,
+)
 
 
 def _nearest_source(points, tokens: TokenSet) -> list[int]:
@@ -58,22 +65,6 @@ class TestNearestToken:
         assert _nearest_source(points, ts) == best
 
 
-def _einsum_argmin(queries, candidates):
-    """The full-matrix search that the screened one must reproduce."""
-    return np.argmin(squared_distances(queries, candidates), axis=1)
-
-
-def _outcome(search, queries, candidates):
-    """Indices as a list, or the message of the InvalidParameterError raised."""
-    with warnings.catch_warnings():
-        # The full kernel warns where a difference overflows.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            return search(queries, candidates).tolist()
-        except InvalidParameterError as exc:
-            return str(exc)
-
-
 class TestScreenedSearch:
     """``_nearest_indices`` screens with a GEMM but must return the einsum's argmin."""
 
@@ -82,8 +73,8 @@ class TestScreenedSearch:
            st.integers(1, 70), st.sampled_from(SEARCH_SCALES), st.integers(0, 2**32 - 1))
     def test_equals_einsum_argmin(self, kind, n, n_cand, m, scale, seed):
         q, c = search_inputs(kind, n, n_cand, m, scale, seed)
-        expected = _outcome(_einsum_argmin, q, c)
-        assert _outcome(selective_module._nearest_indices, q, c) == expected
+        expected = search_outcome(einsum_argmin, q, c)
+        assert search_outcome(selective_module._nearest_indices, q, c) == expected
 
     @pytest.mark.parametrize("scale", [1e153, 1e155])
     def test_no_runtime_warning_near_overflow(self, scale):
@@ -99,7 +90,7 @@ class TestScreenedSearch:
         rng = np.random.default_rng(173)
         q = rng.normal(size=(2048, 64))
         c = rng.normal(size=(2048, 64))
-        expected = _einsum_argmin(q, c)
+        expected = einsum_argmin(q, c)
         tracemalloc.start()
         try:
             nearest = selective_module._nearest_indices(q, c)
@@ -111,21 +102,33 @@ class TestScreenedSearch:
         assert peak < 4 * selective_module._SCREEN_BLOCK_BYTES + 64 * (q.shape[0] + c.shape[0])
 
 
-def _einsum_rows(monkeypatch, search, queries, *args):
-    """Run a search; return its result and the query rows, in call order,
-    that it re-ran through the exact einsum."""
-    rows = []
+def _row_indices(queries, rows):
+    """Index in ``queries`` of each of ``rows``, in order."""
+    return [int(np.flatnonzero((queries == row).all(axis=1))[0]) for row in rows]
 
-    def spy(q, c):
-        rows.extend(int(np.flatnonzero((queries == row).all(axis=1))[0]) for row in q)
+
+def _spy_rows(monkeypatch, queries):
+    """Record, in call order, the query rows that the search passes to the
+    per-pair bound and those it re-runs through the exact einsum."""
+    rows = {"per_pair": [], "einsum": []}
+    per_pair = selective_module._per_pair_nearest
+
+    def per_pair_spy(g, q, *args):
+        rows["per_pair"].extend(_row_indices(queries, q))
+        return per_pair(g, q, *args)
+
+    def einsum_spy(q, c):
+        rows["einsum"].extend(_row_indices(queries, q))
         return squared_distances(q, c)
 
-    monkeypatch.setattr(selective_module, "squared_distances", spy)
-    return search(queries, *args), rows
+    monkeypatch.setattr(selective_module, "_per_pair_nearest", per_pair_spy)
+    monkeypatch.setattr(selective_module, "squared_distances", einsum_spy)
+    return rows
 
 
 class TestTwoStageScreen:
-    """The row band settles what it can; the per-pair bound takes the rest."""
+    """The row band settles what it can; the per-pair bound, on the same
+    scores, takes the rest."""
 
     def test_far_candidate_sends_the_per_pair_rows_to_the_einsum(self, monkeypatch):
         rng = np.random.default_rng(181)
@@ -134,14 +137,14 @@ class TestTwoStageScreen:
         c[100:110] = c[0:10]  # duplicated candidates, and queries on them
         q[:10] = c[:10]
         c[200] *= 1e8  # widens every row's band past its runner-up
-        c_sq = np.einsum("ij,ij->i", c, c)
-        _, per_pair = _einsum_rows(
-            monkeypatch, selective_module._per_pair_nearest, q, c, c_sq, np.sqrt(c_sq))
-        nearest, screened = _einsum_rows(monkeypatch, selective_module._nearest_indices, q, c)
-        expected = _einsum_argmin(q, c)
-        # Exactly the rows whose nearest token is duplicated hold a tie.
+        expected = einsum_argmin(q, c)
+        rows = _spy_rows(monkeypatch, q)
+        nearest = selective_module._nearest_indices(q, c)
+        # Every row leaves the band; exactly the rows whose nearest token
+        # is duplicated hold a tie and reach the einsum.
         tied = np.flatnonzero(expected < 10).tolist()
-        assert screened == per_pair == tied
+        assert rows["per_pair"] == list(range(256))
+        assert rows["einsum"] == tied
         assert set(range(10)) < set(tied)
         np.testing.assert_array_equal(nearest, expected)
 
@@ -150,17 +153,18 @@ class TestTwoStageScreen:
         target = gen_synthetic("gaussian_blob", 256, 64, seed=202)
         frames = morph_geometry(source, target, MorphConfig(J=6)).frames
         assert len(frames) == 8
-
-        def per_pair(queries, *args):
-            raise AssertionError(f"{len(queries)} rows left the band")
-
-        monkeypatch.setattr(selective_module, "_per_pair_nearest", per_pair)
-        for frame in frames:
-            for tokens in (source, target):
-                nearest, rows = _einsum_rows(
-                    monkeypatch, selective_module._nearest_indices, frame.points, tokens.points)
-                assert rows == []
-                np.testing.assert_array_equal(nearest, _einsum_argmin(frame.points, tokens.points))
+        searches = [(frame, tokens) for frame in frames for tokens in (source, target)]
+        # The texture-select benchmark's blended, source and target sets.
+        blended, *references = (gen_synthetic("gaussian_blob", 512, 64, seed=seed)
+                                for seed in (101, 202, 303))
+        searches += [(blended, tokens) for tokens in references]
+        for queries, tokens in searches:
+            expected = einsum_argmin(queries.points, tokens.points)
+            with monkeypatch.context() as patch:
+                rows = _spy_rows(patch, queries.points)
+                nearest = selective_module._nearest_indices(queries.points, tokens.points)
+            assert rows == {"per_pair": [], "einsum": []}
+            np.testing.assert_array_equal(nearest, expected)
 
 
 class TestSelectiveTextureTokens:
