@@ -8,7 +8,7 @@ Every command checks its flag values, and that its output directory
 can be made, before it reads an input or writes a file.
 
 Exit codes: 0 success, 2 usage, 3 missing file, 4 bad file format,
-5 dimension mismatch, 6 invalid value, 7 solver failure.
+5 dimension mismatch, 6 invalid value, 7 solver failure, 8 out of memory.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ EXIT_FORMAT = 4
 EXIT_DIMENSION = 5
 EXIT_INVALID_VALUE = 6
 EXIT_SOLVER = 7
+EXIT_MEMORY = 8
 
 OUT_DIR_ENV = "TOKENMORPH_OUT_DIR"
 DEFAULT_OUT_DIR = "tokenmorph_out"
@@ -97,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("solver-failure", str(exc), EXIT_SOLVER)
     except TokenMorphError as exc:
         return _fail("error", str(exc), EXIT_INVALID_VALUE)
+    except MemoryError as exc:
+        return _fail("out-of-memory", str(exc) or "not enough memory", EXIT_MEMORY)
 
 
 def _fail(category: str, message: str, code: int) -> int:

@@ -11,7 +11,8 @@ goes to the largest bid, the smallest row on ties, and its dual drops by
 that bid. The few rows left free are matched by Dijkstra shortest
 augmenting paths with lazily updated duals; among equal-cost columns it
 takes the smallest index, so the zero matrix and a matrix of equal rows
-give the identity.
+give the identity. A search step keeps only the running path lengths;
+each path recovers its predecessor rows once, at its end.
 
 All other inputs go to a network simplex on the transportation graph.
 Its basis is a spanning tree over the rows and columns, kept in arrays:
@@ -22,11 +23,13 @@ potentials. It starts from the least-cost (matrix-minimum) basis, or
 from a re-priced copy of the basis tree a previous plan carries when
 the flows that tree fixes for the current marginals are feasible, as on
 every barycenter sweep after the first. A tree's flows, at the start of
-a warm or cold solve and at its end, are always computed from its basis
-and the marginals, in an order fixed by the basis alone. Every solve
-certifies its optimality by LP duality on its final duals. The test
-suite checks both solvers against independent oracles (brute force,
-sorted 1-D, scipy).
+a warm or cold solve and again at its end if it pivoted, are always
+computed from its basis and the marginals, in an order fixed by the
+basis alone. Every solve certifies its optimality by LP duality on its
+final duals, reading the final basis cells that its plan then keeps.
+The test suite checks both solvers against independent oracles (brute
+force, sorted 1-D, scipy), and each solver against a reference loop of
+its former bookkeeping, bit for bit.
 
 A plan is its support: the cells of positive mass, with their masses.
 They are the n matched cells of an assignment, or at most n + n' - 1
@@ -46,7 +49,6 @@ global state, so concurrent calls on shared token sets are safe.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -125,12 +127,6 @@ class TransportPlan:
             object.__setattr__(self, name, read_only_array(getattr(self, name), dtype))
         object.__setattr__(self, "shape", tuple(map(int, self.shape)))
         object.__setattr__(self, "total_cost", float(self.total_cost))
-
-    @property
-    def basis(self) -> np.ndarray | None:
-        """A fresh array of the n + n' - 1 final basis cells' flat indices,
-        ascending; None on the assignment route."""
-        return None if self._tree is None else np.sort(self._tree.cells())
 
 
 def _support_cost(mass, costs: np.ndarray) -> float:
@@ -349,6 +345,17 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     per augmentation from the scanned rows and columns, as in scipy's
     ``linear_sum_assignment`` (Crouse 2016).
 
+    A search step scans one row i at path length d: it adds the row's
+    lengths ``(c[i] - v) + (d - u[i])``, with inf on the columns already
+    settled, into the running minimum of every column, and settles the
+    first column at the least. That is five numpy calls, over rows kept as
+    a list of views and row duals kept as a Python list; no predecessor
+    is stored. When the path reaches a free column, the flip back to its
+    start recovers each path column's predecessor once: among the rows
+    scanned up to the step that settled it, the first at which that
+    step's own length to the column is least, which is the row a strict
+    ``<`` on the running minimum would have kept.
+
     Ties go to the smallest index: a column's argmin row in the column
     reduction, the smallest row among a column's bidders of equal gap in
     the row reduction, and among columns at equal path length the
@@ -363,56 +370,63 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     c = np.asarray(values, dtype=np.float64)
     n = c.shape[0]
     col_of, row_of, u, v = _reduction_start(c)
+    free = np.flatnonzero(col_of < 0).tolist()
+    col_of, row_of, u = col_of.tolist(), row_of.tolist(), u.tolist()
+    c_rows = list(c)
 
     free_d = np.empty(n)       # path length of each unscanned column, inf once scanned
-    shortest = np.empty(n)     # final path length of each scanned column
-    pred = np.empty(n, dtype=np.int64)  # row from which a column was reached
-    unscanned = np.empty(n, dtype=bool)
+    blocked = np.empty(n)      # inf on scanned columns, 0 elsewhere
     r = np.empty(n)
-    better = np.empty(n, dtype=bool)
-    for start in np.flatnonzero(col_of < 0).tolist():
+    for start in free:
         free_d.fill(np.inf)
-        unscanned.fill(True)
-        rows = []
-        cols = []
+        blocked.fill(0.0)
+        scanned = [start]      # the row scanned at each step
+        offsets = [0.0]        # that step's path length to the row
+        cols = []              # the column settled at each step
         i = start
         min_val = 0.0
         while True:
-            np.subtract(c[i], v, out=r)
+            np.subtract(c_rows[i], v, out=r)
             r += min_val - u[i]
-            np.less(r, free_d, out=better)
-            better &= unscanned
-            np.copyto(free_d, r, where=better)
-            np.copyto(pred, i, where=better)
+            r += blocked
+            np.minimum(free_d, r, out=free_d)
             j = int(free_d.argmin())
             min_val = float(free_d[j])
             if min_val == math.inf:
                 raise SolverFailureError("assignment path length overflows float64")
-            shortest[j] = min_val
-            free_d[j] = math.inf
-            unscanned[j] = False
+            free_d[j] = blocked[j] = math.inf
             cols.append(j)
-            i = int(row_of[j])
+            offsets.append(min_val)
+            i = row_of[j]
             if i < 0:
                 break
-            rows.append(i)
+            scanned.append(i)
+
+        # Flip the matching along the path back from the free column j,
+        # settled at step s. Its predecessor is the first row, among those
+        # scanned up to step s, at which the step's own path length to j is
+        # least: the row that the strict < of a running minimum would keep.
+        rows = np.array(scanned)
+        row_offsets = np.array([d - u[i] for d, i in zip(offsets, scanned)])
+        s = len(cols) - 1
+        while True:
+            lengths = c[rows[:s + 1], j] - v[j]
+            lengths += row_offsets[:s + 1]
+            s = int(lengths.argmin())
+            i = scanned[s]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if s == 0:
+                break
+            s -= 1
 
         # Duals: scanned rows and columns move by their slack to min_val.
-        scanned_rows = np.array(rows, dtype=np.int64)
-        scanned_cols = np.array(cols, dtype=np.int64)
         u[start] += min_val
-        u[scanned_rows] += min_val - shortest[col_of[scanned_rows]]
-        v[scanned_cols] -= min_val - shortest[scanned_cols]
+        for i, d in zip(scanned[1:], offsets[1:]):
+            u[i] += min_val - d
+        v[cols] -= min_val - np.array(offsets[1:])
 
-        # Flip the matching along the path back from the free column j.
-        while True:
-            i = int(pred[j])
-            row_of[j] = i
-            col_of[i], j = j, int(col_of[i])
-            if i == start:
-                break
-
-    return col_of, u, v
+    return np.array(col_of, dtype=np.int64), np.array(u), v
 
 
 def _reduction_start(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -511,9 +525,12 @@ def _transportation_simplex(
 
     The last pricing pass is the duality certificate: its potentials
     must price every cell at or above ``-1e-11 * max C`` and every basis
-    cell within that of zero, which also catches drifted potentials. The
+    cell within that of zero, which also catches drifted potentials. It
+    reads the final tree's ``cells()``, the array the plan then keeps. The
     flows come from the final tree and the marginals alone, so the
-    coupling depends only on the final basis.
+    coupling depends only on the final basis: a solve that pivoted sets
+    them afresh, and one that made no pivot keeps those its start set
+    from the same basis and marginals.
 
     Returns:
         ``(tree, pivots)``: the final basis tree, whose ``flow[1:]`` is
@@ -553,7 +570,9 @@ def _transportation_simplex(
 
     _certify_optimal("transportation simplex basis", reduced,
                      reduced.flat[tree.cells()], tol)
-    if not tree.set_flows(supply, demand):
+    # With no pivot the tree still holds the flows that the opening
+    # set_flows computed from this basis and these marginals.
+    if pivots and not tree.set_flows(supply, demand):
         raise SolverFailureError("transportation simplex produced negative mass")
     return tree, pivots
 
@@ -606,11 +625,13 @@ class _BasisTree:
     edge to ``parent[k]`` is the basis cell (k, parent[k] - n) for a row
     and (parent[k], k - n) for a column; row 0 is the root and never
     moves. ``order`` lists the nodes in preorder (the thread) and ``pos``
-    is its inverse, so the subtree of k is ``order[pos[k]:pos[k] + size[k]]``. The array ``pot``
-    holds the potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
+    is its inverse, so the subtree of k is
+    ``order[pos[k]:pos[k] + size[k]]``. The array ``pot`` holds the
+    potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
     ``u[i] + v[j] == values[i, j]`` on every basis cell and ``u[0] == 0``.
     ``flow[k]`` is the flow on node k's parent edge; only ``set_flows``
-    sets all of them, from the basis and the marginals.
+    sets all of them, from the basis and the marginals. ``cells()`` is
+    built once per basis: a pivot drops it, and a priced copy shares it.
     """
 
     def __init__(self, values: np.ndarray, cells: np.ndarray):
@@ -655,6 +676,7 @@ class _BasisTree:
         self.pos = [0] * nodes
         for at, k in enumerate(order):
             self.pos[k] = at
+        self._cells = None
         self.price(values)
         # +1 on rows, -1 on columns: a subtree shift raises u and lowers v.
         self.sign = np.concatenate((np.ones(n), -np.ones(m)))
@@ -670,10 +692,13 @@ class _BasisTree:
         self.pot = np.array(pot)
 
     def priced_copy(self, values: np.ndarray) -> _BasisTree:
-        """A copy of the structure priced for ``values``; ``set_flows`` gives it its own flows."""
-        tree = copy.copy(self)
+        """A copy of the structure and its cells, priced for ``values``. It
+        has no flows until ``set_flows`` gives it its own."""
+        tree = _BasisTree.__new__(_BasisTree)
+        tree.n, tree.m, tree.sign = self.n, self.m, self.sign
         tree.parent, tree.size = self.parent[:], self.size[:]
         tree.order, tree.pos = self.order[:], self.pos[:]
+        tree._cells = self.cells()
         tree.price(values)
         return tree
 
@@ -683,11 +708,18 @@ class _BasisTree:
         return k * m + up - n if k < n else up * m + k - n
 
     def cells(self) -> np.ndarray:
-        """Flat indices of the basis cells, by child node 1..n+m-1."""
-        n, m = self.n, self.m
-        k = np.arange(1, n + m)
-        up = np.array(self.parent[1:])
-        return np.where(k < n, k * m + up - n, up * m + k - n)
+        """Flat indices of the basis cells, by child node 1..n+m-1.
+
+        Built in one pass over ``parent`` and kept, read-only, until the
+        next pivot, so a solve's certificate and its plan share one array.
+        """
+        if self._cells is None:
+            n, m = self.n, self.m
+            flat = [k * m + up - n if k < n else up * m + k - n
+                    for k, up in enumerate(self.parent)]
+            self._cells = np.array(flat[1:], dtype=np.intp)
+            self._cells.setflags(write=False)
+        return self._cells
 
     def set_flows(self, supply: np.ndarray, demand: np.ndarray) -> bool:
         """Set the basic flows fixed by the marginals; False if one is negative.
@@ -696,8 +728,11 @@ class _BasisTree:
         thread), in ascending node order: each node's net supply (row minus
         column weights over its subtree) crosses its parent edge, from row to
         column, and children add in ascending order, so the flows depend only
-        on the basis, bit for bit. Flows within ``_FLOW_TOL`` below zero are
-        rounding dust and read as zero.
+        on the basis, bit for bit. That order is kept on purpose: the leaving
+        edge is the least (flow, cell), and a sum in any other order, such
+        as differences of one prefix sum over the thread, could round tied
+        flows apart and change the pivots. Flows within ``_FLOW_TOL`` below
+        zero are rounding dust and read as zero.
         """
         n = self.n
         net = supply.tolist() + (-demand).tolist()
@@ -707,11 +742,12 @@ class _BasisTree:
             depth[k] = depth[parent[k]] + 1
         for k in sorted(range(len(net)), key=depth.__getitem__, reverse=True)[:-1]:
             net[parent[k]] += net[k]
-        flow = [net[k] if k < n else -net[k] for k in range(len(net))]
+        flow = net[:n] + [-f for f in net[n:]]
         flow[0] = 0.0
-        if min(flow) < -_FLOW_TOL:
+        low = min(flow)
+        if low < -_FLOW_TOL:
             return False
-        self.flow = [max(f, 0.0) for f in flow]
+        self.flow = [max(f, 0.0) for f in flow] if low < 0.0 else flow
         return True
 
     def pivot(self, ei: int, ej: int, delta: float) -> None:
@@ -731,6 +767,7 @@ class _BasisTree:
         n = self.n
         parent, size, flow = self.parent, self.size, self.flow
         order, pos = self.order, self.pos
+        self._cells = None
         p, q = ei, n + ej
         if parent[p] == q or parent[q] == p:
             raise SolverFailureError("transport basis cell priced below zero")
@@ -756,9 +793,10 @@ class _BasisTree:
         out_side = out_at = -1
         for side, climb in enumerate((climb_p, climb_q)):
             for at, k in enumerate(climb):
-                if (k < n) == (side == 0):
+                # Only a flow at or below theta can win: its cell breaks a tie.
+                if (k < n) == (side == 0) and flow[k] <= theta:
                     f, cell = flow[k], self.cell(k)
-                    if f < theta or (f == theta and cell < leave_cell):
+                    if f < theta or cell < leave_cell:
                         theta, leave_cell, out_side, out_at = f, cell, side, at
         # A degenerate pivot (theta == 0) adds a signed zero: no flow changes.
         for k in climb_p:

@@ -121,6 +121,71 @@ def dense(plan) -> np.ndarray:
     return out
 
 
+def basis(plan) -> np.ndarray | None:
+    """The flat indices of a simplex plan's final basis cells, ascending, in
+    a fresh array; None for a plan that carries no tree."""
+    return None if plan._tree is None else np.sort(plan._tree.cells())
+
+
+def reference_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for ``ot._min_cost_matching``: the same reduction start,
+    then the Dijkstra loop that keeps each column's predecessor row and a
+    scanned mask in arrays and updates them at every step, through a strict
+    ``<`` on the running path lengths. The solver must return the same
+    ``(cols, u, v)``, bit for bit."""
+    c = np.asarray(values, dtype=np.float64)
+    n = c.shape[0]
+    col_of, row_of, u, v = ot_module._reduction_start(c)
+
+    free_d = np.empty(n)
+    shortest = np.empty(n)
+    pred = np.empty(n, dtype=np.int64)
+    unscanned = np.empty(n, dtype=bool)
+    r = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    for start in np.flatnonzero(col_of < 0).tolist():
+        free_d.fill(np.inf)
+        unscanned.fill(True)
+        rows = []
+        cols = []
+        i = start
+        min_val = 0.0
+        while True:
+            np.subtract(c[i], v, out=r)
+            r += min_val - u[i]
+            np.less(r, free_d, out=better)
+            better &= unscanned
+            np.copyto(free_d, r, where=better)
+            np.copyto(pred, i, where=better)
+            j = int(free_d.argmin())
+            min_val = float(free_d[j])
+            if min_val == np.inf:
+                raise ot_module.SolverFailureError("assignment path length overflows float64")
+            shortest[j] = min_val
+            free_d[j] = np.inf
+            unscanned[j] = False
+            cols.append(j)
+            i = int(row_of[j])
+            if i < 0:
+                break
+            rows.append(i)
+
+        scanned_rows = np.array(rows, dtype=np.int64)
+        scanned_cols = np.array(cols, dtype=np.int64)
+        u[start] += min_val
+        u[scanned_rows] += min_val - shortest[col_of[scanned_rows]]
+        v[scanned_cols] -= min_val - shortest[scanned_cols]
+
+        while True:
+            i = int(pred[j])
+            row_of[j] = i
+            col_of[i], j = j, int(col_of[i])
+            if i == start:
+                break
+
+    return col_of, u, v
+
+
 def brute_force_permutation(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Independent oracle: optimal permutation by full enumeration (n <= 8)."""
     cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)

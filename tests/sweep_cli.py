@@ -4,7 +4,7 @@ Usage:
     PYTHONPATH=src python tests/sweep_cli.py
     PYTHONPATH=src python tests/sweep_cli.py --against REV
 
-Writes seeded input token files once, then runs 122 ``tokenmorph``
+Writes seeded input token files once, then runs 123 ``tokenmorph``
 commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
@@ -16,8 +16,10 @@ reader (weighted ones too) and by ``json.loads`` (an indented copy),
 copying (a swap pair at tau 0.9) and non-copying taus, tokens whose
 norms overflow though their distances do not, uniform,
 Dirichlet and tie-grid barycenters, ``demo`` at 24 and 60 points, and
-every exit code from 2 to 7. Exit 7 has no natural trigger, so one
-``dist`` runs with the assignment's row duals raised by 1.
+every exit code from 2 to 8. Exits 7 and 8 have no safe natural
+trigger, so one ``dist`` runs with the assignment's row duals raised by
+1, and one ``gen-synthetic`` of 10^13 values runs with its generator
+raising ``MemoryError`` as numpy does when the allocation fails.
 
 With ``--against REV`` the same list, on the same input files, also runs
 on a ``git archive`` export of revision REV's ``src/`` in a child
@@ -201,6 +203,8 @@ def _commands() -> list[tuple[list[str], str | None]]:
 
     commands = [(argv, None) for argv in runs]
     commands.append((["dist", *u24], "raised_row_duals"))       # 7
+    commands.append((["gen-synthetic", "--kind", "gaussian_blob", "--n", "100000000",
+                      "--d", "100000", *out], "out_of_memory"))  # 8
     return commands
 
 
@@ -216,6 +220,18 @@ def _raised_row_duals():
         return perm, u + 1.0, v
 
     return mock.patch.object(ot, "_min_cost_matching", raised)
+
+
+def _out_of_memory():
+    """A generator that fails as numpy's allocation of its n x d points
+    does on a host without that much memory: exit 8."""
+    import tokenmorph.cli as cli
+
+    def no_memory(kind, n, d, seed):
+        raise MemoryError(f"Unable to allocate {8 * n * d / 2**40:.1f} TiB for an array "
+                          f"with shape ({n}, {d}) and data type float64")
+
+    return mock.patch.object(cli, "gen_synthetic", no_memory)
 
 
 def write_inputs(in_dir: Path) -> None:
@@ -275,7 +291,7 @@ def run_all(root: Path) -> dict[str, dict[str, str]]:
     import tokenmorph
     from tokenmorph.cli import main
 
-    faults = {"raised_row_duals": _raised_row_duals}
+    faults = {"raised_row_duals": _raised_row_duals, "out_of_memory": _out_of_memory}
     results = {}
     here = os.getcwd()
     os.environ.pop("TOKENMORPH_OUT_DIR", None)

@@ -30,6 +30,7 @@ from tokenmorph.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
     EXIT_INVALID_VALUE,
+    EXIT_MEMORY,
     EXIT_MISSING_FILE,
     EXIT_OK,
     EXIT_SOLVER,
@@ -840,6 +841,30 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err.startswith("tokenmorph: error[solver-failure]:")
         assert "assignment is not optimal" in captured.err
+
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 72.8 TiB for an array with shape (100000000, 100000) "
+         "and data type float64",
+         "Unable to allocate 72.8 TiB for an array with shape (100000000, 100000) "
+         "and data type float64"),
+        ("", "not enough memory"),
+    ], ids=["numpy message", "no message"])
+    def test_out_of_memory(self, message, shown, tmp_path, monkeypatch, capsys):
+        # An allocation that fails raises MemoryError, as numpy does for an
+        # array larger than the host can give.
+        def no_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_module, "gen_synthetic", no_memory)
+        monkeypatch.chdir(tmp_path)
+        code = main(["gen-synthetic", "--kind", "gaussian_blob", "--n", "100000000",
+                     "--d", "100000", "--out-dir", "out"])
+        assert code == EXIT_MEMORY == 8
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tokenmorph: error[out-of-memory]: {shown}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_main_calls_match_fresh_processes(token_files, weighted_files, tmp_path,

@@ -26,6 +26,7 @@ from tokenmorph.cli import EXIT_SOLVER, main as cli_main
 
 from conftest import (
     assert_ownership_rule,
+    basis,
     brute_force_matching,
     brute_force_permutation,
     dense,
@@ -33,6 +34,7 @@ from conftest import (
     exact_plan_cost,
     linprog_plan,
     random_tokenset,
+    reference_matching,
     scipy_assignment_permutation,
     simplex_cost,
     sorted_1d_ot,
@@ -300,7 +302,7 @@ class TestPlanCost:
         for a, b in self._instances(weighted):
             plan = solve_exact_ot(a, b)
             values = cost_matrix(a, b).values
-            assert (plan.basis is None) != weighted
+            assert (basis(plan) is None) != weighted
             assert plan.total_cost == exact_plan_cost(plan, values)
             layout_differs += plan.total_cost != float(np.sum(dense(plan) * values))
         # The instances reach the last bit: a sum grouped by the n x n'
@@ -692,6 +694,34 @@ class TestSolveAssignment:
         with pytest.raises(SolverFailureError, match="assignment is not optimal"):
             solve_exact_ot(a, b)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.sampled_from(["grid", "duplicated", "zero", "distances"]),
+           st.integers(0, 10_000))
+    @example(40, "grid", 0)
+    @example(40, "duplicated", 1)
+    @example(1, "zero", 0)
+    def test_matches_the_reference_loop_bit_for_bit(self, n, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            values = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        elif kind == "duplicated":  # a few rows, repeated
+            base = rng.integers(0, 3, size=(max(1, n // 3), n)).astype(np.float64)
+            values = base[rng.integers(0, len(base), n)]
+        elif kind == "zero":
+            values = np.zeros((n, n))
+        else:
+            values = cost_matrix(TokenSet(rng.integers(-2, 3, size=(n, 2)).astype(np.float64)),
+                                 random_tokenset(rng, n, 2)).values
+        _assert_same_matching(ot_module._min_cost_matching(values), reference_matching(values))
+
+    def test_criterion_10_pair_matches_the_reference_loop_bit_for_bit(self):
+        a = gen_synthetic("gaussian_blob", 256, 64, 101)
+        b = gen_synthetic("gaussian_blob", 256, 64, 202)
+        values = cost_matrix(a, b).values
+        # The row reduction leaves rows for the augmenting paths.
+        assert (ot_module._reduction_start(values)[0] < 0).sum() > 0
+        _assert_same_matching(ot_module._min_cost_matching(values), reference_matching(values))
+
     @pytest.mark.parametrize("corrupt", [
         lambda perm, u, v: (perm[[*range(len(perm) - 2), -1, -2]], u, v),
         lambda perm, u, v: (perm, u + np.eye(len(u))[-1], v),
@@ -716,6 +746,13 @@ class TestSolveAssignment:
             perm, _, _ = ot_module._min_cost_matching(values)
             cost = values[np.arange(n), perm].sum()
             assert cost / n == pytest.approx(simplex_cost(a, b), rel=1e-9)
+
+
+def _assert_same_matching(got, expected):
+    """Equal columns, and row and column duals equal bit for bit."""
+    assert got[0].tolist() == expected[0].tolist()
+    assert got[1].tobytes() == expected[1].tobytes()
+    assert got[2].tobytes() == expected[2].tobytes()
 
 
 def _flat(cells, m):
@@ -902,7 +939,7 @@ class TestNetworkSimplex:
         np.testing.assert_allclose(np.bincount(plan.cols, plan.mass, n2), b.weights,
                                    rtol=0, atol=1e-12)
         assert plan.mass.min() > 0.0
-        assert plan.basis.shape == (n + n2 - 1,)
+        assert basis(plan).shape == (n + n2 - 1,)
         # The oracle solves the unscaled problem, where HiGHS's absolute
         # tolerances are meaningful; the optimum scales by s**2.
         reference = linprog_plan(a, b)[1]
@@ -928,6 +965,27 @@ class TestNetworkSimplex:
             np.testing.assert_array_equal(again.cells(), basis)
             assert again.flow == tree.flow
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 3),
+           st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
+           st.integers(0, 10_000))
+    def test_a_warm_solve_without_pivots_holds_its_basis_flows(
+        self, n, n2, m, weights, ties, seed
+    ):
+        # A solve that makes no pivot skips the closing flow pass: its tree
+        # must hold exactly the flows that a fresh pass over its basis gives.
+        rng = np.random.default_rng(seed)
+        a, b = _weighted_pair(rng, n, n2, m, weights, ties)
+        values = cost_matrix(a, b).values
+        plan_tree, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
+        tree, pivots = ot_module._transportation_simplex(
+            values, a.weights, b.weights, plan_tree)
+        assert pivots == 0
+        fresh = ot_module._BasisTree(values, tree.cells())
+        assert fresh.set_flows(a.weights, b.weights)
+        assert fresh.parent == tree.parent
+        assert np.array(tree.flow).tobytes() == np.array(fresh.flow).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(1, 3),
            st.sampled_from(["dirichlet", "uniform", "mixed"]), st.booleans(),
@@ -948,7 +1006,7 @@ class TestNetworkSimplex:
         values = cost_matrix(TokenSet(a.points + 0.5 * step, a.weights), b).values
         from_tree = ot_module._transportation_simplex(values, a.weights, b.weights, plan._tree)
         from_cells = ot_module._transportation_simplex(
-            values, a.weights, b.weights, ot_module._BasisTree(values, plan.basis))
+            values, a.weights, b.weights, ot_module._BasisTree(values, basis(plan)))
         assert from_tree[1] == from_cells[1]
         np.testing.assert_array_equal(from_tree[0].cells(), from_cells[0].cells())
         assert from_tree[0].flow == from_cells[0].flow
@@ -968,7 +1026,7 @@ class TestNetworkSimplex:
         moved = TokenSet(a.points + 1.0, a.weights)
         again = [solve_exact_ot(moved, b, start=plan) for _ in range(2)]
         assert _support(again[0]) == _support(again[1])
-        np.testing.assert_array_equal(again[0].basis, again[1].basis)
+        np.testing.assert_array_equal(basis(again[0]), basis(again[1]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 15), st.integers(2, 15), st.integers(1, 3), st.booleans(),
@@ -989,7 +1047,7 @@ class TestNetworkSimplex:
         reference = linprog_plan(a, b)[1]
         assert plan.total_cost == pytest.approx(reference, rel=1e-9, abs=1e-12)
         # A basis infeasible for these marginals is dropped for the cold start.
-        tree = ot_module._BasisTree(values, other.basis)
+        tree = ot_module._BasisTree(values, basis(other))
         if not tree.set_flows(a.weights, b.weights):
             cold = solve_exact_ot(a, b)
             assert _support(plan) == _support(cold)
@@ -1006,25 +1064,24 @@ class TestNetworkSimplex:
             plan = solve_exact_ot(a, b, start=start)
             assert _support(plan) == _support(cold)
             assert plan.total_cost == cold.total_cost
-            np.testing.assert_array_equal(plan.basis, cold.basis)
+            np.testing.assert_array_equal(basis(plan), basis(cold))
         uniform = TokenSet(a.points)
         plan = solve_exact_ot(uniform, uniform, start=cold)
-        assert plan.basis is None
+        assert basis(plan) is None
         np.testing.assert_array_equal(dense(plan), np.eye(6) / 6)
-        # basis: the carried tree's cells, ascending, in a fresh array each
-        # time; writing to one changes neither the plan nor a warm start.
-        basis = cold.basis
-        assert basis.dtype == np.int64 and basis.shape == (6 + 4 - 1,)
-        assert np.all(np.diff(basis) > 0)
-        np.testing.assert_array_equal(basis, np.sort(cold._tree.cells()))
+        # The carried tree's cells, ascending, in a fresh array each time;
+        # writing to one changes neither the plan nor a warm start.
+        cells = basis(cold)
+        assert cells.dtype == np.int64 and cells.shape == (6 + 4 - 1,)
+        assert np.all(np.diff(cells) > 0)
         moved = TokenSet(a.points + 0.5, a.weights)
         warm = solve_exact_ot(moved, b, start=cold)
-        expected = basis.copy()
-        basis[:] = 0
-        np.testing.assert_array_equal(cold.basis, expected)
+        expected = cells.copy()
+        cells[:] = 0
+        np.testing.assert_array_equal(basis(cold), expected)
         again = solve_exact_ot(moved, b, start=cold)
         assert _support(again) == _support(warm)
-        np.testing.assert_array_equal(again.basis, warm.basis)
+        np.testing.assert_array_equal(basis(again), basis(warm))
 
     def test_least_cost_start_builds_a_spanning_tree(self):
         # Degenerate marginals: every cell exhausts its row and column at
