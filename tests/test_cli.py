@@ -842,12 +842,8 @@ class TestErrorPaths:
         assert captured.err.startswith("tokenmorph: error[solver-failure]:")
         assert "assignment is not optimal" in captured.err
 
-
     @pytest.mark.parametrize("message, shown", [
-        ("Unable to allocate 72.8 TiB for an array with shape (100000000, 100000) "
-         "and data type float64",
-         "Unable to allocate 72.8 TiB for an array with shape (100000000, 100000) "
-         "and data type float64"),
+        ("Unable to allocate 72.8 TiB", "Unable to allocate 72.8 TiB"),
         ("", "not enough memory"),
     ], ids=["numpy message", "no message"])
     def test_out_of_memory(self, message, shown, tmp_path, monkeypatch, capsys):
