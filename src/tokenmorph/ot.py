@@ -28,8 +28,8 @@ computed from its basis and the marginals, in an order fixed by the
 basis alone. Every solve certifies its optimality by LP duality on its
 final duals, reading the final basis cells that its plan then keeps.
 The test suite checks both solvers against independent oracles (brute
-force, sorted 1-D, scipy), and each solver against a reference loop of
-its former bookkeeping, bit for bit.
+force, sorted 1-D, scipy), and the assignment against a reference
+search that stores every predecessor, bit for bit.
 
 A plan is its support: the cells of positive mass, with their masses.
 They are the n matched cells of an assignment, or at most n + n' - 1
