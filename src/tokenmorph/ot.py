@@ -141,8 +141,9 @@ def squared_distances(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray
 
     The n x n' result is filled in row blocks whose n_rows x n' x m
     difference array holds at most ``_BLOCK_BYTES`` (one row if a single
-    row is larger), so memory stays bounded at any n. Each block runs the
-    same einsum as a one-shot ``n x n' x m`` difference would, and the
+    row is larger), so memory stays bounded at any n. One such array is
+    allocated per call and every block is written into it. Each block runs
+    the same einsum as a one-shot ``n x n' x m`` difference would, and the
     result is bit-identical to it.
 
     Raises:
@@ -152,9 +153,11 @@ def squared_distances(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray
     n, m = queries.shape
     n_cand = candidates.shape[0]
     out = np.empty((n, n_cand))
-    rows = max(1, _BLOCK_BYTES // (8 * n_cand * m))
+    rows = min(n, max(1, _BLOCK_BYTES // (8 * n_cand * m)))
+    diffs = np.empty((rows, n_cand, m))
     for lo in range(0, n, rows):
-        diff = queries[lo:lo + rows, None, :] - candidates[None, :, :]
+        diff = diffs[:n - lo]
+        np.subtract(queries[lo:lo + rows, None, :], candidates[None, :, :], out=diff)
         np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:lo + rows])
     # Distances are >= 0, so the maximum is finite iff every entry is.
     if not math.isfinite(out.max()):

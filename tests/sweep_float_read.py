@@ -8,9 +8,11 @@ Two parts, both seeded by SEED (default 0):
   drawn as in ``sweep_float_repr.py`` (sign, every biased exponent 0 to
   2046, significand uniform), and that script's short decimals (1 to 17
   significant digits at every decimal exponent), are written by
-  ``tokenmorph._floatrepr.json_float_array`` and read back by
-  ``tokenmorph._floatread.json_numbers``, which must give
-  ``float(token)`` bit for bit.
+  ``tokenmorph._floatrepr.json_float_array`` as 2-D arrays, rows of
+  ``WIDTH`` values and a shorter last row where a chunk does not divide,
+  and read back by ``tokenmorph._floatread.json_numbers``, which must
+  give ``float(token)`` bit for bit and mark the end of every row, so
+  that the reader's blocks are also cut next to ``],[``.
 - Midpoints: for COUNT // 16 more such doubles x, the decimals of 17 to
   25 significant digits just below and just above the midpoint between
   x and the next double up, and the midpoint itself where it has that
@@ -35,6 +37,7 @@ from tokenmorph._floatrepr import json_float_array
 from tokenmorph._floatread import json_numbers
 
 CHUNK = 1 << 18
+WIDTH = 64
 DIGITS = range(17, 26)
 _LARGEST = 0x7FEFFFFFFFFFFFFF  # the midpoint above it reads as inf
 
@@ -75,16 +78,37 @@ def midpoint_tokens(bits: int, digits: range) -> list[str]:
     return tokens
 
 
-def _check(tokens: list[bytes]) -> list[tuple[str, str, str]]:
-    """The tokens that json_numbers does not read as float() does."""
-    text = b",".join(tokens)
+def _check(text: bytes, width: int | None = None) -> list[tuple[str, str, str]]:
+    """The tokens of ``text``, JSON numbers separated by ``,`` or ``],[``,
+    that json_numbers does not read as float() does; or, if none, its row
+    ends where they are not every ``width`` tokens and at the last (only
+    at the last without a width)."""
+    tokens = text.replace(b"],[", b",").split(b",")
     read = json_numbers(text, 0, len(text))
     expected = np.array([float(t) for t in tokens])
     if read is None:
         return [("(whole chunk)", "None", "")]
-    got = read[0]
+    got, row_ends = read
     bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
-    return [(tokens[i].decode(), repr(got[i]), repr(expected[i])) for i in bad[:10]]
+    if len(bad):
+        return [(tokens[i].decode(), repr(got[i]), repr(expected[i])) for i in bad[:10]]
+    ends = np.zeros(len(tokens), dtype=bool)
+    if width is not None:
+        ends[width - 1::width] = True
+    ends[-1] = True
+    wrong = np.flatnonzero(row_ends != ends)
+    return [("(row end)", str(i), str(ends[i])) for i in wrong[:10]]
+
+
+def _rows(values: np.ndarray) -> bytes:
+    """``values`` written by json_float_array as a 2-D array of rows of
+    WIDTH, with a shorter last row where WIDTH does not divide, less its
+    outer brackets: ``a,b],[c,d],[e``."""
+    whole = len(values) // WIDTH * WIDTH
+    parts = [json_float_array(values[:whole].reshape(-1, WIDTH))[2:-2]] if whole else []
+    if whole < len(values):
+        parts.append(json_float_array(values[whole:])[1:-1])
+    return b"],[".join(parts)
 
 
 def main(argv: list[str]) -> int:
@@ -94,21 +118,21 @@ def main(argv: list[str]) -> int:
     start = time.perf_counter()
     for done in range(0, count, CHUNK):
         values = random_finite_bits(rng, min(CHUNK, count - done)).view(np.float64)
-        bad = _check(json_float_array(values)[1:-1].split(b","))
+        bad = _check(_rows(values), WIDTH)
         if bad:
             print(f"round trip mismatch (token, reader, float): {bad}")
             return 1
-    print(f"{count} written doubles, seed {seed}: read as float() reads them "
-          f"({time.perf_counter() - start:.1f} s)")
+    print(f"{count} written doubles in rows of {WIDTH}, seed {seed}: read as float() "
+          f"reads them ({time.perf_counter() - start:.1f} s)")
     start = time.perf_counter()
     short = short_decimals(seed)
     for done in range(0, len(short), CHUNK):
-        bad = _check(json_float_array(short[done:done + CHUNK])[1:-1].split(b","))
+        bad = _check(_rows(short[done:done + CHUNK]), WIDTH)
         if bad:
             print(f"short decimal round trip mismatch (token, reader, float): {bad}")
             return 1
-    print(f"{len(short)} written short decimals of 1-17 digits, seed {seed}: read as "
-          f"float() reads them ({time.perf_counter() - start:.1f} s)")
+    print(f"{len(short)} written short decimals of 1-17 digits in rows of {WIDTH}, seed "
+          f"{seed}: read as float() reads them ({time.perf_counter() - start:.1f} s)")
 
     start = time.perf_counter()
     tokens: list[bytes] = []
@@ -118,7 +142,7 @@ def main(argv: list[str]) -> int:
         if b != _LARGEST:
             tokens += [t.encode() for t in midpoint_tokens(b, DIGITS)]
         if len(tokens) >= CHUNK or k == len(bits) - 1:
-            bad = _check(tokens)
+            bad = _check(b",".join(tokens))
             if bad:
                 print(f"midpoint mismatch (token, reader, float): {bad}")
                 return 1

@@ -9,6 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import tokenmorph.cli as cli_module
 from tokenmorph import (
     MorphConfig,
@@ -861,6 +866,32 @@ class TestErrorPaths:
         assert captured.out == ""
         assert captured.err == f"tokenmorph: error[out-of-memory]: {shown}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_address_space_limit(self, tmp_path):
+        # Two valid 20 000-token files, in a child whose address space is
+        # limited to about 2 GB: their 20 000 x 20 000 cost matrix (3.0 GiB)
+        # cannot be allocated, and numpy's message names the shape.
+        paths = []
+        for seed in (1, 2):
+            paths.append(tmp_path / f"blob{seed}.json")
+            write_tokens(gen_synthetic("gaussian_blob", 20_000, 2, seed), paths[-1])
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 2_000_000 * 1024 if hard == resource.RLIM_INFINITY else min(hard, 2_000_000 * 1024)
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "tokenmorph.cli", "dist", *map(str, paths)],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+            preexec_fn=limit_address_space,
+        )
+        assert result.returncode == EXIT_MEMORY
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("tokenmorph: error[out-of-memory]: Unable to allocate ")
+        assert "shape (20000, 20000)" in result.stderr
 
 
 def test_repeated_main_calls_match_fresh_processes(token_files, weighted_files, tmp_path,

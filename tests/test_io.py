@@ -402,6 +402,45 @@ class TestJsonFloatReader:
         assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
         assert row_ends.tolist() == [False] * (len(tokens) - 1) + [True]
 
+    # Tokens the writer never writes, and tokens that float() reads.
+    _ODD_TOKENS = [b"-0", b"0", b"1E5", b"-2.5e-3", b"7e+300", b"-0.0", b"0e7", b"-0E-7",
+                   b"0.1000000000000000055511151231257827", b"123456789012345678901234",
+                   b"0.0015880317657631846", b"1e-400", b"9007199254740993", b"5e-324"]
+
+    @classmethod
+    def _rows(cls, rng: np.random.Generator, n: int, d: int) -> bytes:
+        """n rows of d JSON numbers, as ``a,b],[c,d``: reprs of random
+        doubles at every scale, with the odd tokens at random places."""
+        values = rng.normal(size=n * d) * 10.0 ** rng.integers(-30, 30, size=n * d)
+        tokens = [repr(x).encode() for x in values.tolist()]
+        for k, token in zip(rng.choice(n * d, size=len(cls._ODD_TOKENS), replace=False),
+                            cls._ODD_TOKENS):
+            tokens[k] = token
+        return b"],[".join(b",".join(tokens[i:i + d]) for i in range(0, n * d, d))
+
+    @pytest.mark.parametrize("block", [1, 2, 25, 97])
+    def test_any_block_size_reads_the_same(self, monkeypatch, block):
+        # A block is cut at the first comma after _READ_BLOCK bytes that
+        # does not follow a "]": at any block size, each row still ends
+        # where its "]" is.
+        monkeypatch.setattr(_floatread, "_READ_BLOCK", block)
+        rng = np.random.default_rng(block)
+        text = b"[[" + self._rows(rng, 40, 3) + b"]]"
+        values, row_ends = _floatread.json_numbers(text, 2, len(text) - 2)
+        expected = np.array(json.loads(text), dtype=np.float64).ravel()
+        assert values.tobytes() == expected.tobytes()
+        assert row_ends.tolist() == [i % 3 == 2 for i in range(120)]
+
+    @pytest.mark.parametrize("block", [1, 2, 25, 97])
+    def test_any_block_size_reads_a_weighted_file_as_json_loads(self, monkeypatch, block):
+        monkeypatch.setattr(_floatread, "_READ_BLOCK", block)
+        rng = np.random.default_rng(block)
+        weights = b",".join(repr(w).encode() for w in rng.dirichlet(np.ones(512)).tolist())
+        data = (b'{"d":2,"n":512,"points":[[' + self._rows(rng, 512, 2)
+                + b']],"weights":[' + weights + b"]}\n")
+        assert _canonical_tokens(data) is not None
+        assert _outcome(tokens_from_json_bytes, data) == _outcome(_tokens_from_json_doc, data)
+
     def test_rows_are_marked(self):
         text = b"[1,2],[3,4],[5,6]"
         values, row_ends = _floatread.json_numbers(text, 1, len(text) - 1)
