@@ -24,7 +24,7 @@ with no per-value Python, in blocks of about 128 KiB:
   each.
 
 Each block's arrays are freed at their last use, and most of its
-arithmetic runs in place: its temporaries peak at about 4.5 bytes per
+arithmetic runs in place: its temporaries peak at about 5 bytes per
 byte of text.
 
 The tokenio reader imports this module on first use: without cached
@@ -37,10 +37,14 @@ import numpy as np
 
 from ._floatrepr import _G0, _G1, _K_MAX, _K_MIN, _M32, _U
 
-# Bytes of text per block. Interleaved reads of a 512 x 64 blob file,
-# medians of 60 in two sessions, 2 vCPUs: 12.4-16.4 ms in blocks of 32 KiB
-# (tracemalloc peak 0.65 MiB), 9.7-12.3 ms at 64 KiB (1.00 MiB), 8.6-10.8
-# ms at 128 KiB (1.70 MiB); json.loads and np.asarray took 13.4-18.5 ms.
+# Bytes of text per block. Reads of a 512 x 64 normal file in fresh
+# processes, medians of 150 in four alternating rounds, 2 vCPUs: 9.8-10.4
+# ms in blocks of 64 KiB (tracemalloc peak 0.60 MB, that of the final
+# concatenation), 8.2-8.7 ms at 128 KiB (0.89 MB; no minor page fault in
+# a warm read), 9.3-9.9 ms at 256 KiB (1.54 MB), where glibc trims the
+# heap top after each read and about 650 minor page faults a read bring
+# it back. 192 KiB would peak at 1.25 MB, over the bound of
+# tests/test_io.py's TestKernelPeaks.
 _READ_BLOCK = 1 << 17
 
 # Byte codes for bytes.translate. A digit codes as its value 0-9, so

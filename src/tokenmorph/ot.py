@@ -153,8 +153,8 @@ def squared_distances(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray
     n, m = queries.shape
     n_cand = candidates.shape[0]
     out = np.empty((n, n_cand))
-    rows = min(n, max(1, _BLOCK_BYTES // (8 * n_cand * m)))
-    diffs = np.empty((rows, n_cand, m))
+    rows = max(1, _BLOCK_BYTES // (8 * n_cand * m))
+    diffs = np.empty((min(rows, n), n_cand, m))
     for lo in range(0, n, rows):
         diff = diffs[:n - lo]
         np.subtract(queries[lo:lo + rows, None, :], candidates[None, :, :], out=diff)
