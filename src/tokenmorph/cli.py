@@ -7,8 +7,9 @@ command with the manifest's settings reproduces byte-identical outputs.
 Every command checks its flag values, and that its output directory
 can be made, before it reads an input or writes a file.
 
-Exit codes: 0 success, 2 usage, 3 missing file, 4 bad file format,
-5 dimension mismatch, 6 invalid value, 7 solver failure, 8 out of memory.
+Exit codes: 0 success, 2 usage, 3 missing file or another failed read
+or write, 4 bad file format, 5 dimension mismatch, 6 invalid value,
+7 solver failure, 8 out of memory.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail("missing-file", str(exc), EXIT_MISSING_FILE)
+    except OSError as exc:  # a denied read or write, a full disk, ...
+        return _fail("io", str(exc), EXIT_MISSING_FILE)
     except (FormatError, InvalidWeightsError) as exc:
         return _fail("format", str(exc), EXIT_FORMAT)
     except DimensionMismatchError as exc:

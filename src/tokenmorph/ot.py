@@ -15,14 +15,15 @@ give the identity. A search step keeps only the running path lengths;
 each path recovers its predecessor rows once, at its end.
 
 All other inputs go to a network simplex on the transportation graph.
-Its basis is a spanning tree over the rows and columns, kept in arrays:
-parent, a preorder thread with subtree sizes, the flow on each node's
-parent edge, and the potentials. A pivot re-hangs only the
-subtree that the leaving edge cuts off and shifts only that subtree's
-potentials. It starts from the least-cost (matrix-minimum) basis, or
-from a re-priced copy of the basis tree a previous plan carries when
-the flows that tree fixes for the current marginals are feasible, as on
-every barycenter sweep after the first. A tree's flows, at the start of
+Its basis is a spanning tree over the rows and columns, kept in lists:
+each node's parent and children, the flow on each node's parent edge,
+and the potentials. A pivot finds its cycle by climbing parents from
+both ends of the entering cell, re-hangs only the subtree that the
+leaving edge cuts off and shifts only that subtree's potentials. It
+starts from the least-cost (matrix-minimum) basis, or from a re-priced
+copy of the basis tree a previous plan carries when the flows that tree
+fixes for the current marginals are feasible, as on every barycenter
+sweep after the first. A tree's flows, at the start of
 a warm or cold solve and again at its end if it pivoted, are always
 computed from its basis and the marginals, in an order fixed by the
 basis alone. Every solve certifies its optimality by LP duality on its
@@ -627,14 +628,17 @@ class _BasisTree:
     Nodes are the rows ``0..n-1`` and the columns ``n..n+m-1``. Node k's
     edge to ``parent[k]`` is the basis cell (k, parent[k] - n) for a row
     and (parent[k], k - n) for a column; row 0 is the root and never
-    moves. ``order`` lists the nodes in preorder (the thread) and ``pos``
-    is its inverse, so the subtree of k is
-    ``order[pos[k]:pos[k] + size[k]]``. The array ``pot`` holds the
-    potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
-    ``u[i] + v[j] == values[i, j]`` on every basis cell and ``u[0] == 0``.
-    ``flow[k]`` is the flow on node k's parent edge; only ``set_flows``
-    sets all of them, from the basis and the marginals. ``cells()`` is
-    built once per basis: a pivot drops it, and a priced copy shares it.
+    moves. ``children[k]`` lists the nodes whose parent is k, in no fixed
+    order. The array ``pot`` holds the potentials, u in ``pot[:n]`` and v
+    in ``pot[n:]``, with ``u[i] + v[j] == values[i, j]`` on every basis
+    cell and ``u[0] == 0``. ``flow[k]`` is the flow on node k's parent
+    edge; only ``set_flows`` sets all of them, from the basis and the
+    marginals. ``cells()`` is built once per basis: a pivot drops it, and
+    a priced copy shares it.
+
+    Every climb up ``parent`` and every walk down ``children`` stops after
+    n + m nodes, so a corrupted tree raises SolverFailureError instead of
+    looping forever.
     """
 
     def __init__(self, values: np.ndarray, cells: np.ndarray):
@@ -656,41 +660,48 @@ class _BasisTree:
             adjacent[n + j].append(i)
 
         parent = [-1] * nodes
+        children: list[list[int]] = [[] for _ in range(nodes)]
         seen = [False] * nodes
         seen[0] = True
-        order = []
         stack = [0]
         while stack:
             k = stack.pop()
-            order.append(k)
             for nxt in adjacent[k]:
                 if not seen[nxt]:
                     seen[nxt] = True
                     parent[nxt] = k
+                    children[k].append(nxt)
                     stack.append(nxt)
-        if len(order) != nodes:
+        if not all(seen):
             raise SolverFailureError("transport basis is not a spanning tree")
 
-        sizes = [1] * nodes
-        for k in reversed(order[1:]):
-            sizes[parent[k]] += sizes[k]
         self.n, self.m = n, m
-        self.parent, self.size, self.order = parent, sizes, order
-        self.pos = [0] * nodes
-        for at, k in enumerate(order):
-            self.pos[k] = at
+        self.parent, self.children = parent, children
         self._cells = None
         self.price(values)
         # +1 on rows, -1 on columns: a subtree shift raises u and lowers v.
         self.sign = np.concatenate((np.ones(n), -np.ones(m)))
         self.flow = [0.0] * nodes
 
+    def _subtree(self, root: int) -> list[int]:
+        """The nodes of ``root``'s subtree, breadth first from ``root``, so
+        each node comes after its parent."""
+        children = self.children
+        nodes = [root]
+        # A list iterator sees what the loop appends; a cycle in children
+        # would append forever, so at most n + m nodes are expanded.
+        for k in itertools.islice(nodes, len(children)):
+            nodes += children[k]
+        if len(nodes) > len(children):
+            raise SolverFailureError("transport basis tree is inconsistent")
+        return nodes
+
     def price(self, values: np.ndarray) -> None:
-        """Set the potentials for ``values`` down the thread from row 0."""
+        """Set the potentials for ``values`` down the tree from row 0."""
         parent = self.parent
         cost = values.flat[self.cells()].tolist()
         pot = [0.0] * len(parent)
-        for k in self.order[1:]:
+        for k in self._subtree(0)[1:]:
             pot[k] = cost[k - 1] - pot[parent[k]]
         self.pot = np.array(pot)
 
@@ -699,8 +710,8 @@ class _BasisTree:
         has no flows until ``set_flows`` gives it its own."""
         tree = _BasisTree.__new__(_BasisTree)
         tree.n, tree.m, tree.sign = self.n, self.m, self.sign
-        tree.parent, tree.size = self.parent[:], self.size[:]
-        tree.order, tree.pos = self.order[:], self.pos[:]
+        tree.parent = self.parent[:]
+        tree.children = list(map(list.copy, self.children))
         tree._cells = self.cells()
         tree.price(values)
         return tree
@@ -727,21 +738,21 @@ class _BasisTree:
     def set_flows(self, supply: np.ndarray, demand: np.ndarray) -> bool:
         """Set the basic flows fixed by the marginals; False if one is negative.
 
-        Leaves are eliminated from the deepest level up (depths read off the
-        thread), in ascending node order: each node's net supply (row minus
-        column weights over its subtree) crosses its parent edge, from row to
-        column, and children add in ascending order, so the flows depend only
-        on the basis, bit for bit. That order is kept on purpose: the leaving
-        edge is the least (flow, cell), and a sum in any other order, such
-        as differences of one prefix sum over the thread, could round tied
-        flows apart and change the pivots. Flows within ``_FLOW_TOL`` below
+        Leaves are eliminated from the deepest level up (depths read down the
+        tree from row 0), in ascending node order: each node's net supply
+        (row minus column weights over its subtree) crosses its parent edge,
+        from row to column, and children add in ascending order, so the flows
+        depend only on the basis, bit for bit. That order is kept on purpose:
+        the leaving edge is the least (flow, cell), and a sum in any other
+        order, such as differences of one prefix sum over a preorder, could
+        round tied flows apart and change the pivots. Flows within ``_FLOW_TOL`` below
         zero are rounding dust and read as zero.
         """
         n = self.n
         net = supply.tolist() + (-demand).tolist()
         parent = self.parent
         depth = [0] * len(net)
-        for k in self.order[1:]:
+        for k in self._subtree(0)[1:]:
             depth[k] = depth[parent[k]] + 1
         for k in sorted(range(len(net)), key=depth.__getitem__, reverse=True)[:-1]:
             net[parent[k]] += net[k]
@@ -758,38 +769,37 @@ class _BasisTree:
 
         The cycle it closes is the tree path from row ei to column ej:
         the climbs from both ends up to their common ancestor, the first
-        node above row ei whose thread block holds column ej. Read from
-        row ei to column ej the path's edges alternate -, +, - ..., so
-        each edge it crosses from a row to a column gives up flow; that
+        node on column ej's climb that row ei's climb to the root passes.
+        Read from row ei to column ej the path's edges alternate -, +, - ...,
+        so each edge it crosses from a row to a column gives up flow; that
         is a row's parent edge on row ei's climb and a column's on column
         ej's. The donor edge of least (flow, cell) leaves. Removing it
         cuts off the subtree S holding one end of the entering edge; S is
         re-hung from that end below the other end, and only S's
-        potentials and thread positions change.
+        potentials change.
         """
         n = self.n
-        parent, size, flow = self.parent, self.size, self.flow
-        order, pos = self.order, self.pos
+        parent, children, flow = self.parent, self.children, self.flow
+        limit = len(parent)
         self._cells = None
         p, q = ei, n + ej
         if parent[p] == q or parent[q] == p:
             raise SolverFailureError("transport basis cell priced below zero")
-        climb_p: list[int] = []
+        # Row 0's parent is -1, and Python's parent[-1] would climb on: a
+        # climb that steps above the root or passes more nodes than the
+        # tree has is inconsistent.
+        up = [p]
+        while up[-1] > 0 and len(up) <= limit:
+            up.append(parent[up[-1]])
+        on_up = set(up)
         climb_q: list[int] = []
-        # Row 0's parent is -1: a climb that steps above the root has an
-        # inconsistent thread, and Python's parent[-1] would cycle.
-        a, at_q = p, pos[q]
-        while not pos[a] <= at_q < pos[a] + size[a]:
-            climb_p.append(a)
+        a = q
+        while a not in on_up and a >= 0 and len(climb_q) < limit:
+            climb_q.append(a)
             a = parent[a]
-            if a < 0:
-                raise SolverFailureError("transport basis tree thread is inconsistent")
-        b = q
-        while b != a:
-            climb_q.append(b)
-            b = parent[b]
-            if b < 0:
-                raise SolverFailureError("transport basis tree thread is inconsistent")
+        if up[-1] != 0 or a not in on_up:
+            raise SolverFailureError("transport basis tree is inconsistent")
+        climb_p = up[:up.index(a)]
 
         theta = math.inf
         leave_cell = -1
@@ -808,45 +818,21 @@ class _BasisTree:
             flow[k] += theta if k < n else -theta
 
         if out_side == 0:
-            path, above, other, anchor = climb_p[:out_at + 1], climb_p[out_at + 1:], climb_q, q
+            path, anchor = climb_p[:out_at + 1], q
         else:
-            path, above, other, anchor = climb_q[:out_at + 1], climb_q[out_at + 1:], climb_p, p
+            path, anchor = climb_q[:out_at + 1], p
             delta = -delta  # S holds column ej: its columns gain delta, its rows lose it
-        # S re-rooted at path[0]: its old subtree, then each path node with
-        # the part of its old subtree that does not hold the previous one.
-        starts = [pos[k] for k in path]
-        sizes = [size[k] for k in path]
-        subtree = []
-        inner = inner_end = starts[0] + sizes[0]  # the previous path node's block
-        for start, count in zip(starts, sizes):
-            end = start + count
-            subtree += order[start:inner] + order[inner_end:end]
-            inner, inner_end = start, end
-        self.pot[subtree] += delta * self.sign[subtree]
-
-        # Reverse the path's parent edges; each edge keeps its flow.
+        # Cut the leaving edge above path[-1], reverse the path's parent
+        # edges (each keeps its flow), and hang path[0] below the anchor.
+        children[parent[path[-1]]].remove(path[-1])
         for t in range(len(path) - 1, 0, -1):
-            parent[path[t]] = path[t - 1]
-            flow[path[t]] = flow[path[t - 1]]
+            k, below = path[t], path[t - 1]
+            children[k].remove(below)
+            children[below].append(k)
+            parent[k] = below
+            flow[k] = flow[below]
         parent[path[0]] = anchor
+        children[anchor].append(path[0])
         flow[path[0]] = theta
-
-        moved = sizes[-1]
-        for k in above:
-            size[k] -= moved
-        for k in other:
-            size[k] += moved
-        size[path[0]] = moved
-        for t in range(1, len(path)):
-            size[path[t]] = moved - sizes[t - 1]
-
-        # Move S's block in the thread to just after its new parent.
-        lo, at = starts[-1], pos[anchor]
-        if at < lo:
-            span = range(at + 1, lo + moved)
-            order[at + 1:lo + moved] = subtree + order[at + 1:lo]
-        else:
-            span = range(lo, at + 1)
-            order[lo:at + 1] = order[lo + moved:at + 1] + subtree
-        for i in span:
-            pos[order[i]] = i
+        subtree = self._subtree(path[0])
+        self.pot[subtree] += delta * self.sign[subtree]

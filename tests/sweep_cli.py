@@ -4,7 +4,7 @@ Usage:
     PYTHONPATH=src python tests/sweep_cli.py
     PYTHONPATH=src python tests/sweep_cli.py --against REV
 
-Writes seeded input token files once, then runs 123 ``tokenmorph``
+Writes seeded input token files once, then runs 124 ``tokenmorph``
 commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
@@ -19,7 +19,8 @@ Dirichlet and tie-grid barycenters, ``demo`` at 24 and 60 points, and
 every exit code from 2 to 8. Exits 7 and 8 have no safe natural
 trigger, so one ``dist`` runs with the assignment's row duals raised by
 1, and one ``gen-synthetic`` of 10^13 values runs with its generator
-raising ``MemoryError`` as numpy does when the allocation fails.
+raising ``MemoryError`` as numpy does when the allocation fails. One
+more ``dist`` runs with every file read raising ``PermissionError``.
 
 With ``--against REV`` the same list, on the same input files, also runs
 on a ``git archive`` export of revision REV's ``src/`` in a child
@@ -205,6 +206,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
     commands.append((["dist", *u24], "raised_row_duals"))       # 7
     commands.append((["gen-synthetic", "--kind", "gaussian_blob", "--n", "100000000",
                       "--d", "100000", *out], "out_of_memory"))  # 8
+    commands.append((["dist", *u24], "denied_read"))            # 3
     return commands
 
 
@@ -232,6 +234,15 @@ def _out_of_memory():
                           f"with shape ({n}, {d}) and data type float64")
 
     return mock.patch.object(cli, "gen_synthetic", no_memory)
+
+
+def _denied_read():
+    """Every file read denied, as on an input without read permission
+    (which a run as root would ignore): exit 3 with an ``io`` error line."""
+    def denied(self):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    return mock.patch.object(Path, "read_bytes", denied)
 
 
 def write_inputs(in_dir: Path) -> None:
@@ -291,7 +302,8 @@ def run_all(root: Path) -> dict[str, dict[str, str]]:
     import tokenmorph
     from tokenmorph.cli import main
 
-    faults = {"raised_row_duals": _raised_row_duals, "out_of_memory": _out_of_memory}
+    faults = {"raised_row_duals": _raised_row_duals, "out_of_memory": _out_of_memory,
+              "denied_read": _denied_read}
     results = {}
     here = os.getcwd()
     os.environ.pop("TOKENMORPH_OUT_DIR", None)

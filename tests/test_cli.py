@@ -572,6 +572,37 @@ class TestErrorPaths:
         assert err.startswith("tokenmorph: error[missing-file]:")
         assert err.count("\n") == 1
 
+    def test_denied_read(self, token_files, tmp_path, monkeypatch, capsys):
+        # Ended in a PermissionError traceback with exit 1 before.
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["dist", *map(str, token_files)]) == EXIT_MISSING_FILE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"tokenmorph: error[io]: [Errno 13] Permission denied: "
+                                f"'{token_files[0]}'\n")
+        assert list(work.iterdir()) == []
+
+    def test_denied_write(self, tmp_path, monkeypatch, capsys):
+        # Ended in a PermissionError traceback with exit 1 before.
+        def denied(self, data):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "write_bytes", denied)
+        out = tmp_path / "out"
+        assert main(["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2",
+                     "--out-dir", str(out)]) == EXIT_MISSING_FILE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"tokenmorph: error[io]: [Errno 13] Permission denied: "
+                                f"'{out / 'ring.json'}'\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "."])
     def test_gen_synthetic_name_outside_the_out_dir(self, name, tmp_path, capsys):
         # "../escaped" wrote escaped.json next to the out dir and "a/b"

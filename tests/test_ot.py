@@ -773,33 +773,50 @@ def _weighted_pair(rng, n, n2, m, weights, ties):
     return (TokenSet(points(n), mass(n, kinds[0])), TokenSet(points(n2), mass(n2, kinds[1])))
 
 
+def _preorder(tree):
+    """The tree's nodes in preorder from row 0, walked here from ``children``
+    alone (each node's children pushed in list order, as the tree's own
+    walk from the cells pushes them). It stops after n + m + 1 nodes, so a
+    cycle shows as a repeated node instead of a hang."""
+    order, stack = [], [0]
+    while stack and len(order) <= len(tree.parent):
+        k = stack.pop()
+        order.append(k)
+        stack += tree.children[k]
+    return order
+
+
+def _assert_consistent(tree):
+    """``children`` is the exact inverse of ``parent``, and the preorder
+    down ``children`` reaches every node exactly once."""
+    inverse = [[] for _ in tree.parent]
+    for k, up in enumerate(tree.parent[1:], 1):
+        inverse[up].append(k)
+    assert tree.parent[0] == -1
+    assert [sorted(kids) for kids in tree.children] == inverse
+    assert sorted(_preorder(tree)) == list(range(len(tree.parent)))
+
+
 def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
-    """Parent, sizes, thread, potentials and flows of an updated tree
-    against a tree walked afresh from its cells."""
+    """Parent, children, potentials and flows of an updated tree against a
+    tree walked afresh from its cells."""
     fresh = ot_module._BasisTree(values, tree.cells())
     assert fresh.set_flows(supply, demand)
-    size = len(tree.parent)
+    _assert_consistent(tree)
+    _assert_consistent(fresh)
+    # Sibling order may differ from the walk's.
     assert tree.parent == fresh.parent
-    assert tree.size == fresh.size
-    # The thread is a preorder: it starts at the root, pos inverts it, and
-    # every subtree is one block. Sibling order may differ from the walk's.
-    assert tree.order[0] == 0
-    assert sorted(tree.order) == list(range(size))
-    assert [tree.pos[k] for k in tree.order] == list(range(size))
-    for k in range(size):
-        lo, flo = tree.pos[k], fresh.pos[k]
-        assert set(tree.order[lo:lo + tree.size[k]]) == set(fresh.order[flo:flo + fresh.size[k]])
     scale = float(np.abs(fresh.pot).max()) + float(values.max())
     np.testing.assert_allclose(tree.pot, fresh.pot, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(tree.flow, fresh.flow, rtol=0, atol=1e-12)
     # Re-priced and with its flows set afresh, the tree matches the walk
-    # bit for bit, whatever sibling order its thread has. The reference
-    # flows eliminate leaves up the fresh walk's thread in reverse.
+    # bit for bit, whatever sibling order its children have. The reference
+    # flows eliminate leaves up the fresh walk's preorder in reverse.
     net = supply.tolist() + (-demand).tolist()
-    for k in fresh.order[:0:-1]:
+    for k in _preorder(fresh)[:0:-1]:
         net[fresh.parent[k]] += net[k]
     n = len(supply)
-    walked = [0.0] + [max(net[k] if k < n else -net[k], 0.0) for k in range(1, size)]
+    walked = [0.0] + [max(net[k] if k < n else -net[k], 0.0) for k in range(1, len(net))]
     priced = tree.priced_copy(values)
     assert priced.set_flows(supply, demand)
     assert np.array(priced.flow).tobytes() == np.array(walked).tobytes()
@@ -807,8 +824,9 @@ def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
 
 
 def _tree_state(tree):
-    return (tree.parent[:], tree.size[:], tree.flow[:],
-            tree.order[:], tree.pos[:], tree.pot.tobytes())
+    _assert_consistent(tree)
+    return (tree.parent[:], [kids[:] for kids in tree.children], tree.flow[:],
+            tree.pot.tobytes())
 
 
 class TestBasisTree:
@@ -839,11 +857,11 @@ class TestBasisTree:
         with pytest.raises(SolverFailureError, match="spanning tree"):
             ot_module._BasisTree(np.ones((n, m)), _flat(basis, m))
 
-    def test_walk_gives_parent_depth_and_thread(self):
+    def test_walk_gives_parent_and_children(self):
         tree = ot_module._BasisTree(np.ones((3, 3)), _flat(self.STAIRCASE, 3))
         assert tree.parent == [-1, 4, 5, 0, 0, 1]
-        np.testing.assert_array_equal(tree.order, [0, 4, 1, 5, 2, 3])
-        assert tree.size == [6, 3, 1, 1, 4, 2]
+        assert tree.children == [[3, 4], [5], [], [], [1], [2]]
+        assert _preorder(tree) == [0, 4, 1, 5, 2, 3]
 
     def test_pivot_rehangs_the_cut_subtree(self):
         # Northwest-corner flows on the staircase: 1/4, 1/4, 1/4, 1/8, 1/8.
@@ -879,18 +897,34 @@ class TestBasisTree:
         assert tree.parent == [-1, 4, 5, 2, 0, 1]
         _assert_tree_matches_fresh_walk(tree, values, supply, demand)
 
-    @pytest.mark.parametrize("node, size", [(0, 5), (2, 2)],
-                             ids=["root block misses column 0", "row 2 block holds column 0"])
-    def test_an_inconsistent_thread_raises(self, node, size):
-        # Entering (2, 0) on the staircase: the root's block must hold
-        # column 0, and row 2's must not. Either corruption sends a climb
-        # above the root, where Python's parent[-1] would cycle forever.
+    @pytest.mark.parametrize("cell, node, up", [((2, 0), 4, 5), ((0, 2), 4, 5), ((2, 0), 3, -1)],
+                             ids=["row climb cycles off the root",
+                                  "column climb never meets the row climb",
+                                  "column climb steps above the root"])
+    def test_an_inconsistent_parent_raises(self, cell, node, up):
+        # Entering (2, 0) climbs 2 -> 5 -> 1 -> 4 -> 0 and 3 -> 0; entering
+        # (0, 2) climbs 5 -> 1 -> 4 -> 0 to row 0. With column 1 (node 4)
+        # hung below column 2 (node 5), either climb circles 5 -> 1 -> 4
+        # forever; column 0 (node 3) with parent -1 would step through
+        # Python's parent[-1] to row 1, a wrong common ancestor.
         values = np.arange(9.0).reshape(3, 3) ** 2
         tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
         assert tree.set_flows(np.full(3, 1 / 3), np.full(3, 1 / 3))
-        tree.size[node] = size
-        with pytest.raises(SolverFailureError, match="thread is inconsistent"):
-            tree.pivot(2, 0, float(values[2, 0] - tree.pot[2] - tree.pot[3]))
+        tree.parent[node] = up
+        ei, ej = cell
+        with pytest.raises(SolverFailureError, match="tree is inconsistent"):
+            tree.pivot(ei, ej, float(values[ei, ej] - tree.pot[ei] - tree.pot[3 + ej]))
+
+    def test_a_cycle_in_children_raises(self):
+        # Row 2 lists its own parent, column 2, as a child: a walk down
+        # children would circle 5 -> 2 -> 5 forever.
+        values = np.arange(9.0).reshape(3, 3) ** 2
+        tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
+        tree.children[2].append(5)
+        with pytest.raises(SolverFailureError, match="tree is inconsistent"):
+            tree.price(values)
+        with pytest.raises(SolverFailureError, match="tree is inconsistent"):
+            tree.set_flows(np.full(3, 1 / 3), np.full(3, 1 / 3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
