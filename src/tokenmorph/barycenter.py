@@ -11,6 +11,7 @@ previous sweep's optimal bases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,7 @@ class BarycenterConfig:
         max_iterations: hard cap on fixed-point sweeps (default 100).
         stop_threshold: convergence threshold on the mean squared
             displacement of support points between sweeps (default 1e-5);
-            a number > 0, not a bool.
+            a finite number > 0, not a bool.
     """
 
     max_iterations: int = 100
@@ -42,10 +43,12 @@ class BarycenterConfig:
 
     def __post_init__(self):
         require_count("max_iterations", self.max_iterations, 1)
-        # A bool compares as 0 or 1, but True is not a threshold.
-        if isinstance(self.stop_threshold, (bool, np.bool_)) or not (self.stop_threshold > 0.0):
+        # A bool compares as 0 or 1, but True is not a threshold; every
+        # displacement is below inf, so inf stops after one sweep.
+        if (isinstance(self.stop_threshold, (bool, np.bool_))
+                or not 0.0 < self.stop_threshold < math.inf):
             raise InvalidParameterError(
-                f"stop_threshold must be a number > 0, got {self.stop_threshold!r}"
+                f"stop_threshold must be a finite number > 0, got {self.stop_threshold!r}"
             )
 
 

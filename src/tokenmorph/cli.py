@@ -18,6 +18,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -200,8 +201,8 @@ def _add_output_flags(p: argparse.ArgumentParser, with_format: bool = True) -> N
 def _check_solver_flags(args) -> None:
     """Check ``--max-iter`` and ``--tol`` under their flag names."""
     require_count("--max-iter", args.max_iter, 1)
-    if not args.tol > 0.0:
-        raise InvalidParameterError(f"--tol must be a number > 0, got {args.tol!r}")
+    if not 0.0 < args.tol < math.inf:
+        raise InvalidParameterError(f"--tol must be a finite number > 0, got {args.tol!r}")
 
 
 def _out_dir(arg: str | None) -> Path:

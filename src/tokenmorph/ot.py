@@ -16,18 +16,19 @@ each path recovers its predecessor rows once, at its end.
 
 All other inputs go to a network simplex on the transportation graph.
 Its basis is a spanning tree over the rows and columns, kept in lists:
-each node's parent and children, the flow on each node's parent edge,
-and the potentials. A pivot finds its cycle by climbing parents from
-both ends of the entering cell, re-hangs only the subtree that the
-leaving edge cuts off and shifts only that subtree's potentials. It
-starts from the least-cost (matrix-minimum) basis, or from a re-priced
-copy of the basis tree a previous plan carries when the flows that tree
-fixes for the current marginals are feasible, as on every barycenter
-sweep after the first. A tree's flows, at the start of
-a warm or cold solve and again at its end if it pivoted, are always
-computed from its basis and the marginals, in an order fixed by the
-basis alone. Every solve certifies its optimality by LP duality on its
-final duals, reading the final basis cells that its plan then keeps.
+each node's parent, its children in descending node order, the flow on
+each node's parent edge, and the potentials. A pivot finds its cycle by
+climbing parents from both ends of the entering cell, re-hangs only the
+subtree that the leaving edge cuts off and shifts only that subtree's
+potentials. It starts from the least-cost (matrix-minimum) basis, or
+from a copy of the basis tree a previous plan carries when the flows
+that tree fixes for the current marginals are feasible, as on every
+barycenter sweep after the first. One walk down the tree settles a
+basis, at the start of a warm or cold solve and again at its end if it
+pivoted: it sets the potentials from the costs and then the flows from
+the marginals, in an order fixed by the basis alone. Every solve
+certifies its optimality by LP duality on its final duals, reading the
+final basis cells that its plan then keeps.
 The test suite checks both solvers against independent oracles (brute
 force, sorted 1-D, scipy), and the assignment against a reference
 search that stores every predecessor, bit for bit.
@@ -50,8 +51,10 @@ global state, so concurrent calls on shared token sets are safe.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -518,23 +521,23 @@ def _transportation_simplex(
 ) -> tuple[_BasisTree, int]:
     """Network simplex on the n x m transportation problem.
 
-    Starts from a re-priced copy of ``start``, an earlier solve's final
-    tree, when the flows its basis fixes for these marginals are
-    feasible, and from the least-cost basis otherwise. Entering cells
-    follow Dantzig's most-negative-reduced-cost rule, the first such cell
-    in row-major order on ties, switching to Bland's rule (first negative
-    cell) after a pivot budget so degenerate instances cannot cycle. The
-    leaving cell is the lexicographic minimum of (flow, cell) over the
-    cycle's donor cells. The pivot sequence is fully deterministic.
+    Starts from a copy of ``start``, an earlier solve's final tree, when
+    the flows its basis fixes for these marginals are feasible, and from
+    the least-cost basis otherwise. Entering cells follow Dantzig's
+    most-negative-reduced-cost rule, the first such cell in row-major
+    order on ties, switching to Bland's rule (first negative cell) after
+    a pivot budget so degenerate instances cannot cycle. The leaving cell
+    is the lexicographic minimum of (flow, cell) over the cycle's donor
+    cells. The pivot sequence is fully deterministic.
 
     The last pricing pass is the duality certificate: its potentials
     must price every cell at or above ``-1e-11 * max C`` and every basis
     cell within that of zero, which also catches drifted potentials. It
     reads the final tree's ``cells()``, the array the plan then keeps. The
     flows come from the final tree and the marginals alone, so the
-    coupling depends only on the final basis: a solve that pivoted sets
-    them afresh, and one that made no pivot keeps those its start set
-    from the same basis and marginals.
+    coupling depends only on the final basis: a solve that pivoted
+    settles its tree afresh, and one that made no pivot keeps the flows
+    its start settled from the same basis and marginals.
 
     Returns:
         ``(tree, pivots)``: the final basis tree, whose ``flow[1:]`` is
@@ -547,10 +550,10 @@ def _transportation_simplex(
     n, m = values.shape
     # Relative to the costs, so optimality does not depend on coordinate scale.
     tol = 1e-11 * float(values.max())
-    tree = None if start is None else start.priced_copy(values)
-    if tree is None or not tree.set_flows(supply, demand):
+    tree = None if start is None else start.copy()
+    if tree is None or not tree.settle(values, supply, demand):
         tree = _BasisTree(values, _least_cost_start(values, supply, demand))
-        if not tree.set_flows(supply, demand):
+        if not tree.settle(values, supply, demand):
             raise SolverFailureError("least-cost start has negative mass")
 
     max_pivots = max(2000, 30 * n * m)
@@ -575,8 +578,8 @@ def _transportation_simplex(
     _certify_optimal("transportation simplex basis", reduced,
                      reduced.flat[tree.cells()], tol)
     # With no pivot the tree still holds the flows that the opening
-    # set_flows computed from this basis and these marginals.
-    if pivots and not tree.set_flows(supply, demand):
+    # settle computed from this basis and these marginals.
+    if pivots and not tree.settle(values, supply, demand):
         raise SolverFailureError("transportation simplex produced negative mass")
     return tree, pivots
 
@@ -628,13 +631,14 @@ class _BasisTree:
     Nodes are the rows ``0..n-1`` and the columns ``n..n+m-1``. Node k's
     edge to ``parent[k]`` is the basis cell (k, parent[k] - n) for a row
     and (parent[k], k - n) for a column; row 0 is the root and never
-    moves. ``children[k]`` lists the nodes whose parent is k, in no fixed
-    order. The array ``pot`` holds the potentials, u in ``pot[:n]`` and v
-    in ``pot[n:]``, with ``u[i] + v[j] == values[i, j]`` on every basis
-    cell and ``u[0] == 0``. ``flow[k]`` is the flow on node k's parent
-    edge; only ``set_flows`` sets all of them, from the basis and the
-    marginals. ``cells()`` is built once per basis: a pivot drops it, and
-    a priced copy shares it.
+    moves. ``children[k]`` lists the nodes whose parent is k, in
+    descending node order. ``settle`` sets the array ``pot`` of
+    potentials, u in ``pot[:n]`` and v in ``pot[n:]``, with
+    ``u[i] + v[j] == values[i, j]`` on every basis cell and
+    ``u[0] == 0``, and ``flow[k]``, the flow on node k's parent edge, from
+    the basis, the costs and the marginals; a pivot updates both.
+    ``cells()`` is built once per basis: a pivot drops it, and a copy
+    shares it.
 
     Every climb up ``parent`` and every walk down ``children`` stops after
     n + m nodes, so a corrupted tree raises SolverFailureError instead of
@@ -653,8 +657,10 @@ class _BasisTree:
         nodes = n + m
         if len(cells) != nodes - 1 or not 0 <= cells.min() <= cells.max() < n * m:
             raise SolverFailureError("transport basis is not a spanning tree")
+        # Cells read in descending order give every adjacency list, and so
+        # every children list, in descending node order.
         adjacent: list[list[int]] = [[] for _ in range(nodes)]
-        for flat in cells.tolist():
+        for flat in sorted(cells.tolist(), reverse=True):
             i, j = divmod(flat, m)
             adjacent[i].append(n + j)
             adjacent[n + j].append(i)
@@ -678,14 +684,11 @@ class _BasisTree:
         self.n, self.m = n, m
         self.parent, self.children = parent, children
         self._cells = None
-        self.price(values)
-        # +1 on rows, -1 on columns: a subtree shift raises u and lowers v.
-        self.sign = np.concatenate((np.ones(n), -np.ones(m)))
-        self.flow = [0.0] * nodes
 
     def _subtree(self, root: int) -> list[int]:
-        """The nodes of ``root``'s subtree, breadth first from ``root``, so
-        each node comes after its parent."""
+        """The nodes of ``root``'s subtree, breadth first from ``root``:
+        each node comes after its parent, and its children come together,
+        in list order."""
         children = self.children
         nodes = [root]
         # A list iterator sees what the loop appends; a cycle in children
@@ -696,24 +699,14 @@ class _BasisTree:
             raise SolverFailureError("transport basis tree is inconsistent")
         return nodes
 
-    def price(self, values: np.ndarray) -> None:
-        """Set the potentials for ``values`` down the tree from row 0."""
-        parent = self.parent
-        cost = values.flat[self.cells()].tolist()
-        pot = [0.0] * len(parent)
-        for k in self._subtree(0)[1:]:
-            pot[k] = cost[k - 1] - pot[parent[k]]
-        self.pot = np.array(pot)
-
-    def priced_copy(self, values: np.ndarray) -> _BasisTree:
-        """A copy of the structure and its cells, priced for ``values``. It
-        has no flows until ``set_flows`` gives it its own."""
+    def copy(self) -> _BasisTree:
+        """A copy of the structure that shares its cells. It has no
+        potentials or flows until ``settle`` gives it its own."""
         tree = _BasisTree.__new__(_BasisTree)
-        tree.n, tree.m, tree.sign = self.n, self.m, self.sign
+        tree.n, tree.m = self.n, self.m
         tree.parent = self.parent[:]
         tree.children = list(map(list.copy, self.children))
         tree._cells = self.cells()
-        tree.price(values)
         return tree
 
     def cell(self, k: int) -> int:
@@ -735,26 +728,31 @@ class _BasisTree:
             self._cells.setflags(write=False)
         return self._cells
 
-    def set_flows(self, supply: np.ndarray, demand: np.ndarray) -> bool:
-        """Set the basic flows fixed by the marginals; False if one is negative.
+    def settle(self, values: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> bool:
+        """Set the potentials for ``values`` and the basic flows fixed by
+        the marginals, in one walk from row 0; False if a flow is negative.
 
-        Leaves are eliminated from the deepest level up (depths read down the
-        tree from row 0), in ascending node order: each node's net supply
-        (row minus column weights over its subtree) crosses its parent edge,
-        from row to column, and children add in ascending order, so the flows
-        depend only on the basis, bit for bit. That order is kept on purpose:
-        the leaving edge is the least (flow, cell), and a sum in any other
-        order, such as differences of one prefix sum over a preorder, could
-        round tied flows apart and change the pivots. Flows within ``_FLOW_TOL`` below
-        zero are rounding dust and read as zero.
+        The potentials are set down the walk, each node's from its parent's.
+        The flows are eliminated up the same walk in reverse: each node's
+        net supply (row minus column weights over its subtree) crosses its
+        parent edge, from row to column. The walk lists each node's children
+        together, in descending node order, so in reverse they add in
+        ascending node order and the flows depend only on the basis, bit for
+        bit. That order is kept on purpose: the leaving edge is the least
+        (flow, cell), and a sum in any other order, such as differences of
+        one prefix sum over a preorder, could round tied flows apart and
+        change the pivots. Flows within ``_FLOW_TOL`` below zero are
+        rounding dust and read as zero.
         """
-        n = self.n
+        n, parent = self.n, self.parent
+        walk = self._subtree(0)
+        cost = values.flat[self.cells()].tolist()
+        pot = [0.0] * len(parent)
+        for k in walk[1:]:
+            pot[k] = cost[k - 1] - pot[parent[k]]
+        self.pot = np.array(pot)
         net = supply.tolist() + (-demand).tolist()
-        parent = self.parent
-        depth = [0] * len(net)
-        for k in self._subtree(0)[1:]:
-            depth[k] = depth[parent[k]] + 1
-        for k in sorted(range(len(net)), key=depth.__getitem__, reverse=True)[:-1]:
+        for k in walk[:0:-1]:
             net[parent[k]] += net[k]
         flow = net[:n] + [-f for f in net[n:]]
         flow[0] = 0.0
@@ -828,11 +826,12 @@ class _BasisTree:
         for t in range(len(path) - 1, 0, -1):
             k, below = path[t], path[t - 1]
             children[k].remove(below)
-            children[below].append(k)
+            bisect.insort(children[below], k, key=operator.neg)
             parent[k] = below
             flow[k] = flow[below]
         parent[path[0]] = anchor
-        children[anchor].append(path[0])
+        bisect.insort(children[anchor], path[0], key=operator.neg)
         flow[path[0]] = theta
-        subtree = self._subtree(path[0])
-        self.pot[subtree] += delta * self.sign[subtree]
+        # S's rows gain delta and its columns lose it.
+        subtree = np.array(self._subtree(path[0]))
+        self.pot[subtree] += np.where(subtree < n, delta, -delta)

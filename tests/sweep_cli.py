@@ -4,7 +4,7 @@ Usage:
     PYTHONPATH=src python tests/sweep_cli.py
     PYTHONPATH=src python tests/sweep_cli.py --against REV
 
-Writes seeded input token files once, then runs 124 ``tokenmorph``
+Writes seeded input token files once, then runs 125 ``tokenmorph``
 commands in-process, each with its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
@@ -104,6 +104,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["barycenter", *u24, "--beta", "2", *out],               # 6
         ["barycenter", *u24, "--beta", "0.5", "--max-iter", "0", *out],  # 6
         ["barycenter", *u24, "--beta", "0.5", "--tol", "0", *out],       # 6
+        ["barycenter", *weighted_small, "--beta", "0.4", "--tol", "inf", *out],  # 6
         ["barycenter", f"{IN}/nope.json", u24[1], "--beta", "0.5", *out],  # 3
         ["barycenter", *u24, *out],                              # 2
     ]

@@ -1,8 +1,9 @@
 """Sweep random OT instances and morphs through the plan-cost rule.
 
 Usage: PYTHONPATH=src python tests/sweep_plan_cost.py [COUNT] [MORPHS] [SEED] [WEIGHTED] [UNIFORM]
+    [BARYCENTERS]
 
-Checks four properties on seeded random inputs from SEED (default 0):
+Checks five properties on seeded random inputs from SEED (default 0):
 
 * On COUNT (default 4 000) instances, half uniform equal-size sets (the
   assignment route) and half Dirichlet-weighted sets of unequal size
@@ -26,6 +27,13 @@ Checks four properties on seeded random inputs from SEED (default 0):
   k / (n n') for a whole count k >= 1, correctly rounded, with the
   counts summing to n' in each row and n in each column: no cell holds
   rounding dust. ``total_cost`` is checked as on the COUNT instances.
+* On BARYCENTERS (default 0) barycenters of two Dirichlet-weighted
+  measures (sizes 2 to 29, dimension 1 to 8, a random beta), drawn after
+  all others, every solve warm-started from the previous sweep's plan
+  equals a cold solve of the same pair byte for byte: rows, cols, mass
+  and ``total_cost``. A support that collapses onto duplicated points
+  has other optimal plans at equal cost, so its solves are skipped and
+  counted, with how many of them took another plan.
 
 Prints the first failing case and exits 1 on any difference. Not a
 pytest module: it runs as its own CI step, so the search does not
@@ -39,15 +47,19 @@ import time
 
 import numpy as np
 
+from unittest import mock
+
 from conftest import exact_plan_cost
 from tokenmorph import (
     MorphConfig,
     TokenSet,
     cost_matrix,
     morph_geometry,
+    pairwise_barycenter,
     solve_exact_ot,
     step_lengths,
 )
+from tokenmorph import barycenter as barycenter_module
 
 
 def random_instance(rng: np.random.Generator, weighted: bool) -> tuple[TokenSet, TokenSet]:
@@ -91,6 +103,38 @@ def uniform_unequal_instance(rng: np.random.Generator, grid: bool):
     return tokens(n), tokens(n2)
 
 
+def weighted_barycenter_pair(rng: np.random.Generator) -> tuple[TokenSet, TokenSet, float]:
+    n, n2, m = int(rng.integers(2, 30)), int(rng.integers(2, 30)), int(rng.integers(1, 9))
+    return (TokenSet(rng.normal(size=(n, m)), rng.dirichlet(np.ones(n))),
+            TokenSet(rng.normal(size=(n2, m)), rng.dirichlet(np.ones(n2))),
+            float(rng.uniform()))
+
+
+class WarmAgainstCold:
+    """Stands in for the barycenter's ``solve_exact_ot``: every warm solve
+    is repeated cold, and the two plans compared byte for byte."""
+
+    def __init__(self):
+        self.warm = self.skipped = self.skipped_other = 0
+        self.mismatch: str | None = None
+
+    def __call__(self, a: TokenSet, b: TokenSet, *, start=None):
+        plan = solve_exact_ot(a, b, start=start)
+        if start is None:
+            return plan
+        self.warm += 1
+        cold = solve_exact_ot(a, b)
+        differ = [name for name in ("rows", "cols", "mass", "total_cost")
+                  if np.asarray(getattr(plan, name)).tobytes()
+                  != np.asarray(getattr(cold, name)).tobytes()]
+        if len(np.unique(a.points, axis=0)) < a.n:
+            self.skipped += 1
+            self.skipped_other += bool(differ)
+        elif differ and self.mismatch is None:
+            self.mismatch = f"{a.n}x{b.n}, m={a.m}: {', '.join(differ)} differ"
+        return plan
+
+
 def count_error(plan, n: int, n2: int) -> str | None:
     """Why the plan's masses are not whole counts k / (n n'), or None."""
     counts = np.rint(plan.mass * (n * n2))
@@ -110,6 +154,7 @@ def main(argv: list[str]) -> int:
     seed = int(argv[2]) if len(argv) > 2 else 0
     weighted = int(argv[3]) if len(argv) > 3 else 1000
     uniform = int(argv[4]) if len(argv) > 4 else 1000
+    barycenters = int(argv[5]) if len(argv) > 5 else 0
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     for k in range(count):
@@ -144,10 +189,22 @@ def main(argv: list[str]) -> int:
         if error is not None:
             print(f"uniform instance {k} ({a.n}x{b.n}, m={a.m}): {error}")
             return 1
+    checker = WarmAgainstCold()
+    with mock.patch.object(barycenter_module, "solve_exact_ot", checker):
+        for k in range(barycenters):
+            source, target, beta = weighted_barycenter_pair(rng)
+            pairwise_barycenter(source, target, beta, source)
+            if checker.mismatch is not None:
+                print(f"barycenter {k}: a warm solve differs from the cold one, "
+                      f"{checker.mismatch}")
+                return 1
     print(f"{count} plans, {morphs} morphs, {weighted} weighted morphs and {uniform} uniform "
           f"plans of unequal size, seed {seed}: every total_cost exact, every step_w2 equal "
           f"to step_lengths, within 1e-12 on weighted morphs, every uniform mass a whole "
-          f"count ({time.perf_counter() - start:.1f} s)")
+          f"count; {barycenters} barycenters made {checker.warm} warm solves, each equal to "
+          f"a cold solve but {checker.skipped} skipped on duplicated points "
+          f"({checker.skipped_other} of them took another optimal plan) "
+          f"({time.perf_counter() - start:.1f} s)")
     return 0
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ class TestConfig:
     def test_rejects_bad_threshold(self):
         with pytest.raises(InvalidParameterError):
             BarycenterConfig(stop_threshold=0.0)
+
+    @pytest.mark.parametrize("threshold", [math.inf, float("1e400"), math.nan])
+    def test_rejects_a_threshold_that_is_not_finite(self, threshold):
+        # Every displacement is below inf: a barycenter stopped after one
+        # sweep and reported itself converged.
+        with pytest.raises(InvalidParameterError, match="must be a finite number > 0"):
+            BarycenterConfig(stop_threshold=threshold)
 
     @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_rejects_a_bool_threshold(self, flag):

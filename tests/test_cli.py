@@ -743,14 +743,19 @@ class TestErrorPaths:
         (["barycenter", "S", "T", "--beta", "0.5", "--max-iter", "0"],
          "--max-iter must be an integer >= 1, got 0"),
         (["barycenter", "S", "T", "--beta", "0.5", "--tol", "0"],
-         "--tol must be a number > 0, got 0.0"),
+         "--tol must be a finite number > 0, got 0.0"),
+        # inf made every barycenter stop after one sweep, "converged".
+        (["barycenter", "S", "T", "--beta", "0.5", "--tol", "inf"],
+         "--tol must be a finite number > 0, got inf"),
         (["morph", "S", "T", "--frames", "-1"], "--frames must be an integer >= 0, got -1"),
         (["morph", "S", "T", "--max-iter", "0"], "--max-iter must be an integer >= 1, got 0"),
-        (["morph", "S", "T", "--tol", "0"], "--tol must be a number > 0, got 0.0"),
+        (["morph", "S", "T", "--tol", "0"], "--tol must be a finite number > 0, got 0.0"),
+        (["morph", "S", "T", "--tol", "1e400"], "--tol must be a finite number > 0, got inf"),
         (["sweep-tau", "S", "T", "--frames", "-1"], "--frames must be an integer >= 0, got -1"),
         (["demo", "--frames", "-1"], "--frames must be an integer >= 0, got -1"),
     ], ids=["texture-select --tau", "barycenter --beta", "barycenter --max-iter",
-            "barycenter --tol", "morph --frames", "morph --max-iter", "morph --tol",
+            "barycenter --tol", "barycenter --tol inf", "morph --frames", "morph --max-iter",
+            "morph --tol", "morph --tol 1e400",
             "sweep-tau --frames", "demo --frames"])
     @pytest.mark.parametrize("missing", [False, True], ids=["inputs", "missing input"])
     def test_values_are_checked_before_inputs_are_read(self, argv, message, missing,

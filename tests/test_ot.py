@@ -787,13 +787,14 @@ def _preorder(tree):
 
 
 def _assert_consistent(tree):
-    """``children`` is the exact inverse of ``parent``, and the preorder
-    down ``children`` reaches every node exactly once."""
+    """``children`` is the exact inverse of ``parent``, each list in
+    descending node order, and the preorder down ``children`` reaches
+    every node exactly once."""
     inverse = [[] for _ in tree.parent]
     for k, up in enumerate(tree.parent[1:], 1):
-        inverse[up].append(k)
+        inverse[up].insert(0, k)
     assert tree.parent[0] == -1
-    assert [sorted(kids) for kids in tree.children] == inverse
+    assert tree.children == inverse
     assert sorted(_preorder(tree)) == list(range(len(tree.parent)))
 
 
@@ -801,26 +802,31 @@ def _assert_tree_matches_fresh_walk(tree, values, supply, demand):
     """Parent, children, potentials and flows of an updated tree against a
     tree walked afresh from its cells."""
     fresh = ot_module._BasisTree(values, tree.cells())
-    assert fresh.set_flows(supply, demand)
+    assert fresh.settle(values, supply, demand)
     _assert_consistent(tree)
     _assert_consistent(fresh)
-    # Sibling order may differ from the walk's.
     assert tree.parent == fresh.parent
+    assert tree.children == fresh.children
     scale = float(np.abs(fresh.pot).max()) + float(values.max())
     np.testing.assert_allclose(tree.pot, fresh.pot, rtol=0, atol=1e-12 * scale)
     np.testing.assert_allclose(tree.flow, fresh.flow, rtol=0, atol=1e-12)
-    # Re-priced and with its flows set afresh, the tree matches the walk
-    # bit for bit, whatever sibling order its children have. The reference
-    # flows eliminate leaves up the fresh walk's preorder in reverse.
+    # Settled afresh, a copy of the tree matches the walk bit for bit. The
+    # reference flows eliminate leaves from the deepest level up, in
+    # ascending node order within a level: depth labels, then a stable
+    # sort by depth.
+    depth = [0] * len(fresh.parent)
+    for k in _preorder(fresh)[1:]:
+        depth[k] = depth[fresh.parent[k]] + 1
     net = supply.tolist() + (-demand).tolist()
-    for k in _preorder(fresh)[:0:-1]:
+    for k in sorted(range(1, len(net)), key=depth.__getitem__, reverse=True):
         net[fresh.parent[k]] += net[k]
     n = len(supply)
     walked = [0.0] + [max(net[k] if k < n else -net[k], 0.0) for k in range(1, len(net))]
-    priced = tree.priced_copy(values)
-    assert priced.set_flows(supply, demand)
-    assert np.array(priced.flow).tobytes() == np.array(walked).tobytes()
-    assert priced.pot.tobytes() == fresh.pot.tobytes()
+    settled = tree.copy()
+    assert settled.cells() is tree.cells()
+    assert settled.settle(values, supply, demand)
+    assert np.array(settled.flow).tobytes() == np.array(walked).tobytes()
+    assert settled.pot.tobytes() == fresh.pot.tobytes()
 
 
 def _tree_state(tree):
@@ -842,6 +848,7 @@ class TestBasisTree:
         values = np.array([[1.0, 4.0, 2.0], [3.0, 0.5, 5.0]])
         basis = [(0, 0), (0, 1), (1, 1), (1, 2)]
         tree = ot_module._BasisTree(values, _flat(basis, 3))
+        assert tree.settle(values, np.full(2, 0.5), np.array([0.25, 0.5, 0.25]))
         u, v = tree.pot[:2], tree.pot[2:]
         assert u[0] == 0.0
         for i, j in basis:
@@ -860,8 +867,20 @@ class TestBasisTree:
     def test_walk_gives_parent_and_children(self):
         tree = ot_module._BasisTree(np.ones((3, 3)), _flat(self.STAIRCASE, 3))
         assert tree.parent == [-1, 4, 5, 0, 0, 1]
-        assert tree.children == [[3, 4], [5], [], [], [1], [2]]
-        assert _preorder(tree) == [0, 4, 1, 5, 2, 3]
+        assert tree.children == [[4, 3], [5], [], [], [1], [2]]
+        assert _preorder(tree) == [0, 3, 4, 1, 5, 2]
+
+    def test_shuffled_cells_give_the_same_tree(self):
+        rng = np.random.default_rng(17)
+        a, b = _weighted_pair(rng, 9, 7, 2, "dirichlet", False)
+        values = cost_matrix(a, b).values
+        cells = ot_module._least_cost_start(values, a.weights, b.weights)
+        tree = ot_module._BasisTree(values, cells)
+        _assert_consistent(tree)
+        for _ in range(5):
+            shuffled = ot_module._BasisTree(values, rng.permutation(cells))
+            assert shuffled.parent == tree.parent
+            assert shuffled.children == tree.children
 
     def test_pivot_rehangs_the_cut_subtree(self):
         # Northwest-corner flows on the staircase: 1/4, 1/4, 1/4, 1/8, 1/8.
@@ -869,7 +888,7 @@ class TestBasisTree:
         supply = np.array([0.5, 0.375, 0.125])
         demand = np.array([0.25, 0.5, 0.25])
         tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
-        assert tree.set_flows(supply, demand)
+        assert tree.settle(values, supply, demand)
         # Entering (2, 0) closes row 2 -> col 2 -> row 1 -> col 1 -> row 0
         # -> col 0; (2, 2), (1, 1) and (0, 0) give up flow, and (2, 2),
         # with the least (1/8), leaves. Row 2 is cut off and hangs from
@@ -889,7 +908,7 @@ class TestBasisTree:
         supply = np.array([0.5, 0.25, 0.25])
         demand = np.array([0.25, 0.5, 0.25])
         tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
-        assert tree.set_flows(supply, demand)
+        assert tree.settle(values, supply, demand)
         # Entering (2, 0): (2, 2), (1, 1) and (0, 0) all give up 1/4, and
         # (0, 0), the smallest cell, leaves. Column 0 is cut off and hangs
         # from row 2 instead.
@@ -909,7 +928,7 @@ class TestBasisTree:
         # Python's parent[-1] to row 1, a wrong common ancestor.
         values = np.arange(9.0).reshape(3, 3) ** 2
         tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
-        assert tree.set_flows(np.full(3, 1 / 3), np.full(3, 1 / 3))
+        assert tree.settle(values, np.full(3, 1 / 3), np.full(3, 1 / 3))
         tree.parent[node] = up
         ei, ej = cell
         with pytest.raises(SolverFailureError, match="tree is inconsistent"):
@@ -922,9 +941,7 @@ class TestBasisTree:
         tree = ot_module._BasisTree(values, _flat(self.STAIRCASE, 3))
         tree.children[2].append(5)
         with pytest.raises(SolverFailureError, match="tree is inconsistent"):
-            tree.price(values)
-        with pytest.raises(SolverFailureError, match="tree is inconsistent"):
-            tree.set_flows(np.full(3, 1 / 3), np.full(3, 1 / 3))
+            tree.settle(values, np.full(3, 1 / 3), np.full(3, 1 / 3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
@@ -937,7 +954,7 @@ class TestBasisTree:
         values = cost_matrix(a, b).values
         tree = ot_module._BasisTree(
             values, ot_module._least_cost_start(values, a.weights, b.weights))
-        assert tree.set_flows(a.weights, b.weights)
+        assert tree.settle(values, a.weights, b.weights)
         for _ in range(25):
             basic = np.zeros(n * n2, dtype=bool)
             basic[tree.cells()] = True
@@ -992,7 +1009,7 @@ class TestNetworkSimplex:
         tree, _ = ot_module._transportation_simplex(values, a.weights, b.weights)
         cells = tree.cells()
         fresh = ot_module._BasisTree(values, cells)
-        assert fresh.set_flows(a.weights, b.weights)
+        assert fresh.settle(values, a.weights, b.weights)
         # From the walked cells and from the carried tree alike.
         for start in (ot_module._BasisTree(values, cells), tree):
             again, pivots = ot_module._transportation_simplex(
@@ -1065,7 +1082,7 @@ class TestNetworkSimplex:
         assert plan.total_cost == pytest.approx(reference, rel=1e-9, abs=1e-12)
         # A basis infeasible for these marginals is dropped for the cold start.
         tree = ot_module._BasisTree(values, basis(other))
-        if not tree.set_flows(a.weights, b.weights):
+        if not tree.settle(values, a.weights, b.weights):
             cold = solve_exact_ot(a, b)
             assert _support(plan) == _support(cold)
 
@@ -1110,7 +1127,7 @@ class TestNetworkSimplex:
         cells = ot_module._least_cost_start(values, third, third)
         assert cells.tolist() == [0, 1, 2, 5, 7]
         tree = ot_module._BasisTree(values, cells)
-        assert tree.set_flows(third, third)
+        assert tree.settle(values, third, third)
 
     def test_bland_rule_finishes_the_solve(self, monkeypatch):
         # The first 40 (n + m) pivots, all under Dantzig's rule, do nothing,
