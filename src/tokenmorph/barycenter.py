@@ -11,7 +11,6 @@ previous sweep's optimal bases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     InvalidWeightsError,
     require_count,
     require_fraction,
+    require_threshold,
 )
 from .ot import solve_exact_ot
 from .tokens import WEIGHT_SUM_TOL, TokenSet
@@ -43,23 +43,22 @@ class BarycenterConfig:
 
     def __post_init__(self):
         require_count("max_iterations", self.max_iterations, 1)
-        # A bool compares as 0 or 1, but True is not a threshold; every
-        # displacement is below inf, so inf stops after one sweep.
-        if (isinstance(self.stop_threshold, (bool, np.bool_))
-                or not 0.0 < self.stop_threshold < math.inf):
-            raise InvalidParameterError(
-                f"stop_threshold must be a finite number > 0, got {self.stop_threshold!r}"
-            )
+        require_threshold("stop_threshold", self.stop_threshold)
 
 
 @dataclass(frozen=True)
 class BarycenterResult:
     """Optimized support plus convergence diagnostics.
 
-    ``support`` always carries uniform weights 1/n. ``objective`` is the
-    weighted sum of squared W2 distances at the last evaluated iterate;
+    ``support`` always carries uniform weights 1/n. Each sweep evaluates
+    the objective, the weighted sum of squared W2 distances, at the
+    support it starts from, with the solves that its update needs;
     ``per_iteration_objective`` holds that value for every sweep and is
-    non-increasing.
+    non-increasing. So ``objective``, the last sweep's value, is that of
+    the support one update before ``support``, which is not evaluated:
+    after one sweep it is the init's objective, and once the sweeps have
+    converged the last update is below the stop threshold and the two
+    nearly agree.
     """
 
     support: TokenSet
@@ -98,7 +97,8 @@ def free_support_barycenter(
     Returns:
         BarycenterResult; ``converged`` is True when the mean squared
         support displacement fell below ``config.stop_threshold`` before
-        the iteration cap.
+        the iteration cap. Its ``objective`` is that of the support the
+        last sweep started from, one update before the returned one.
 
     Raises:
         DimensionMismatchError: if any measure's dimension differs from

@@ -18,7 +18,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -35,6 +34,7 @@ from .errors import (
     TokenMorphError,
     require_count,
     require_fraction,
+    require_threshold,
 )
 from .selective import (
     DEFAULT_TAU,
@@ -47,7 +47,7 @@ from .synth import KINDS, gen_synthetic
 from .tokenio import read_tokens, tokens_to_binary_bytes, tokens_to_json_bytes
 from .tokens import TokenSet, index_lerp
 from .toydemo import decode_tokens_to_shape, render_trajectory_svg
-from .trajectory import MorphConfig, morph_geometry
+from .trajectory import INIT_MODES, MorphConfig, morph_geometry
 from .ot import w2_distance
 
 EXIT_OK = 0
@@ -138,10 +138,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("morph", help="full morphing trajectory between two token files")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--frames", type=int, default=6, metavar="J",
+    p.add_argument("--frames", type=int, default=MorphConfig.J, metavar="J",
                    help="number of intermediate frames (J+2 total)")
-    p.add_argument("--init", choices=("sequential", "linear-init", "naive-lerp"),
-                   default="sequential")
+    p.add_argument("--init", choices=[mode.replace("_", "-") for mode in INIT_MODES],
+                   default=MorphConfig.init_mode)
     p.add_argument("--tau", type=float, default=None,
                    help="also write selectively blended frames at this threshold")
     _add_solver_flags(p)
@@ -161,7 +161,7 @@ def _build_parser() -> _Parser:
     p.add_argument("target")
     p.add_argument("--grid", default=",".join(str(t) for t in DEFAULT_TAU_GRID),
                    help="comma-separated thresholds")
-    p.add_argument("--frames", type=int, default=6, metavar="J")
+    p.add_argument("--frames", type=int, default=MorphConfig.J, metavar="J")
     _add_output_flags(p, with_format=False)
     p.set_defaults(func=_cmd_sweep_tau)
 
@@ -175,7 +175,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_gen_synthetic)
 
     p = sub.add_parser("demo", help="2-D morph rendered as an SVG strip")
-    p.add_argument("--frames", type=int, default=6, metavar="J")
+    p.add_argument("--frames", type=int, default=MorphConfig.J, metavar="J")
     p.add_argument("--points", type=int, default=24, help="tokens per shape")
     p.add_argument("--tau", type=float, default=None)
     _add_output_flags(p, with_format=False)
@@ -185,9 +185,9 @@ def _build_parser() -> _Parser:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=100,
+    p.add_argument("--max-iter", type=int, default=BarycenterConfig.max_iterations,
                    help="fixed-point sweep cap (barycenter and --init linear-init only)")
-    p.add_argument("--tol", type=float, default=1e-5,
+    p.add_argument("--tol", type=float, default=BarycenterConfig.stop_threshold,
                    help="fixed-point stop threshold (barycenter and --init linear-init only)")
 
 
@@ -201,8 +201,7 @@ def _add_output_flags(p: argparse.ArgumentParser, with_format: bool = True) -> N
 def _check_solver_flags(args) -> None:
     """Check ``--max-iter`` and ``--tol`` under their flag names."""
     require_count("--max-iter", args.max_iter, 1)
-    if not 0.0 < args.tol < math.inf:
-        raise InvalidParameterError(f"--tol must be a finite number > 0, got {args.tol!r}")
+    require_threshold("--tol", args.tol)
 
 
 def _out_dir(arg: str | None) -> Path:

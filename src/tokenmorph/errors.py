@@ -1,6 +1,15 @@
-"""Exception types shared across the package, and the integer and fraction checks."""
+"""Exception types shared across the package, and one check per kind of value.
 
+Each check raises InvalidParameterError naming the value as the caller
+asks, so a library field and a CLI flag share one rule and one wording.
+None of them takes ``bool`` or ``np.bool_``: both compare as 0 and 1,
+but neither is a count, a fraction or a threshold.
+"""
+
+import math
 import operator
+
+import numpy as np
 
 
 class TokenMorphError(Exception):
@@ -35,22 +44,35 @@ class TruncatedPayloadError(FormatError):
     """A token file ends before its declared payload is complete."""
 
 
+_BOOLS = (bool, np.bool_)
+
+
 def require_count(name: str, value, minimum: int) -> None:
     """Raise InvalidParameterError unless ``value`` is an integer >= ``minimum``.
 
-    Any type with ``__index__`` counts as an integer, ``np.int64`` too.
-    ``bool`` does not, although it has one: ``True`` would silently read
-    as 1. Floats fail even when whole, since ``range()`` rejects them.
+    Any type with ``__index__`` counts as an integer, ``np.int64`` too;
+    ``bool`` has one but does not count. Floats fail even when whole,
+    since ``range()`` rejects them.
     """
     try:
         count = operator.index(value)
     except TypeError:
         count = None
-    if isinstance(value, bool) or count is None or count < minimum:
+    if isinstance(value, _BOOLS) or count is None or count < minimum:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def require_fraction(name: str, value) -> None:
     """Raise InvalidParameterError unless ``0 <= value <= 1`` (NaN fails)."""
-    if not (0.0 <= value <= 1.0):
+    if isinstance(value, _BOOLS) or not 0.0 <= value <= 1.0:
         raise InvalidParameterError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def require_threshold(name: str, value) -> None:
+    """Raise InvalidParameterError unless ``value`` is a finite number > 0.
+
+    Every value is below inf, so an infinite stop threshold would stop
+    an iteration after one step and report it converged.
+    """
+    if isinstance(value, _BOOLS) or not 0.0 < value < math.inf:
+        raise InvalidParameterError(f"{name} must be a finite number > 0, got {value!r}")

@@ -585,7 +585,8 @@ def _transportation_simplex(
 
 
 def _least_cost_start(values: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> np.ndarray:
-    """Basis cells of the least-cost (matrix-minimum) start.
+    """Basis cells of the least-cost (matrix-minimum) start, in the order
+    taken; ``_BasisTree`` builds the same tree from any order.
 
     Cells are taken in ascending cost, row-major among equal costs. A cell
     whose row and column are both open ships what it can, and then
@@ -621,7 +622,6 @@ def _least_cost_start(values: np.ndarray, supply: np.ndarray, demand: np.ndarray
             col_open[j] = False
             cols_left -= 1
             rest_row[i] -= rest_col[j]
-    cells.sort()
     return np.array(cells, dtype=np.int64)
 
 

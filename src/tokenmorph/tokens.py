@@ -11,7 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, InvalidWeightsError
+from .errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    InvalidWeightsError,
+    require_fraction,
+)
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -126,9 +131,14 @@ def require_same_size(a: TokenSet, b: TokenSet) -> None:
 def index_lerp(a: TokenSet, b: TokenSet, t: float) -> TokenSet:
     """Index-wise linear interpolation (1-t)*a[k] + t*b[k].
 
-    Requires equal token counts and dimensions; the result carries
-    uniform weights.
+    Requires ``t`` in [0, 1] and equal token counts and dimensions; the
+    result carries uniform weights.
+
+    Raises:
+        InvalidParameterError: if ``t`` is not a number in [0, 1].
+        DimensionMismatchError: if the counts or dimensions differ.
     """
+    require_fraction("t", t)
     require_same_dimension(a, b)
     require_same_size(a, b)
     points = (1.0 - t) * a.points + t * b.points

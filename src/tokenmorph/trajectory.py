@@ -65,6 +65,16 @@ class MorphConfig:
 
 @dataclass(frozen=True)
 class FrameDiagnostics:
+    """How a frame was reached, and its blend objective
+    ``(1 - beta) * W2^2(frame, source) + beta * W2^2(frame, target)``.
+
+    A ``sequential`` or ``naive_lerp`` frame is built in closed form
+    (0 iterations, converged) and ``objective`` is the frame's own. A
+    ``linear_init`` frame reports its barycenter's ``iterations_used``,
+    ``converged`` and ``objective``, which is that of the support one
+    update before the frame (see ``BarycenterResult``).
+    """
+
     iterations_used: int
     converged: bool
     objective: float

@@ -63,8 +63,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_rejects_a_bool_threshold(self, flag):
-        # True compared as 1.0 and was accepted before.
-        with pytest.raises(InvalidParameterError, match="stop_threshold"):
+        # True compares as 1.0.
+        with pytest.raises(InvalidParameterError,
+                           match=f"^stop_threshold must be a finite number > 0, got {flag!r}$"):
             BarycenterConfig(stop_threshold=flag)
 
     def test_rejects_bad_measure_weights(self):
@@ -225,8 +226,8 @@ class TestOneSweep:
 class TestPairwise:
     def test_beta_out_of_range_rejected(self):
         ts = TokenSet([[0.0]])
-        for beta in (-0.1, 1.1):
-            with pytest.raises(InvalidParameterError):
+        for beta in (-0.1, 1.1, math.nan, True, np.True_):
+            with pytest.raises(InvalidParameterError, match=r"^beta must be in \[0, 1\], got "):
                 pairwise_barycenter(ts, ts, beta, ts)
 
     def test_beta_zero_is_exact_and_fast(self):

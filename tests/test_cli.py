@@ -17,6 +17,7 @@ except ImportError:  # not on Windows
 import tokenmorph.cli as cli_module
 from tokenmorph import (
     MorphConfig,
+    TokenMorphError,
     TokenSet,
     decode_tokens_to_shape,
     gen_synthetic,
@@ -867,6 +868,16 @@ class TestErrorPaths:
         assert captured.err.startswith("tokenmorph: error[solver-failure]:")
         assert "not optimal" in captured.err
 
+    def test_any_other_library_error_exits_6(self, token_files, monkeypatch, capsys):
+        # The base class, or a subclass without a category of its own.
+        def fails(a, b):
+            raise TokenMorphError("no rule for this")
+
+        monkeypatch.setattr(cli_module, "w2_distance", fails)
+        assert main(["dist", *map(str, token_files)]) == EXIT_INVALID_VALUE == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "tokenmorph: error[error]: no rule for this\n"
 
     def test_failed_assignment_certificate(self, token_files, monkeypatch, capsys):
         # Row duals raised by 1 price cells below zero: a dual that no

@@ -116,6 +116,10 @@ class TestBinaryErrors:
         with pytest.raises(BadMagicError):
             tokens_from_binary_bytes(b"NOPE" + b"\x00" * 32)
 
+    def test_shorter_than_the_magic(self):
+        with pytest.raises(TruncatedPayloadError, match="shorter than the 4-byte magic"):
+            tokens_from_binary_bytes(MAGIC[:3])
+
     def test_truncated_header(self):
         with pytest.raises(TruncatedPayloadError):
             tokens_from_binary_bytes(MAGIC + b"\x01\x00")
@@ -382,8 +386,9 @@ class TestJsonFloatReader:
         lambda data: data.replace(b'"points":', b'"points": '),                 # whitespace
         lambda data: data.replace(b'"n":512', b'"n":0512'),
         lambda data: data.replace(b"]]}", b'],[1,2]],"weights":[1]}'),
+        lambda data: data.replace(b"]]}", b']],"note":[1]}'),                  # reads
     ], ids=["extra row", "long row", "short row", "merged rows", "semicolon", "trailing bytes",
-            "no newline", "whitespace", "leading zero count", "short weights"])
+            "no newline", "whitespace", "leading zero count", "short weights", "other key"])
     def test_other_layouts_fail_or_read_as_before(self, edit):
         data = edit(tokens_to_json_bytes(gen_synthetic("gaussian_blob", 512, 2, 5)))
         assert _canonical_tokens(data) is None

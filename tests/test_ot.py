@@ -694,6 +694,24 @@ class TestSolveAssignment:
         with pytest.raises(SolverFailureError, match="assignment is not optimal"):
             solve_exact_ot(a, b)
 
+    def test_an_overflowing_path_length_raises(self, monkeypatch):
+        # Column duals of -inf put every path length from a free row at inf:
+        # the search has no column left to settle.
+        real = ot_module._reduction_start
+
+        def row_zero_free_below_every_column(c):
+            col_of, row_of, u, v = real(c)
+            row_of[col_of[0]] = -1
+            col_of[0] = -1
+            return col_of, row_of, u, np.full_like(v, -np.inf)
+
+        monkeypatch.setattr(ot_module, "_reduction_start", row_zero_free_below_every_column)
+        rng = np.random.default_rng(5)
+        a, b = random_tokenset(rng, 6, 2), random_tokenset(rng, 6, 2)
+        with pytest.raises(SolverFailureError,
+                           match="^assignment path length overflows float64$"):
+            solve_exact_ot(a, b)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.sampled_from(["grid", "duplicated", "zero", "distances"]),
            st.integers(0, 10_000))
@@ -1125,7 +1143,7 @@ class TestNetworkSimplex:
         values = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 0.5], [4.0, 0.0, 1.0]])
         third = np.full(3, 1.0 / 3.0)
         cells = ot_module._least_cost_start(values, third, third)
-        assert cells.tolist() == [0, 1, 2, 5, 7]
+        assert sorted(cells.tolist()) == [0, 1, 2, 5, 7]
         tree = ot_module._BasisTree(values, cells)
         assert tree.settle(values, third, third)
 
@@ -1186,6 +1204,54 @@ class TestNetworkSimplex:
         a, b = _weighted_pair(rng, 12, 9, 3, "dirichlet", False)
         with pytest.raises(SolverFailureError, match="not optimal"):
             solve_exact_ot(a, b)
+
+    def test_an_infeasible_start_raises(self, monkeypatch):
+        # A spanning tree whose basis fixes a negative flow: row 1 ships its
+        # 0.5 to column 1, which takes 0.1, so cell (0, 1) would carry -0.4.
+        monkeypatch.setattr(ot_module, "_least_cost_start",
+                            lambda values, supply, demand: np.array([0, 1, 3]))
+        a = TokenSet([[0.0], [1.0]])
+        b = TokenSet([[0.0], [1.0]], [0.9, 0.1])
+        with pytest.raises(SolverFailureError, match="^least-cost start has negative mass$"):
+            solve_exact_ot(a, b)
+
+    def test_negative_mass_after_pivots_raises(self, monkeypatch):
+        # The closing settle of a solve that pivoted reports a negative flow.
+        def settle_once(self, values, supply, demand):
+            settled.append(real_settle(self, values, supply, demand))
+            return settled[-1] and len(settled) == 1
+
+        real_settle = ot_module._BasisTree.settle
+        settled = []
+        monkeypatch.setattr(ot_module._BasisTree, "settle", settle_once)
+        rng = np.random.default_rng(3)
+        a, b = _weighted_pair(rng, 12, 9, 3, "dirichlet", False)
+        with pytest.raises(SolverFailureError,
+                           match="^transportation simplex produced negative mass$"):
+            solve_exact_ot(a, b)
+        assert settled == [True, True]
+
+    def test_flows_off_the_marginals_raise(self, monkeypatch):
+        def shifted(*args):
+            tree, pivots = real(*args)
+            tree.flow[1] += 0.125
+            return tree, pivots
+
+        real = ot_module._transportation_simplex
+        monkeypatch.setattr(ot_module, "_transportation_simplex", shifted)
+        rng = np.random.default_rng(3)
+        a, b = _weighted_pair(rng, 12, 9, 3, "dirichlet", False)
+        with pytest.raises(SolverFailureError, match=r"^coupling violates marginals \(row err "):
+            solve_exact_ot(a, b)
+
+    def test_a_negative_cell_on_the_marginals_raises(self):
+        # settle rejects a basis with a negative flow and clears rounding
+        # dust to zero, so no solve reaches this rule: these four cells keep
+        # the marginals with a cycle of +-0.25.
+        half = np.full(2, 0.5)
+        with pytest.raises(SolverFailureError, match="^coupling has a negative entry$"):
+            ot_module._check_marginals(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                                       np.array([0.75, -0.25, -0.25, 0.75]), half, half)
 
 
 class TestOracles:

@@ -200,8 +200,8 @@ class TestSelectiveTextureTokens:
 
     def test_tau_out_of_range_rejected(self):
         ts = TokenSet([[1.0]])
-        for tau in (-0.1, 1.0001):
-            with pytest.raises(InvalidParameterError):
+        for tau in (-0.1, 1.0001, True, np.True_):
+            with pytest.raises(InvalidParameterError, match=r"^tau must be in \[0, 1\], got "):
                 selective_texture_tokens(ts, ts, ts, tau)
 
     def test_dimension_mismatch_rejected(self):

@@ -166,6 +166,15 @@ def test_index_lerp_endpoints_and_midpoint():
     )
 
 
+@pytest.mark.parametrize("t", [float("nan"), -0.5, 2.0, True, np.True_])
+def test_index_lerp_requires_a_fraction(t):
+    # Unchecked, nan would fail as "token coordinates must be finite",
+    # 2.0 would extrapolate and True would read as 1.
+    a = TokenSet([[0.0, 0.0], [2.0, 2.0]])
+    with pytest.raises(InvalidParameterError, match=r"^t must be in \[0, 1\], got "):
+        index_lerp(a, a, t)
+
+
 def test_index_lerp_requires_matching_shapes():
     with pytest.raises(DimensionMismatchError):
         index_lerp(TokenSet([[0.0]]), TokenSet([[0.0, 1.0]]), 0.5)
