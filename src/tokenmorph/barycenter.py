@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    _BOOLS,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidWeightsError,
@@ -92,7 +93,7 @@ def free_support_barycenter(
         config: iteration budget and stop rule.
         weights: relative weight of each measure; None means uniform.
             One per measure (shape ``(len(measures),)``), finite,
-            nonnegative and summing to 1.
+            nonnegative, summing to 1, and not booleans.
 
     Returns:
         BarycenterResult; ``converged`` is True when the mean squared
@@ -103,7 +104,8 @@ def free_support_barycenter(
     Raises:
         DimensionMismatchError: if any measure's dimension differs from
             the init's.
-        InvalidWeightsError: on negative, non-finite or unnormalized weights.
+        InvalidWeightsError: on boolean, negative, non-finite or
+            unnormalized weights.
         InvalidParameterError: on no measures, or on weights of another
             shape than ``(len(measures),)``, checked before their values.
         SolverFailureError: propagated from the OT solver.
@@ -126,6 +128,9 @@ def free_support_barycenter(
                 f"measure weights must have shape ({len(measures)},), one per measure, "
                 f"got shape {lam.shape}"
             )
+        # True and False would read as the weights 1 and 0.
+        if any(isinstance(w, _BOOLS) for w in weights):
+            raise InvalidWeightsError("measure weights must be numbers, not booleans")
         if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
             raise InvalidWeightsError("measure weights must be finite and >= 0")
         if abs(float(lam.sum()) - 1.0) > WEIGHT_SUM_TOL:

@@ -5,7 +5,9 @@ them recording the full configuration (flags, input digests, per-frame
 diagnostics), with no timestamps or absolute paths, so re-running a
 command with the manifest's settings reproduces byte-identical outputs.
 Every command checks its flag values, and that its output directory
-can be made, before it reads an input or writes a file.
+can be made, before it reads an input or does any other work.
+``sweep-tau`` finds each frame's nearest tokens and their similarities
+once and thresholds them for every tau of its grid.
 
 Exit codes: 0 success, 2 usage, 3 missing file or another failed read
 or write, 4 bad file format, 5 dimension mismatch, 6 invalid value,
@@ -205,12 +207,17 @@ def _check_solver_flags(args) -> None:
 
 
 def _out_dir(arg: str | None) -> Path:
-    return Path(arg or os.environ.get(OUT_DIR_ENV, DEFAULT_OUT_DIR))
+    """``--out-dir``, else ``$TOKENMORPH_OUT_DIR``, else ``./tokenmorph_out``;
+    an empty variable counts as unset."""
+    return Path(arg or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR)
 
 
 def _check_out_dir(arg: str | None) -> None:
-    """Fail before any work if the output directory cannot be made,
-    because it or one of its parents exists and is not a directory."""
+    """Fail before any work if ``--out-dir`` is empty, or if the output
+    directory cannot be made because it or one of its parents exists and
+    is not a directory."""
+    if arg == "":
+        raise InvalidParameterError("--out-dir must name a directory, got ''")
     out = _out_dir(arg)
     for path in (out, *out.parents):
         if path.exists():
@@ -463,7 +470,8 @@ def _cmd_sweep_tau(args) -> int:
 
 
 def _cmd_gen_synthetic(args) -> int:
-    if args.name is not None and Path(args.name).name != args.name:
+    # An empty name would write "<kind>.json" instead.
+    if args.name is not None and (not args.name or Path(args.name).name != args.name):
         raise InvalidParameterError(
             f"--name must be a file stem inside the output directory, got {args.name!r}")
     generated = gen_synthetic(args.kind, args.n, args.d, args.seed)
@@ -483,6 +491,8 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    if args.tau is not None:
+        require_fraction("tau", args.tau)
     require_count("--frames", args.frames, 0)
     source, target = _demo_shapes(args.points)
     trajectory = morph_geometry(source, target, MorphConfig(J=args.frames))

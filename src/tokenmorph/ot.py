@@ -5,9 +5,10 @@ bounded size; a cost that overflows float64 is rejected before any
 solver sees it. The inputs alone pick the solver. Sets with uniform
 weights and equal sizes go to an assignment solver, since their optimal
 coupling is a permutation. It starts from Jonker-Volgenant column
-reduction and then rounds of augmenting row reduction, in which all free
-rows bid for their cheapest column at once, with exact bids; each column
-goes to the largest bid, the smallest row on ties, and its dual drops by
+reduction and then rounds of augmenting row reduction (Jonker and
+Volgenant, Computing 38, 1987), in which all free rows bid for their
+cheapest column at once, with exact bids; each column goes to the
+largest bid, the smallest row on ties, and its dual drops by
 that bid. The few rows left free are matched by Dijkstra shortest
 augmenting paths with lazily updated duals; among equal-cost columns it
 takes the smallest index, so the zero matrix and a matrix of equal rows
@@ -28,7 +29,11 @@ basis, at the start of a warm or cold solve and again at its end if it
 pivoted: it sets the potentials from the costs and then the flows from
 the marginals, in an order fixed by the basis alone. Every solve
 certifies its optimality by LP duality on its final duals, reading the
-final basis cells that its plan then keeps.
+final basis cells that its plan then keeps. The certificate's tolerance
+is 1e-11 of the largest cost, so it holds at any coordinate scale. Near
+the float64 limit an assignment path length or reduced cost that
+overflows reads as infinite, and the solve still ends certified or
+raises SolverFailureError.
 The test suite checks both solvers against independent oracles (brute
 force, sorted 1-D, scipy), and the assignment against a reference
 search that stores every predecessor, bit for bit.
@@ -43,7 +48,11 @@ rounded. A solve hands its support arrays over read-only, and the plan
 keeps them without a copy (see ``tokens.read_only_array``). No solve
 builds a dense coupling, and the assignment's certificate reads
 its reduced costs in row blocks, so a uniform solve holds one n x n
-float array, the cost matrix.
+float array, the cost matrix, plus two n x n bool arrays for the column
+reduction's first rows. A simplex solve holds at most the cost matrix,
+the least-cost start's argsort of it and the pricing buffer; the start
+turns the sorted cells into Python ints ``_START_SLICE`` at a time, so
+it never holds a list of all n n' of them.
 
 All functions are pure: they never mutate their inputs and hold no
 global state, so concurrent calls on shared token sets are safe.

@@ -27,6 +27,10 @@ smallest index), but does its bulk work in BLAS:
 - **Fallback.** When the bounds are not finite, the einsum kernel runs
   on the full matrix and raises on overflow exactly as ``cost_matrix``
   does.
+
+Matched tokens whose norms overflow float64 (past about 1.34e154) while
+their distances do not are rescaled by an exact power of two before the
+cosine, so every similarity is finite.
 """
 
 from __future__ import annotations

@@ -3,6 +3,16 @@
 A token set is the discrete-measure view of an embedding matrix: each
 row is an atom, each atom carries a strictly positive weight, and the
 weights sum to one. Uniform weights are the default and the common case.
+
+A set's points and weights are read-only float64 arrays that own their
+memory, and so is every other array field in the package, in its own
+dtype, by ``read_only_array``'s rule. Every producer in the package
+hands its fresh arrays over read-only (the readers, ``index_lerp``, the
+OT solver's support arrays, morph frames, barycenter sweeps and
+selective outputs), so they are adopted without a copy. A read allocates its points once (a BMT1 read
+copies its ``np.frombuffer`` view once), a 1-D ``points`` input is
+copied once, straight into its (n, 1) column, and the frames of a
+sequential morph all share the plan's ``mass`` as their weights.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ frame is the W2 barycenter of source and target with weights
   and target.
 * ``naive_lerp`` skips optimization entirely and emits the raw lerp.
 
-Both index-wise modes need uniform weights and equal sizes.
+Both index-wise modes need uniform weights and equal sizes. They are
+kept as baselines: the ``sequential`` steps are even and never jump,
+unlike theirs.
 """
 
 from __future__ import annotations

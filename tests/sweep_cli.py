@@ -4,8 +4,8 @@ Usage:
     PYTHONPATH=src python tests/sweep_cli.py
     PYTHONPATH=src python tests/sweep_cli.py --against REV
 
-Writes seeded input token files once, then runs 125 ``tokenmorph``
-commands in-process, each with its own fresh working directory. For each
+Writes seeded input token files once, then runs each ``tokenmorph``
+command of the list in-process, in its own fresh working directory. For each
 command it prints one line per item: its exit code, the sha256 of its
 stdout and of its stderr, and the sha256 of every file it wrote, by path.
 The list covers every subcommand, all three ``morph --init`` modes,
@@ -181,6 +181,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name", "../escaped",
          *out],                                                                        # 6
         ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name", "a/b", *out],  # 6
+        ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name=", *out],  # 6
         ["gen-synthetic", "--kind", "gaussian_blob", "--n", "0", "--d", "2", *out],    # 6
         ["gen-synthetic", "--kind", "gaussian_blob", "--n", "4", "--d", "2", "--seed", "-1",
          *out],                                                                        # 6
@@ -197,6 +198,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["demo"],                                                # default out dir
         ["demo", "--points", "2", *out],                         # 6
         ["demo", "--frames", "-1", *out],                        # 6
+        ["demo", "--out-dir="],                                  # 6
         ["demo", "--format", "json", *out],                      # 2
     ]
 

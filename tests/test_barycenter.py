@@ -76,10 +76,25 @@ class TestConfig:
             free_support_barycenter([left, right], left, weights=(-0.5, 1.5))
         # A scalar raised IndexError and a 1 x 2 array named 1 weight before.
         for weights, shape in ((1.0, "()"), ([[0.5, 0.5]], "(1, 2)"),
-                               ((0.25, 0.25, 0.5), "(3,)"), ((0.5, 0.6, 0.1), "(3,)")):
+                               ((0.25, 0.25, 0.5), "(3,)"), ((0.5, 0.6, 0.1), "(3,)"),
+                               ((True, False, False), "(3,)")):
             with pytest.raises(InvalidParameterError, match=r"must have shape \(2,\)") as info:
                 free_support_barycenter([left, right], left, weights=weights)
             assert str(info.value).endswith(f"got shape {shape}")
+
+    @pytest.mark.parametrize("weights", [
+        np.array([True, False]),
+        (False, True),
+        [0.5, np.True_],
+        (np.bool_(False), 1.0),
+    ], ids=["bool array", "bool tuple", "np.True_ in a list", "np.False_ in a tuple"])
+    def test_rejects_boolean_measure_weights(self, weights):
+        # A bool array ran with objective 0.0, and (False, True) ran the
+        # beta = 1 blend that pairwise_barycenter refuses for beta=True.
+        left, right = TokenSet([[0.0]]), TokenSet([[1.0]])
+        with pytest.raises(InvalidWeightsError,
+                           match="^measure weights must be numbers, not booleans$"):
+            free_support_barycenter([left, right], left, weights=weights)
 
     def test_rejects_no_measures(self):
         with pytest.raises(InvalidParameterError, match="at least one measure"):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -556,6 +557,43 @@ class TestOtherCommands:
         ]) == EXIT_OK
         assert (env_dir / "gaussian_blob.json").exists()
 
+    def test_empty_out_dir_env_counts_as_unset(self, tmp_path, monkeypatch, capsys):
+        # Wrote into the working directory and printed "." before, so its
+        # manifest.json replaced any file of that name there.
+        monkeypatch.setenv("TOKENMORPH_OUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-synthetic", "--kind", "ring", "--n", "3", "--d", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == "tokenmorph_out\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tokenmorph_out"]
+        assert sorted(p.name for p in (tmp_path / "tokenmorph_out").iterdir()) \
+            == ["manifest.json", "ring.json"]
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli_module._build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# Every option of every command whose value argparse does not limit to
+# choices, as (command, option).
+_VALUE_OPTIONS = [
+    (command, action.option_strings[0])
+    for command, sub in _subcommands().items()
+    for action in sub._actions
+    if action.option_strings and action.choices is None
+    and not isinstance(action, argparse._HelpAction)
+]
+
+# One rejected value per option, and a valid value for each option that a
+# command requires.
+_REJECTED_VALUES = {
+    "--tau": "2", "--beta": "2", "--frames": "-1", "--max-iter": "0", "--tol": "inf",
+    "--grid": "0.3,1.5", "--points": "2", "--name": "a/b", "--out-dir": "",
+    "--n": "0", "--d": "0", "--seed": "-1",
+}
+_REQUIRED_VALUES = {"--beta": "0.5", "--kind": "ring", "--n": "4", "--d": "2"}
+
 
 class TestErrorPaths:
     def test_missing_file(self, tmp_path, capsys):
@@ -604,10 +642,10 @@ class TestErrorPaths:
                                 f"'{out / 'ring.json'}'\n")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("name", ["../escaped", "a/b", "."])
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", ".", ""])
     def test_gen_synthetic_name_outside_the_out_dir(self, name, tmp_path, capsys):
-        # "../escaped" wrote escaped.json next to the out dir and "a/b"
-        # exited 3 after making the out dir before.
+        # "../escaped" wrote escaped.json next to the out dir, "a/b"
+        # exited 3 after making the out dir, and "" wrote ring.json before.
         out = tmp_path / "sub"
         assert main(["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2",
                      "--name", name, "--out-dir", str(out)]) == EXIT_INVALID_VALUE
@@ -771,6 +809,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("tokenmorph: error[invalid-value]:") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, option", _VALUE_OPTIONS,
+                             ids=[" ".join(case) for case in _VALUE_OPTIONS])
+    def test_every_value_option_is_checked_before_any_work(self, command, option, token_files,
+                                                          tmp_path, monkeypatch, capsys):
+        # demo --tau ran morph_geometry before exiting 6, and an empty
+        # --out-dir wrote into ./tokenmorph_out.
+        assert option in _REJECTED_VALUES, f"no rejected value for {command} {option}"
+        argv = [command]
+        for action in _subcommands()[command]._actions:
+            if not action.option_strings:  # an input: the source file but for target
+                argv.append(str(token_files[action.dest == "target"]))
+            elif action.required and action.option_strings[0] != option:
+                argv += [action.option_strings[0], _REQUIRED_VALUES[action.option_strings[0]]]
+        argv += [option, _REJECTED_VALUES[option]]
+        if option != "--out-dir":
+            argv += ["--out-dir", "out"]
+
+        calls = []
+        for name in ("read_tokens", "morph_geometry", "pairwise_barycenter",
+                     "selective_texture_tokens"):
+            def spy(*args, _name=name, _real=getattr(cli_module, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli_module, name, spy)
+        monkeypatch.delenv("TOKENMORPH_OUT_DIR", raising=False)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.rglob("*"))
+
+        assert main(argv) == EXIT_INVALID_VALUE
+        err = capsys.readouterr().err
+        assert err.startswith("tokenmorph: error[invalid-value]:") and err.count("\n") == 1
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("argv", [
         ["barycenter", "S", "T", "--beta", "0.5"],
