@@ -4,8 +4,10 @@ Every command that writes files also writes a ``manifest.json`` next to
 them recording the full configuration (flags, input digests, per-frame
 diagnostics), with no timestamps or absolute paths, so re-running a
 command with the manifest's settings reproduces byte-identical outputs.
-Every command checks its flag values, and that its output directory
-can be made, before it reads an input or does any other work.
+Every command checks its flag values, and ``_check_paths`` every path
+argument, before any input is read. ``_write_outputs`` alone makes the
+output directory and writes every file, after every solve and selection,
+so a failed solve or selection leaves no output directory or files.
 ``sweep-tau`` finds each frame's nearest tokens and their similarities
 once and thresholds them for every tau of its grid.
 
@@ -87,9 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        if hasattr(args, "out_dir"):
-            _check_out_dir(args.out_dir)
-        return args.func(args)
+        return args.func(args, _check_paths(args))
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         return _fail("missing-file", str(exc), EXIT_MISSING_FILE)
     except OSError as exc:  # a denied read or write, a full disk, ...
@@ -206,31 +206,34 @@ def _check_solver_flags(args) -> None:
     require_threshold("--tol", args.tol)
 
 
-def _out_dir(arg: str | None) -> Path:
-    """``--out-dir``, else ``$TOKENMORPH_OUT_DIR``, else ``./tokenmorph_out``;
-    an empty variable counts as unset."""
-    return Path(arg or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR)
+def _check_paths(args) -> Path | None:
+    """Check every path argument; return the output directory, or None for
+    ``dist``: ``--out-dir``, else ``$TOKENMORPH_OUT_DIR`` unless empty, else
+    ``./tokenmorph_out``.
 
-
-def _check_out_dir(arg: str | None) -> None:
-    """Fail before any work if ``--out-dir`` is empty, or if the output
-    directory cannot be made because it or one of its parents exists and
-    is not a directory."""
-    if arg == "":
+    Rejects an empty input path or ``--out-dir``, an output directory at or
+    under an existing file, and a ``--name`` that is not a bare file stem
+    (an empty one would write ``<kind>.json``).
+    """
+    for name in ("blended", "source", "target"):
+        if getattr(args, name, None) == "":
+            raise InvalidParameterError(f"{name} must name a file, got ''")
+    if not hasattr(args, "out_dir"):
+        return None
+    if args.out_dir == "":
         raise InvalidParameterError("--out-dir must name a directory, got ''")
-    out = _out_dir(arg)
+    out = Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or DEFAULT_OUT_DIR)
     for path in (out, *out.parents):
         if path.exists():
             if not path.is_dir():
                 raise InvalidParameterError(
                     f"output directory {str(out)!r} cannot be made: "
                     f"{str(path)!r} exists and is not a directory")
-            return
-
-
-def _resolve_out_dir(arg: str | None) -> Path:
-    out = _out_dir(arg)
-    out.mkdir(parents=True, exist_ok=True)
+            break
+    name = getattr(args, "name", None)
+    if name is not None and (not name or Path(name).name != name):
+        raise InvalidParameterError(
+            f"--name must be a file stem inside the output directory, got {name!r}")
     return out
 
 
@@ -238,13 +241,9 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def _write(out_dir: Path, name: str, data: bytes, sha256: str | None = None) -> dict:
-    """Write one output file; returns its manifest entry (name and digest).
-
-    ``sha256`` is ``data``'s known digest, if any; else it is computed.
-    """
-    (out_dir / name).write_bytes(data)
-    return {"file": name, "sha256": sha256 or hashlib.sha256(data).hexdigest()}
+def _entry(name: str, data: bytes) -> dict:
+    """An output file's manifest entry: its name and digest."""
+    return {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _tokens_writer(fmt: str):
@@ -273,9 +272,10 @@ def _read_inputs(args, *names: str) -> tuple[list[TokenSet], dict[str, dict]]:
     return tokens, entries
 
 
-def _finish(args, out_dir: Path, inputs: dict[str, dict], body: dict,
-            shown: Path | None = None) -> int:
-    """Write the run's ``manifest.json`` and print ``shown`` (default ``out_dir``).
+def _write_outputs(args, out_dir: Path, inputs: dict[str, dict], files: dict[str, bytes],
+                   body: dict, shown: Path | None = None) -> int:
+    """Make ``out_dir``, write ``files`` (name to bytes) into it in order and
+    then the run's ``manifest.json``, and print ``shown`` (default ``out_dir``).
 
     The manifest holds the command's own ``body`` fields plus its name,
     every parsed flag except ``--out-dir`` as ``parameters``, and the
@@ -290,18 +290,20 @@ def _finish(args, out_dir: Path, inputs: dict[str, dict], body: dict,
     }
     if inputs:
         manifest["inputs"] = inputs
-    (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in {**files, "manifest.json": _json_bytes(manifest)}.items():
+        (out_dir / name).write_bytes(data)
     print(shown or out_dir)
     return EXIT_OK
 
 
-def _cmd_dist(args) -> int:
-    # No manifest, so no digests: the inputs are only parsed.
+def _cmd_dist(args, out_dir: None) -> int:
+    # No outputs, so no digests: the inputs are only parsed.
     print(w2_distance(read_tokens(args.source), read_tokens(args.target)))
     return EXIT_OK
 
 
-def _cmd_barycenter(args) -> int:
+def _cmd_barycenter(args, out_dir: Path) -> int:
     require_fraction("beta", args.beta)
     _check_solver_flags(args)
     config = BarycenterConfig(max_iterations=args.max_iter, stop_threshold=args.tol)
@@ -311,10 +313,10 @@ def _cmd_barycenter(args) -> int:
         init = index_lerp(source, target, args.beta)
     result = pairwise_barycenter(source, target, args.beta, init, config)
 
-    out_dir = _resolve_out_dir(args.out_dir)
     name = f"barycenter.{_EXTENSIONS[args.format]}"
-    return _finish(args, out_dir, inputs, {
-        "outputs": [_write(out_dir, name, _tokens_writer(args.format)(result.support))],
+    data = _tokens_writer(args.format)(result.support)
+    return _write_outputs(args, out_dir, inputs, {name: data}, {
+        "outputs": [_entry(name, data)],
         "diagnostics": {
             "iterations_used": result.iterations_used,
             "converged": result.converged,
@@ -323,7 +325,7 @@ def _cmd_barycenter(args) -> int:
     })
 
 
-def _cmd_morph(args) -> int:
+def _cmd_morph(args, out_dir: Path) -> int:
     if args.tau is not None:
         require_fraction("tau", args.tau)
     require_count("--frames", args.frames, 0)
@@ -337,60 +339,61 @@ def _cmd_morph(args) -> int:
     )
     (source, target), inputs = _read_inputs(args, "source", "target")
     trajectory = morph_geometry(source, target, config)
+    if args.tau is not None:
+        reports = morph_texture(trajectory, source, target, args.tau)
 
-    out_dir = _resolve_out_dir(args.out_dir)
     ext = _EXTENSIONS[args.format]
     writer = _tokens_writer(args.format)
-
-    frames = []
-    frame_bytes = []
+    files, frames = {}, []
     for k, (frame, beta, diag) in enumerate(
         zip(trajectory.frames, trajectory.betas, trajectory.frame_diagnostics)
     ):
-        frame_bytes.append(writer(frame))
+        name = f"frame_{k:03d}.{ext}"
+        files[name] = writer(frame)
         frames.append({
-            **_write(out_dir, f"frame_{k:03d}.{ext}", frame_bytes[-1]),
+            **_entry(name, files[name]),
             "beta": beta,
             "iterations": diag.iterations_used,
             "converged": diag.converged,
             "objective": diag.objective,
         })
-    index = {"files": [entry["file"] for entry in frames], "betas": list(trajectory.betas)}
-    (out_dir / "frames_index.json").write_bytes(_json_bytes(index))
+    files["frames_index.json"] = _json_bytes(
+        {"files": [entry["file"] for entry in frames], "betas": list(trajectory.betas)})
     body = {"betas": list(trajectory.betas), "frames": frames,
             "step_w2": list(trajectory.step_w2)}
 
     if args.tau is not None:
         body["texture_frames"] = []
-        for k, report in enumerate(morph_texture(trajectory, source, target, args.tau)):
+        for k, report in enumerate(reports):
             # A frame that kept every token is returned as is: reuse its
             # bytes and their digest.
             name = f"texture_{k:03d}.{ext}"
             if report.output is trajectory.frames[k]:
-                entry = _write(out_dir, name, frame_bytes[k], frames[k]["sha256"])
+                files[name] = files[frames[k]["file"]]
+                entry = {"file": name, "sha256": frames[k]["sha256"]}
             else:
-                entry = _write(out_dir, name, writer(report.output))
+                files[name] = writer(report.output)
+                entry = _entry(name, files[name])
             copied = int(np.count_nonzero(~report.decisions.kept_barycenter))
             body["texture_frames"].append({
                 **entry,
                 "copied_from_source": copied,
                 "kept_barycenter": report.output.n - copied,
             })
-    return _finish(args, out_dir, inputs, body)
+    return _write_outputs(args, out_dir, inputs, files, body)
 
 
-def _cmd_texture_select(args) -> int:
+def _cmd_texture_select(args, out_dir: Path) -> int:
     require_fraction("tau", args.tau)
     tokens, inputs = _read_inputs(args, "blended", "source", "target")
     report = selective_texture_tokens(*tokens, args.tau)
 
-    out_dir = _resolve_out_dir(args.out_dir)
-    selected = f"selected.{_EXTENSIONS[args.format]}"
-    return _finish(args, out_dir, inputs, {"outputs": [
-        _write(out_dir, selected, _tokens_writer(args.format)(report.output)),
-        _write(out_dir, "selection_report.json",
-               _report_bytes(args.tau, report.decisions)),
-    ]})
+    files = {
+        f"selected.{_EXTENSIONS[args.format]}": _tokens_writer(args.format)(report.output),
+        "selection_report.json": _report_bytes(args.tau, report.decisions),
+    }
+    return _write_outputs(args, out_dir, inputs, files,
+                          {"outputs": [_entry(*item) for item in files.items()]})
 
 
 # The %-conversion that writes a field of each dtype kind as json does.
@@ -420,7 +423,7 @@ def _report_bytes(tau: float, decisions: np.recarray) -> bytes:
     return ('{\n  "decisions": [\n%s\n  ],\n  "tau": %r\n}\n' % (records, tau)).encode()
 
 
-def _cmd_sweep_tau(args) -> int:
+def _cmd_sweep_tau(args, out_dir: Path) -> int:
     parts = [part.strip() for part in args.grid.split(",") if part.strip()]
     try:
         args.grid = [float(part) for part in parts]
@@ -442,14 +445,12 @@ def _cmd_sweep_tau(args) -> int:
 
     (source, target), inputs = _read_inputs(args, "source", "target")
     trajectory = morph_geometry(source, target, config)
-
-    out_dir = _resolve_out_dir(args.out_dir)
     # Nearest tokens and their similarity do not depend on tau, so one
     # field per frame serves the whole grid.
     sims = [_similarity_field(frame, source, target)[2] for frame in trajectory.frames]
     # Frames of weighted or unequal-size sets carry up to n + n' - 1 tokens.
     tokens = sum(frame_sims.size for frame_sims in sims)
-    outputs = []
+    files, outputs = {}, []
     for tau in args.grid:
         per_frame = []
         for k, frame_sims in enumerate(sims):
@@ -461,21 +462,18 @@ def _cmd_sweep_tau(args) -> int:
                 "kept_barycenter": kept,
             })
         total_copied = sum(entry["copied_from_source"] for entry in per_frame)
-        outputs.append({**_write(out_dir, f"sweep_tau_{tau}.json", _json_bytes({
+        name = f"sweep_tau_{tau}.json"
+        files[name] = _json_bytes({
             "tau": tau,
             "per_frame": per_frame,
             "copied_fraction": total_copied / tokens,
-        })), "tau": tau})
-    return _finish(args, out_dir, inputs, {"outputs": outputs})
+        })
+        outputs.append({**_entry(name, files[name]), "tau": tau})
+    return _write_outputs(args, out_dir, inputs, files, {"outputs": outputs})
 
 
-def _cmd_gen_synthetic(args) -> int:
-    # An empty name would write "<kind>.json" instead.
-    if args.name is not None and (not args.name or Path(args.name).name != args.name):
-        raise InvalidParameterError(
-            f"--name must be a file stem inside the output directory, got {args.name!r}")
+def _cmd_gen_synthetic(args, out_dir: Path) -> int:
     generated = gen_synthetic(args.kind, args.n, args.d, args.seed)
-    out_dir = _resolve_out_dir(args.out_dir)
     ext = _EXTENSIONS[args.format]
     writer = _tokens_writer(args.format)
     args.name = args.name or args.kind
@@ -485,12 +483,12 @@ def _cmd_gen_synthetic(args) -> int:
                  for suffix, tokens in zip(("source", "target"), generated)}
     else:
         named = {args.name: generated}
-    outputs = [_write(out_dir, f"{stem}.{ext}", writer(tokens))
-               for stem, tokens in named.items()]
-    return _finish(args, out_dir, {}, {"outputs": outputs})
+    files = {f"{stem}.{ext}": writer(tokens) for stem, tokens in named.items()}
+    return _write_outputs(args, out_dir, {}, files,
+                          {"outputs": [_entry(*item) for item in files.items()]})
 
 
-def _cmd_demo(args) -> int:
+def _cmd_demo(args, out_dir: Path) -> int:
     if args.tau is not None:
         require_fraction("tau", args.tau)
     require_count("--frames", args.frames, 0)
@@ -501,14 +499,13 @@ def _cmd_demo(args) -> int:
         frames = tuple(r.output for r in morph_texture(trajectory, source, target, args.tau))
     svg = render_trajectory_svg([decode_tokens_to_shape(frame) for frame in frames])
 
-    out_dir = _resolve_out_dir(args.out_dir)
-    outputs = [
-        _write(out_dir, "demo.svg", svg.encode("utf-8")),
-        _write(out_dir, "demo_source.json", tokens_to_json_bytes(source)),
-        _write(out_dir, "demo_target.json", tokens_to_json_bytes(target)),
-    ]
-    return _finish(args, out_dir, {}, {
-        "outputs": outputs,
+    files = {
+        "demo.svg": svg.encode("utf-8"),
+        "demo_source.json": tokens_to_json_bytes(source),
+        "demo_target.json": tokens_to_json_bytes(target),
+    }
+    return _write_outputs(args, out_dir, {}, files, {
+        "outputs": [_entry(*item) for item in files.items()],
         "betas": list(trajectory.betas),
         "step_w2": list(trajectory.step_w2),
     }, shown=out_dir / "demo.svg")

@@ -362,15 +362,16 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     ``linear_sum_assignment`` (Crouse 2016).
 
     A search step scans one row i at path length d: it adds the row's
-    lengths ``(c[i] - v) + (d - u[i])``, with inf on the columns already
-    settled, into the running minimum of every column, and settles the
-    first column at the least. That is five numpy calls, over rows kept as
-    a list of views and row duals kept as a Python list; no predecessor
-    is stored. When the path reaches a free column, the flip back to its
-    start recovers each path column's predecessor once: among the rows
-    scanned up to the step that settled it, the first at which that
-    step's own length to the column is least, which is the row a strict
-    ``<`` on the running minimum would have kept.
+    lengths ``(c[i] - v) + (d - u[i])`` into the running minimum of every
+    column, and settles the first column at the least. The search reads
+    ``v`` from its own copy, in which each settled column's dual is -inf,
+    so every later length to that column is inf. That is four numpy calls,
+    over rows kept as a list of views and row duals kept as a Python
+    list; no predecessor is stored. When the path reaches a free column,
+    the flip back to its start recovers each path column's predecessor
+    once: among the rows scanned up to the step that settled it, the
+    first at which that step's own length to the column is least, which
+    is the row a strict ``<`` on the running minimum would have kept.
 
     Ties go to the smallest index: a column's argmin row in the column
     reduction, the smallest row among a column's bidders of equal gap in
@@ -391,26 +392,26 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     c_rows = list(c)
 
     free_d = np.empty(n)       # path length of each unscanned column, inf once scanned
-    blocked = np.empty(n)      # inf on scanned columns, 0 elsewhere
+    search_v = np.empty(n)     # v, but -inf on scanned columns
     r = np.empty(n)
     for start in free:
         free_d.fill(np.inf)
-        blocked.fill(0.0)
+        np.copyto(search_v, v)
         scanned = [start]      # the row scanned at each step
         offsets = [0.0]        # that step's path length to the row
         cols = []              # the column settled at each step
         i = start
         min_val = 0.0
         while True:
-            np.subtract(c_rows[i], v, out=r)
+            np.subtract(c_rows[i], search_v, out=r)
             r += min_val - u[i]
-            r += blocked
             np.minimum(free_d, r, out=free_d)
             j = int(free_d.argmin())
             min_val = float(free_d[j])
             if min_val == math.inf:
                 raise SolverFailureError("assignment path length overflows float64")
-            free_d[j] = blocked[j] = math.inf
+            free_d[j] = math.inf
+            search_v[j] = -math.inf
             cols.append(j)
             offsets.append(min_val)
             i = row_of[j]

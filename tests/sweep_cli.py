@@ -15,8 +15,8 @@ JSON and BMT1 files, JSON files of 1 024 values or more read by the numpy
 reader (weighted ones too) and by ``json.loads`` (an indented copy),
 copying (a swap pair at tau 0.9) and non-copying taus, tokens whose
 norms overflow though their distances do not, uniform,
-Dirichlet and tie-grid barycenters, ``demo`` at 24 and 60 points, and
-every exit code from 2 to 8. Exits 7 and 8 have no safe natural
+Dirichlet and tie-grid barycenters, ``demo`` at 24 and 60 points, empty
+input paths, and every exit code from 2 to 8. Exits 7 and 8 have no safe natural
 trigger, so one ``dist`` runs with the assignment's row duals raised by
 1, and one ``gen-synthetic`` of 10^13 values runs with its generator
 raising ``MemoryError`` as numpy does when the allocation fails. One
@@ -80,6 +80,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["dist", u24[0], f"{IN}/d3.json"],                      # 5
         ["dist", f"{IN}/huge.json", f"{IN}/huge.json"],         # 6
         ["dist", u24[0]],                                       # 2
+        ["dist", "", ""],                                       # 6: empty paths
     ]
 
     # barycenter
@@ -140,6 +141,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["morph", *u24, "--tol", "0", *out],                     # 6
         ["morph", *u24, "--init", "bogus", *out],                # 2
         ["morph", f"{IN}/nope.json", u24[1], *out],              # 3
+        ["morph", "", u24[1], *out],                             # 6: an empty path
     ]
 
     # texture-select
@@ -154,6 +156,7 @@ def _commands() -> list[tuple[list[str], str | None]]:
         ["texture-select", blended, *u24, "--tau", "2", *out],               # 6
         ["texture-select", blended, u24[0], f"{IN}/d3.json", *out],          # 5
         ["texture-select", f"{IN}/nope.json", *u24, *out],                   # 3
+        ["texture-select", "", "", "", *out],                                # 6: empty paths
     ]
 
     # sweep-tau

@@ -18,6 +18,7 @@ except ImportError:  # not on Windows
 import tokenmorph.cli as cli_module
 from tokenmorph import (
     MorphConfig,
+    SolverFailureError,
     TokenMorphError,
     TokenSet,
     decode_tokens_to_shape,
@@ -594,6 +595,63 @@ _REJECTED_VALUES = {
 }
 _REQUIRED_VALUES = {"--beta": "0.5", "--kind": "ring", "--n": "4", "--d": "2"}
 
+# Every input path of every command, as (command, input).
+_INPUT_PATHS = [
+    (command, action.dest)
+    for command, sub in _subcommands().items()
+    for action in sub._actions
+    if not action.option_strings
+]
+
+
+def _argv(command: str, token_files, name: str, value: str) -> list[str]:
+    """A valid ``command`` line, except that ``name`` (an input or an
+    option) is given ``value``.
+
+    Each input is the source token file, but target is the target file;
+    each required option takes its ``_REQUIRED_VALUES`` value, and
+    ``--out-dir`` is ``out`` where the command takes it.
+    """
+    argv, options = [command], {}
+    for action in _subcommands()[command]._actions:
+        if not action.option_strings:
+            argv.append(value if action.dest == name
+                        else str(token_files[action.dest == "target"]))
+        elif action.required:
+            options[action.option_strings[0]] = _REQUIRED_VALUES[action.option_strings[0]]
+        elif action.dest == "out_dir":
+            options["--out-dir"] = "out"
+    if name.startswith("--"):
+        options[name] = value
+    for option, option_value in options.items():
+        argv += [option, option_value]
+    return argv
+
+
+def _main_before_any_work(argv, tmp_path, monkeypatch, capsys) -> str:
+    """Run ``argv`` in an empty working directory and require exit 6 with
+    one ``error[invalid-value]`` line, no input read, no work function
+    called and nothing created; returns the error line."""
+    calls = []
+    for name in ("read_tokens", "w2_distance", "morph_geometry", "pairwise_barycenter",
+                 "selective_texture_tokens"):
+        def spy(*args, _name=name, _real=getattr(cli_module, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cli_module, name, spy)
+    monkeypatch.delenv("TOKENMORPH_OUT_DIR", raising=False)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    before = sorted(tmp_path.rglob("*"))
+
+    assert main(argv) == EXIT_INVALID_VALUE
+    err = capsys.readouterr().err
+    assert err.startswith("tokenmorph: error[invalid-value]:") and err.count("\n") == 1
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+    return err
+
 
 class TestErrorPaths:
     def test_missing_file(self, tmp_path, capsys):
@@ -817,34 +875,36 @@ class TestErrorPaths:
         # demo --tau ran morph_geometry before exiting 6, and an empty
         # --out-dir wrote into ./tokenmorph_out.
         assert option in _REJECTED_VALUES, f"no rejected value for {command} {option}"
-        argv = [command]
-        for action in _subcommands()[command]._actions:
-            if not action.option_strings:  # an input: the source file but for target
-                argv.append(str(token_files[action.dest == "target"]))
-            elif action.required and action.option_strings[0] != option:
-                argv += [action.option_strings[0], _REQUIRED_VALUES[action.option_strings[0]]]
-        argv += [option, _REJECTED_VALUES[option]]
-        if option != "--out-dir":
-            argv += ["--out-dir", "out"]
+        argv = _argv(command, token_files, option, _REJECTED_VALUES[option])
+        _main_before_any_work(argv, tmp_path, monkeypatch, capsys)
 
-        calls = []
-        for name in ("read_tokens", "morph_geometry", "pairwise_barycenter",
-                     "selective_texture_tokens"):
-            def spy(*args, _name=name, _real=getattr(cli_module, name), **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(cli_module, name, spy)
-        monkeypatch.delenv("TOKENMORPH_OUT_DIR", raising=False)
-        work = tmp_path / "work"
-        work.mkdir()
-        monkeypatch.chdir(work)
-        before = sorted(tmp_path.rglob("*"))
+    @pytest.mark.parametrize("command, name", _INPUT_PATHS,
+                             ids=[" ".join(case) for case in _INPUT_PATHS])
+    def test_every_input_path_is_checked_before_any_work(self, command, name, token_files,
+                                                         tmp_path, monkeypatch, capsys):
+        # An empty path was read as the working directory: exit 3, naming '.'.
+        err = _main_before_any_work(_argv(command, token_files, name, ""),
+                                    tmp_path, monkeypatch, capsys)
+        assert err == f"tokenmorph: error[invalid-value]: {name} must name a file, got ''\n"
 
-        assert main(argv) == EXIT_INVALID_VALUE
-        err = capsys.readouterr().err
-        assert err.startswith("tokenmorph: error[invalid-value]:") and err.count("\n") == 1
-        assert calls == []
-        assert sorted(tmp_path.rglob("*")) == before
+    @pytest.mark.parametrize("argv, failing", [
+        (["sweep-tau", "S", "T"], "_similarity_field"),
+        (["morph", "S", "T", "--tau", "0.3"], "morph_texture"),
+    ], ids=["sweep-tau", "morph --tau"])
+    def test_a_failed_selection_writes_nothing(self, argv, failing, token_files, tmp_path,
+                                               monkeypatch, capsys):
+        # Both made the out dir, and morph wrote every geometry frame,
+        # before the selection failed.
+        def fails(*args):
+            raise SolverFailureError("selection failed")
+
+        monkeypatch.setattr(cli_module, failing, fails)
+        paths = {"S": str(token_files[0]), "T": str(token_files[1])}
+        out = tmp_path / "out"
+        assert main([paths.get(a, a) for a in argv] + ["--out-dir", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == \
+            "tokenmorph: error[solver-failure]: selection failed\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["barycenter", "S", "T", "--beta", "0.5"],
