@@ -22,6 +22,13 @@ with no per-value Python, in blocks of about 128 KiB:
   than 24 digits, exponents of more than 8 digits and subnormal or
   overflowing results are read by ``float()`` from the text, one token
   each.
+- On request (``check_spelling``), whether every token is exactly
+  ``repr`` of its double, the writer's spelling, so that its text can
+  be written again as it is: from each token's mantissa and exponent,
+  its fraction digits and, with an e, its length, with one Dekker
+  product (T. J. Dekker, "A floating-point technique for extending the
+  available precision", Numer. Math. 18, 1971) for a mantissa of 16 or
+  17 digits. See ``_spelled_as_repr``; it adds about a third to a read.
 
 Each block's arrays are freed at their last use, and most of its
 arithmetic runs in place: its temporaries peak at about 5 bytes per
@@ -35,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._floatrepr import _G0, _G1, _K_MAX, _K_MIN, _M32, _U
+from ._floatrepr import _G0, _G1, _K_MAX, _K_MIN, _M32, _POW10, _U
 
 # Bytes of text per block. Reads of a 512 x 64 normal file in fresh
 # processes, medians of 150 in four alternating rounds, 2 vCPUs: 9.8-10.4
@@ -78,6 +85,17 @@ _EXACT_POW10 = np.array([float(10 ** k) for k in range(23)])
 _kept = np.clip(np.arange(25)[:, None] - np.array([16, 8, 0]), 0, 8)
 _WINDOW_MASK = _LOW_NIBBLES << (8 * (8 - _kept)).astype(np.uint64)
 del _kept
+# Veltkamp's splitting constant 2**27 + 1; for each exact 10**k, its two
+# halves of at most 26 bits each for Dekker's exact product, and 2**-53 10**k.
+_SPLIT = float((1 << 27) + 1)
+_POW10_HI = _EXACT_POW10 * _SPLIT
+_POW10_HI -= _POW10_HI - _EXACT_POW10
+_POW10_LO = _EXACT_POW10 - _POW10_HI
+_POW10_ULP = _EXACT_POW10 * 2.0 ** -53
+# Room left at each rounding-interval and nearest-decimal test of the
+# spelling check, in units of a decimal's last digit; the tests' own
+# rounding errors stay below 2**-48.
+_SPELLING_MARGIN = 2.0 ** -32
 
 
 def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +136,7 @@ def _eight_digits(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def json_numbers(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
+def json_numbers(text: bytes, start: int, stop: int, check_spelling: bool = False):
     """Read the JSON numbers in ``text[start:stop]``, separated by ``,``,
     or by ``],[`` where one row of a 2-D array ends and the next begins.
 
@@ -127,12 +145,17 @@ def json_numbers(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.nda
     ``float(int(token))``), and whether a row ends after it (always
     after the last). Returns None if a token is not a strict JSON number
     (``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?``), reads as an
-    infinity, or is separated otherwise.
+    infinity, or is separated otherwise. With ``check_spelling`` it also
+    returns, third, the offset in ``text`` of each row's end (its "]", or
+    ``stop``) if every token is exactly ``repr`` of its double, the
+    writer's spelling (see ``_spelled_as_repr``), else None, which may
+    also mean that the check could not tell.
 
     The text is read in blocks of about ``_READ_BLOCK`` bytes, cut at a
     ``,`` between two numbers, so that temporaries stay small.
     """
     values, row_ends = [], []
+    row_stops = [] if check_spelling else None
     while True:
         cut = stop
         if start + _READ_BLOCK < stop:
@@ -140,22 +163,31 @@ def json_numbers(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.nda
             while cut > 0 and text[cut - 1] == ord("]"):
                 cut = text.find(b",", cut + 1, stop)
             cut = stop if cut < 0 else cut
-        read = _read_block(text, start, cut)
+        read = _read_block(text, start, cut, row_stops is not None)
         if read is None:
             return None
         values.append(read[0])
         row_ends.append(read[1])
+        if read[2] is None:
+            row_stops = None
+        elif row_stops is not None:
+            row_stops.append(read[2])
         if cut == stop:
             break
         start = cut + 1
     row_ends[-1][-1] = True
+    if check_spelling:
+        if row_stops is not None:
+            row_stops = np.concatenate([*row_stops, [stop]])
+        return np.concatenate(values), np.concatenate(row_ends), row_stops
     return np.concatenate(values), np.concatenate(row_ends)
 
 
-def _read_block(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _read_block(text: bytes, start: int, stop: int, check_spelling: bool):
     """``json_numbers`` on one block ``text[start:stop]``, JSON numbers each
-    followed by ``,`` or ``],[`` but the last: the values, and whether a
-    row ends after each."""
+    followed by ``,`` or ``],[`` but the last: the values, whether a row
+    ends after each, and, if ``check_spelling`` and every token is
+    ``repr`` of its value, the offset in ``text`` of each "]" (else None)."""
     # Every token ends at a separator: a block cut at a comma takes it along.
     block = text[start:stop + 1] if text[stop:stop + 1] == b"," else text[start:stop] + b","
     coded = block.translate(_CODE)
@@ -206,6 +238,8 @@ def _read_block(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndar
         e = _eight_digits(words[e_end] & keep).astype(np.int64)
         q[e_tok] += np.where(minus, -e, e)
     del stream, digits, windows, words
+    # Tokens whose w and q above are their digits and exponent.
+    parsed = ~fallback if check_spelling else None
 
     # Clinger: both operands exact, one rounding. A zero is exact at any q.
     out = w.astype(np.float64)
@@ -216,6 +250,8 @@ def _read_block(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndar
         bits, certified = _scaled(w.take(rest), q.take(rest))
         out[rest] = bits.view(np.float64)
         fallback[rest[~certified]] = True
+        del bits, certified
+    del rest
     out.view(np.uint64)[:] |= np.left_shift(neg, _U(63), dtype=np.uint64)
     for t in np.flatnonzero(fallback).tolist():
         token = text[start + (int(bounds[t - 1]) + 1 if t else 0):start + int(bounds[t])]
@@ -223,7 +259,11 @@ def _read_block(text: bytes, start: int, stop: int) -> tuple[np.ndarray, np.ndar
         if value in (np.inf, -np.inf):
             return None
         out[t] = value
-    return out, row_ends
+    stops = None
+    if check_spelling and _spelled_as_repr(text, start, bounds, row_ends, e_tok, w, q, out,
+                                           parsed):
+        stops = bounds[row_ends] + (start - 1)  # each "]" just before its separator
+    return out, row_ends, stops
 
 
 def _layout(coded: bytes):
@@ -298,6 +338,158 @@ def _layout(coded: bytes):
         return None
     sign = (after_e & 0x30) >> 4  # 1 for "+" or "-"
     return bounds, row_ends, first, last, q, (e_tok, e_end, after_e == _MINUS, e_end - e_at - 1 - sign)
+
+
+def _spelled_as_repr(text: bytes, start: int, bounds: np.ndarray, row_ends: np.ndarray,
+                     e_tok: np.ndarray, w: np.ndarray, q: np.ndarray, out: np.ndarray,
+                     parsed: np.ndarray) -> bool:
+    """Whether each token of a block read by ``_read_block`` is ``repr`` of
+    its double ``out``, from the token's mantissa ``w`` and exponent ``q``
+    (``parsed`` where those hold). Overwrites ``w`` and ``q``.
+
+    Digits: with trailing zeros stripped, ``w * 10**q`` is ``repr``'s
+    decimal if it is the shortest that reads back to the value, and the
+    nearest to it of that length, a tie going to an even last digit. A
+    normal double's rounding interval is narrower than the gap between
+    two decimals of at most 15 digits, so one of at most 15 digits always
+    is. One of 16 or 17 digits with ``0 <= k = -q <= 22`` is when x =
+    value * 10**k, formed exactly as ``p + e`` by one Dekker product, lies
+    within 1/2 of w (exactly 1/2 for an even w), and neither multiple of
+    ten beside w lies within the gap to the value's farther neighbour,
+    scaled by 10**k, which holds its rounding interval; any shorter
+    decimal would be such a multiple. Each inexact test keeps a margin of
+    ``_SPELLING_MARGIN`` for its rounding. A value at a boundary, a power
+    of two whose lower neighbour is nearer, and other values, subnormal
+    ones among them, may be judged not spelled when they are.
+
+    Layout: ``repr`` writes decimal exponents -4 to 15 positionally, with
+    an e otherwise. Given the value, the integer digits of a token
+    without an e are fixed by JSON's grammar, so it is ``repr``'s text if
+    it has the fraction digits ``repr`` writes: one, a "0", for an
+    integer, else the decimal's own, with no trailing zero. A token with
+    an e is ``repr``'s text if it has ``repr``'s length, one nonzero digit,
+    then "." if it has more, then "e" and a sign where ``repr`` puts them:
+    the length then leaves no room for a trailing zero or another
+    exponent width.
+    """
+    bits = out.view(np.uint64)
+    zero = (bits << _U(1)) == 0
+    has_e = np.zeros(len(bounds), dtype=bool)
+    has_e[e_tok] = True
+    fraction = np.negative(q)  # the fraction digits of a token without an e
+
+    # w and q with trailing zeros stripped, and w's last digit r.
+    r = w // _U(10)
+    r *= _U(10)
+    np.subtract(w, r, out=r)
+    tens = np.flatnonzero(r == 0)
+    tens = tens[w.take(tens) != 0]
+    while len(tens):
+        w[tens] //= _U(10)
+        q[tens] += 1
+        last = w.take(tens) % _U(10)
+        r[tens] = last
+        tens = tens[last == 0]
+    # w's digit count, mostly 16 or 17; 17 from 10**16 on.
+    digits = (w >= _U(10 ** 16)).astype(np.int8)
+    digits += 16
+    short = np.flatnonzero(w < _U(10 ** 15))  # zeros among them
+    digits[short] = np.searchsorted(_POW10, w.take(short), side="right")
+    x = q + digits
+    x -= 1  # the decimal exponent
+    sci = (x < -4) | (x > 15)
+    sci &= ~zero
+    has_e ^= sci  # now: whether a token's e is where repr has none, or missing
+    # Positional: one fraction digit if the decimal is an integer (zero
+    # too), else -q.
+    np.minimum(q, -1, out=q)
+    q[zero] = -1
+    q += fraction
+    q[sci] = 0
+    if (has_e.any() or q.any() or not parsed.all() or (w >= _U(10 ** 17)).any()
+            or not (((bits & _U(0x7FF << 52)) != 0) | zero).all()):
+        return False
+    del has_e, fraction, zero, bits
+    sci = np.flatnonzero(sci)
+    if len(sci) and not _sci_spelled(text, start, bounds, row_ends, sci, x.take(sci),
+                                     digits.take(sci), np.signbit(out.take(sci))):
+        return False
+    k = np.negative(x, out=x)
+    k += digits
+    k -= 1  # -q again
+    del digits
+    # Tokens of at most 15 digits take no product: they run on as 1 * 10**0.
+    k[short] = 0
+    if not ((k >= 0) & (k <= 22)).all():
+        return False
+    v = np.abs(out)
+    v[short] = 1.0
+    # p + e = v 10**k (Dekker): v and 10**k split into halves of at most 26 bits.
+    p = _EXACT_POW10.take(k)
+    p *= v
+    hi = v * _SPLIT
+    hi -= hi - v
+    lo = v - hi
+    part = _POW10_HI.take(k)
+    e = hi * part
+    e -= p
+    part *= lo
+    low = _POW10_LO.take(k)
+    lo *= low
+    hi *= low
+    e += hi
+    e += part
+    e += lo
+    del hi, lo, part, low
+    # w - p in eighths: p is near w >= 10**15 > 2**49, so 8p is an integer.
+    gap = (w << _U(3)).view(np.int64)
+    gap -= (p * 8.0).astype(np.int64)
+    gap = gap / 8.0
+    del p, w
+    # w is the decimal of its length nearest to x = p + e, an exact tie
+    # (e = w - p -+ 1/2, exactly) going to an even w.
+    off = gap - e  # w - x
+    spelled = np.abs(off) < 0.5 - _SPELLING_MARGIN
+    spelled[short] = True
+    miss = np.flatnonzero(~spelled)
+    if len(miss):
+        near, err = gap.take(miss), e.take(miss)  # gap -+ 1/2 is exact
+        spelled[miss] = (((err == near - 0.5) | (err == near + 0.5))
+                         & (r.take(miss) & _U(1) == 0))
+    del gap, e
+    # Neither multiple of ten beside w within v +- half the gap to v's
+    # farther neighbour, 2**-53 10**k times v's power of two, exactly.
+    half = _POW10_ULP.take(k)
+    half *= (v.view(np.uint64) & _U(0x7FF << 52)).view(np.float64)
+    half += _SPELLING_MARGIN
+    r = r.view(np.int64).astype(np.float64)  # w less the multiple of ten below it
+    r -= off
+    spelled &= r > half
+    r -= 10.0
+    spelled &= r < -half
+    spelled[short] = True
+    return bool(spelled.all())
+
+
+def _sci_spelled(text: bytes, start: int, bounds: np.ndarray, row_ends: np.ndarray,
+                 sci: np.ndarray, x: np.ndarray, digits: np.ndarray, neg: np.ndarray) -> bool:
+    """Whether the tokens ``sci`` of a block, of decimal exponents ``x``
+    and ``digits`` significant digits, have the length of ``repr``'s
+    "d.ddde-XX" and its nonzero first digit, point, e and sign."""
+    # Each token's end (before a row's "]") and length.
+    end = bounds.take(sci) - row_ends.take(sci)
+    before = sci - 1
+    begin = np.where(sci > 0, bounds.take(before, mode="clip") + 1
+                     + row_ends.take(before, mode="clip"), 0)
+    more = digits > 1
+    if not (end - begin == neg + digits + more + 4 + (np.abs(x) >= 100)).all():
+        return False
+    chars = np.frombuffer(text, dtype=np.uint8)
+    first = begin + neg + start
+    e_at = first + 1 + more * digits
+    sign = chars.take(e_at + 1)
+    return bool(((chars.take(first) != ord("0")) & (~more | (chars.take(first + 1) == ord(".")))
+                 & (chars.take(e_at) == ord("e")) & ((sign == ord("+")) | (sign == ord("-")))).all())
 
 
 def _scaled(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,19 @@ command with the manifest's settings reproduces byte-identical outputs.
 Every command checks its flag values, and ``_check_paths`` every path
 argument, before any input is read. ``_write_outputs`` alone makes the
 output directory and writes every file, after every solve and selection,
-so a failed solve or selection leaves no output directory or files.
-``sweep-tau`` finds each frame's nearest tokens and their similarities
-once and thresholds them for every tau of its grid.
+so a failed solve or selection leaves no output directory or files; it
+writes the manifest last and renames it into place, so a write that
+fails part way leaves no manifest. ``sweep-tau`` finds each frame's
+nearest tokens and their similarities once and thresholds them for
+every tau of its grid.
+
+``morph``'s first and last frames are rows of its source and target, and
+a ``texture-select`` output that copies no token is rows of its blended
+input. ``morph`` reads its source and target, and ``texture-select`` its
+blended input, with ``keep_text``, and ``_token_bytes`` splices a JSON
+file whose every row's text such an input holds
+(``tokenio.spliced_json_bytes``) and encodes any other: the bytes are
+the writer's either way.
 
 Exit codes: 0 success, 2 usage, 3 missing file or another failed read
 or write, 4 bad file format, 5 dimension mismatch, 6 invalid value,
@@ -48,7 +58,13 @@ from .selective import (
     selective_texture_tokens,
 )
 from .synth import KINDS, gen_synthetic
-from .tokenio import read_tokens, tokens_to_binary_bytes, tokens_to_json_bytes
+from .tokenio import (
+    json_row_texts,
+    read_tokens,
+    spliced_json_bytes,
+    tokens_to_binary_bytes,
+    tokens_to_json_bytes,
+)
 from .tokens import TokenSet, index_lerp
 from .toydemo import decode_tokens_to_shape, render_trajectory_svg
 from .trajectory import INIT_MODES, MorphConfig, morph_geometry
@@ -246,12 +262,22 @@ def _entry(name: str, data: bytes) -> dict:
     return {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _tokens_writer(fmt: str):
-    return tokens_to_json_bytes if fmt == "json" else tokens_to_binary_bytes
+def _token_bytes(fmt: str, tokens: TokenSet, row_texts: dict[bytes, memoryview] | None = None
+                 ) -> bytes:
+    """The token file of ``tokens`` in ``fmt``: in JSON, spliced from
+    ``row_texts`` when it holds every row, else encoded; the same bytes."""
+    if fmt == "binary":
+        return tokens_to_binary_bytes(tokens)
+    data = spliced_json_bytes(tokens, row_texts) if row_texts else None
+    return tokens_to_json_bytes(tokens) if data is None else data
 
 
-def _read_inputs(args, *names: str) -> tuple[list[TokenSet], dict[str, dict]]:
+def _read_inputs(args, *names: str, keep: tuple[str, ...] = ()
+                 ) -> tuple[list[TokenSet], dict[str, dict]]:
     """Parse the token files named by the positional arguments ``names``.
+    For JSON output, those named in ``keep``, whose rows the command may
+    write back, keep their rows' text if it is the writer's
+    (``read_tokens``'s ``keep_text``).
 
     Returns the token sets and each input's manifest entry: its file
     name, digest and shape. The entries are taken here, before the
@@ -261,7 +287,7 @@ def _read_inputs(args, *names: str) -> tuple[list[TokenSet], dict[str, dict]]:
     tokens, entries = [], {}
     for name in names:
         arg = getattr(args, name)
-        tokens.append(read_tokens(arg))
+        tokens.append(read_tokens(arg, keep_text=name in keep and args.format == "json"))
         path = Path(arg)
         entries[name] = {
             "file": path.name,
@@ -279,7 +305,11 @@ def _write_outputs(args, out_dir: Path, inputs: dict[str, dict], files: dict[str
 
     The manifest holds the command's own ``body`` fields plus its name,
     every parsed flag except ``--out-dir`` as ``parameters``, and the
-    ``_read_inputs`` entries in ``inputs``.
+    ``_read_inputs`` entries in ``inputs``. An earlier run's manifest is
+    removed before the first write, and the new one is written under a
+    temporary name and renamed into place last, so a ``manifest.json``
+    always describes the files beside it: a run that fails part way
+    leaves none.
     """
     skip = {"command", "func", "out_dir", *inputs}
     manifest = {
@@ -291,8 +321,16 @@ def _write_outputs(args, out_dir: Path, inputs: dict[str, dict], files: dict[str
     if inputs:
         manifest["inputs"] = inputs
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in {**files, "manifest.json": _json_bytes(manifest)}.items():
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    for name, data in files.items():
         (out_dir / name).write_bytes(data)
+    pending = out_dir / ".manifest.json.tmp"
+    try:
+        pending.write_bytes(_json_bytes(manifest))
+        os.replace(pending, out_dir / "manifest.json")
+    except OSError:
+        pending.unlink(missing_ok=True)
+        raise
     print(shown or out_dir)
     return EXIT_OK
 
@@ -314,7 +352,7 @@ def _cmd_barycenter(args, out_dir: Path) -> int:
     result = pairwise_barycenter(source, target, args.beta, init, config)
 
     name = f"barycenter.{_EXTENSIONS[args.format]}"
-    data = _tokens_writer(args.format)(result.support)
+    data = _token_bytes(args.format, result.support)
     return _write_outputs(args, out_dir, inputs, {name: data}, {
         "outputs": [_entry(name, data)],
         "diagnostics": {
@@ -337,19 +375,20 @@ def _cmd_morph(args, out_dir: Path) -> int:
             max_iterations=args.max_iter, stop_threshold=args.tol
         ),
     )
-    (source, target), inputs = _read_inputs(args, "source", "target")
+    (source, target), inputs = _read_inputs(args, "source", "target", keep=("source", "target"))
     trajectory = morph_geometry(source, target, config)
     if args.tau is not None:
         reports = morph_texture(trajectory, source, target, args.tau)
 
     ext = _EXTENSIONS[args.format]
-    writer = _tokens_writer(args.format)
+    # The first frame's rows are the source's, the last's the target's.
+    rows = {**json_row_texts(source), **json_row_texts(target)}
     files, frames = {}, []
     for k, (frame, beta, diag) in enumerate(
         zip(trajectory.frames, trajectory.betas, trajectory.frame_diagnostics)
     ):
         name = f"frame_{k:03d}.{ext}"
-        files[name] = writer(frame)
+        files[name] = _token_bytes(args.format, frame, rows)
         frames.append({
             **_entry(name, files[name]),
             "beta": beta,
@@ -372,7 +411,7 @@ def _cmd_morph(args, out_dir: Path) -> int:
                 files[name] = files[frames[k]["file"]]
                 entry = {"file": name, "sha256": frames[k]["sha256"]}
             else:
-                files[name] = writer(report.output)
+                files[name] = _token_bytes(args.format, report.output)
                 entry = _entry(name, files[name])
             copied = int(np.count_nonzero(~report.decisions.kept_barycenter))
             body["texture_frames"].append({
@@ -385,11 +424,13 @@ def _cmd_morph(args, out_dir: Path) -> int:
 
 def _cmd_texture_select(args, out_dir: Path) -> int:
     require_fraction("tau", args.tau)
-    tokens, inputs = _read_inputs(args, "blended", "source", "target")
+    tokens, inputs = _read_inputs(args, "blended", "source", "target", keep=("blended",))
     report = selective_texture_tokens(*tokens, args.tau)
 
+    # Spliced when the selection copies no source token.
+    rows = json_row_texts(tokens[0])
     files = {
-        f"selected.{_EXTENSIONS[args.format]}": _tokens_writer(args.format)(report.output),
+        f"selected.{_EXTENSIONS[args.format]}": _token_bytes(args.format, report.output, rows),
         "selection_report.json": _report_bytes(args.tau, report.decisions),
     }
     return _write_outputs(args, out_dir, inputs, files,
@@ -475,7 +516,6 @@ def _cmd_sweep_tau(args, out_dir: Path) -> int:
 def _cmd_gen_synthetic(args, out_dir: Path) -> int:
     generated = gen_synthetic(args.kind, args.n, args.d, args.seed)
     ext = _EXTENSIONS[args.format]
-    writer = _tokens_writer(args.format)
     args.name = args.name or args.kind
 
     if isinstance(generated, tuple):
@@ -483,7 +523,7 @@ def _cmd_gen_synthetic(args, out_dir: Path) -> int:
                  for suffix, tokens in zip(("source", "target"), generated)}
     else:
         named = {args.name: generated}
-    files = {f"{stem}.{ext}": writer(tokens) for stem, tokens in named.items()}
+    files = {f"{stem}.{ext}": _token_bytes(args.format, tokens) for stem, tokens in named.items()}
     return _write_outputs(args, out_dir, {}, files,
                           {"outputs": [_entry(*item) for item in files.items()]})
 

@@ -382,7 +382,8 @@ def _min_cost_matching(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
     Raises:
         SolverFailureError: if a path length overflows float64, which
-            costs near the float64 limit can cause.
+            costs near the float64 limit can cause, or if a cost is NaN,
+            on which the search would never settle.
     """
     c = np.asarray(values, dtype=np.float64)
     n = c.shape[0]
@@ -470,6 +471,9 @@ def _reduction_start(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     blocks of at most ``_BLOCK_BYTES``.
     """
     n = c.shape[0]
+    top = float(c.max())
+    if top != top:  # the max of a matrix that holds a NaN
+        raise SolverFailureError("assignment cost matrix holds NaN")
     v = c.min(axis=0)
     col_of = np.full(n, -1, dtype=np.int64)  # column matched to row i
     row_of = np.full(n, -1, dtype=np.int64)  # row matched to column j
@@ -478,7 +482,7 @@ def _reduction_start(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
             col_of[i] = j
             row_of[j] = i
 
-    floor = 0.5 * (float(c.max()) - np.finfo(np.float64).max)
+    floor = 0.5 * (top - np.finfo(np.float64).max)
     step = max(1, _BLOCK_BYTES // (8 * n))
     free = np.flatnonzero(col_of < 0)
     for _ in range(_ROW_REDUCTION_ROUNDS):

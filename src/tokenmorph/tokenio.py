@@ -14,6 +14,16 @@ Every other file, and every file the reader turns down (a token that is
 not a strict JSON number, rows or a count that do not match n and d, a
 number beyond float64), is read by ``json.loads``, which alone decides
 its errors.
+
+The writer spells each number by its bits alone, so a row's text is the
+same in every file that holds that row. ``read_tokens(path,
+keep_text=True)`` has the numpy reader also check that each number of
+the points is spelled exactly as the writer spells it; a set that
+passes keeps its rows' text. ``json_row_texts`` maps the bytes of each
+row of such a set to its text, and ``spliced_json_bytes`` joins those
+texts into the file of any set of such rows: the same bytes as
+``tokens_to_json_bytes``, without the encode. A set that keeps no text,
+or a row whose text is not there, is encoded as usual.
 """
 
 from __future__ import annotations
@@ -60,11 +70,56 @@ def tokens_to_json_bytes(tokens: TokenSet) -> bytes:
     """The JSON token file: the bytes of ``json.dumps`` of ``n``, ``d``,
     ``points.tolist()`` and, unless uniform, ``weights.tolist()``, with
     sorted keys and compact separators, plus a newline."""
-    parts = [b'{"d":%d,"n":%d,"points":' % (tokens.m, tokens.n), _json_floats(tokens.points)]
+    return _json_file(tokens, [_json_floats(tokens.points)])
+
+
+def _json_file(tokens: TokenSet, points: list[bytes | memoryview]) -> bytes:
+    """The JSON token file whose points array is spelled by ``points``
+    joined, in one join: a file's text is its largest array."""
+    parts = [b'{"d":%d,"n":%d,"points":' % (tokens.m, tokens.n), *points]
     if not _is_exactly_uniform(tokens.weights):
         parts += [b',"weights":', _json_floats(tokens.weights)]
     parts.append(b"}\n")
     return b"".join(parts)
+
+
+def json_row_texts(tokens: TokenSet) -> dict[bytes, memoryview]:
+    """The text of each of ``tokens``' rows in the JSON token file it was
+    read from with ``keep_text``, by the row's bytes; none if that file's
+    text was not kept."""
+    if tokens._json_text is None:
+        return {}
+    data, stops = tokens._json_text
+    # Each row's text ends at its "]"; the next starts past "],[".
+    starts = [_CANONICAL_HEAD.match(data).end(), *(stop + 3 for stop in stops[:-1])]
+    view = memoryview(data)
+    return dict(zip(_row_keys(tokens.points), [view[a:b] for a, b in zip(starts, stops)]))
+
+
+def spliced_json_bytes(tokens: TokenSet, row_texts: dict[bytes, memoryview]) -> bytes | None:
+    """``tokens_to_json_bytes(tokens)``, joined from each row's text in
+    ``row_texts`` (as ``json_row_texts`` gives them), or None if a row's
+    text is not there.
+
+    The writer spells each number by its bits alone, so a row's text is
+    the same in every file that holds the row. A set none of whose rows
+    are there costs one lookup.
+    """
+    if tokens.points[0].tobytes() not in row_texts:
+        return None
+    parts = [b"],["] * (2 * tokens.n + 1)
+    parts[0], parts[-1] = b"[[", b"]]"
+    try:
+        parts[1::2] = [row_texts[key] for key in _row_keys(tokens.points)]
+    except KeyError:
+        return None
+    return _json_file(tokens, parts)
+
+
+def _row_keys(points: np.ndarray) -> list[bytes]:
+    """Each row's bytes."""
+    points = np.ascontiguousarray(points)
+    return points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel().tolist()
 
 
 def _json_floats(values: np.ndarray) -> bytes:
@@ -83,20 +138,23 @@ def tokens_to_binary_bytes(tokens: TokenSet) -> bytes:
     return out
 
 
-def tokens_from_json_bytes(data: bytes) -> TokenSet:
-    tokens = _canonical_tokens(data)
+def tokens_from_json_bytes(data: bytes, keep_text: bool = False) -> TokenSet:
+    """Read a JSON token file; see ``read_tokens`` for ``keep_text``."""
+    tokens = _canonical_tokens(data, keep_text)
     if tokens is not None:
         return tokens
     return _tokens_from_json_doc(data)
 
 
-def _canonical_tokens(data: bytes) -> TokenSet | None:
+def _canonical_tokens(data: bytes, keep_text: bool = False) -> TokenSet | None:
     """Read a file in the writer's layout with the numpy number kernel.
 
     None, for ``json.loads`` to read the file instead, when it has fewer
     than ``_KERNEL_MIN_VALUES`` points, is laid out otherwise, holds a
     token that is not a strict JSON number, has rows or a count that do
-    not match n and d, or holds a number beyond float64.
+    not match n and d, or holds a number beyond float64. With
+    ``keep_text``, a set whose every point the reader finds spelled as
+    the writer spells it keeps its rows' text.
     """
     head = _CANONICAL_HEAD.match(data)
     if head is None:
@@ -117,19 +175,20 @@ def _canonical_tokens(data: bytes) -> TokenSet | None:
             return None
     else:
         return None
-    points = json_numbers(data, head.end(), close)
+    points = json_numbers(data, head.end(), close, keep_text)
     if points is None:
         return None
-    values, row_ends = points
+    values, row_ends = points[:2]
     if len(values) != n * d or not np.array_equal(np.flatnonzero(row_ends),
                                                   np.arange(d - 1, n * d, d)):
         return None
     # In place, not a reshape view: the set adopts the reader's array.
     values.shape = (n, d)
     values.setflags(write=False)
-    if weights is None:
-        return TokenSet(values)
-    return TokenSet(values, _validate_file_weights(weights[0], n))
+    tokens = TokenSet(values, None if weights is None else _validate_file_weights(weights[0], n))
+    if keep_text and points[2] is not None:
+        object.__setattr__(tokens, "_json_text", (data, points[2].tolist()))
+    return tokens
 
 
 def _tokens_from_json_doc(data: bytes) -> TokenSet:
@@ -207,12 +266,17 @@ def write_tokens(tokens: TokenSet, path: str | Path, fmt: str = "json") -> None:
     Path(path).write_bytes(data)
 
 
-def read_tokens(path: str | Path) -> TokenSet:
-    """Read a token set: binary if it starts with the magic bytes, else JSON."""
+def read_tokens(path: str | Path, keep_text: bool = False) -> TokenSet:
+    """Read a token set: binary if it starts with the magic bytes, else JSON.
+
+    With ``keep_text``, a JSON file that the numpy reader reads also has
+    each number checked against the writer's spelling, and a set whose
+    every point passes keeps its rows' text for ``json_row_texts``.
+    """
     data = Path(path).read_bytes()
     if data[:4] == MAGIC:
         return tokens_from_binary_bytes(data)
-    return tokens_from_json_bytes(data)
+    return tokens_from_json_bytes(data, keep_text)
 
 
 def _json_array(doc: dict, key: str, may_hold_bool: bool) -> np.ndarray:

@@ -17,7 +17,7 @@ sequential morph all share the plan's ``mass`` as their weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class TokenSet:
 
     points: np.ndarray
     weights: np.ndarray | None = None
+    # The JSON file the set was read from and where each of its rows
+    # ends, when the reader kept its text (see ``tokenio.read_tokens``).
+    _json_text: tuple[bytes, list[int]] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = read_only_array(self.points)

@@ -47,6 +47,8 @@ from unittest import mock
 
 import numpy as np
 
+from git_export import export_revision
+
 IN = "../in"  # inputs, relative to each command's working directory
 
 
@@ -359,13 +361,9 @@ def _sweep(in_dir: Path | None = None) -> dict[str, dict[str, str]]:
 
 
 def _against(rev: str) -> int:
-    repo = Path(__file__).resolve().parent.parent
     with tempfile.TemporaryDirectory(prefix="sweep_cli_rev_") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", rev, "src"],
-                                 check=True, capture_output=True).stdout
-        (tmp / "rev").mkdir()
-        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
+        export_revision(rev, tmp / "rev")
         (tmp / "in").mkdir()
         write_inputs(tmp / "in")
         child = subprocess.run(

@@ -231,6 +231,91 @@ class TestTextureReuse:
             assert self.hashed.count((out / f"texture_{k:03d}.json").read_bytes()) == 1
 
 
+class TestSplicedOutputs:
+    """An output token file whose every row is a row of an input read
+    with ``keep_text`` (``morph``'s source and target, ``texture-select``'s
+    blended input) is spliced from that input's text instead of encoded,
+    in the same bytes."""
+
+    @staticmethod
+    def _encodes(argv, monkeypatch) -> list[TokenSet]:
+        encodes = []
+        writer = cli_module.tokens_to_json_bytes
+
+        def counted(tokens):
+            encodes.append(tokens)
+            return writer(tokens)
+
+        monkeypatch.setattr(cli_module, "tokens_to_json_bytes", counted)
+        assert main(argv) == EXIT_OK
+        monkeypatch.undo()
+        return encodes
+
+    @staticmethod
+    def _write(tmp_path, **sets) -> list[str]:
+        for name, tokens in sets.items():
+            write_tokens(tokens, tmp_path / f"{name}.json")
+        return [str(tmp_path / f"{name}.json") for name in sets]
+
+    @staticmethod
+    def _assert_writer_bytes(out: Path, names: list[str]):
+        for name in names:
+            data = (out / name).read_bytes()
+            assert data == tokens_to_json_bytes(read_tokens(out / name)), name
+
+    def test_a_morph_splices_its_end_frames(self, tmp_path, monkeypatch):
+        # Criterion 10's blobs at tau 0.9: every texture frame copies, and is
+        # encoded. Frames 0 and 7 are rows of the inputs.
+        paths = self._write(tmp_path, source=gen_synthetic("gaussian_blob", 256, 64, 101),
+                            target=gen_synthetic("gaussian_blob", 256, 64, 202))
+        out = tmp_path / "out"
+        encodes = self._encodes(["morph", *paths, "--tau", "0.9", "--out-dir", str(out)],
+                                monkeypatch)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert all(t["copied_from_source"] > 0 for t in manifest["texture_frames"])
+        written = [read_tokens(out / f"{kind}_{k:03d}.json").points.tobytes()
+                   for kind, ks in (("frame", range(1, 7)), ("texture", range(8))) for k in ks]
+        assert [e.points.tobytes() for e in encodes] == written
+        self._assert_writer_bytes(out, [f"{kind}_{k:03d}.json" for kind in ("frame", "texture")
+                                        for k in range(8)])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("tau", [0.0, 0.9])
+    def test_a_selection_that_copies_nothing_is_spliced(self, weighted, tau, tmp_path,
+                                                        monkeypatch):
+        rng = np.random.default_rng(263)
+        source, target = (gen_synthetic("gaussian_blob", 64, 16, seed) for seed in (5, 6))
+        blended = index_lerp(source, target, 0.5)
+        if weighted:
+            blended = TokenSet(blended.points, rng.dirichlet(np.ones(64)))
+        paths = self._write(tmp_path, blended=blended, source=source, target=target)
+        out = tmp_path / "out"
+        encodes = self._encodes(["texture-select", *paths, "--tau", str(tau), "--out-dir",
+                                 str(out)], monkeypatch)
+        copied = sum(not d["kept_barycenter"] for d in
+                     json.loads((out / "selection_report.json").read_text())["decisions"])
+        # tau 0 copies nothing; at 0.9 some tokens are copied from the source.
+        assert (copied == 0) == (tau == 0.0) and copied < 64
+        assert len(encodes) == (copied > 0)
+        self._assert_writer_bytes(out, ["selected.json"])
+
+    def test_a_value_that_cannot_be_checked_is_encoded_as_before(self, tmp_path, monkeypatch):
+        # 17 digits near 1e-30: beyond the spelling check, so the source
+        # keeps no text and frame 0 is encoded, in the bytes it had.
+        source = gen_synthetic("gaussian_blob", 64, 16, 7).points.copy()
+        source[3, 5] = 1.2345678901234567e-30
+        paths = self._write(tmp_path, source=TokenSet(source),
+                            target=gen_synthetic("gaussian_blob", 64, 16, 8))
+        argv = ["morph", *paths, "--frames", "2"]
+        out = tmp_path / "out"
+        encodes = self._encodes([*argv, "--out-dir", str(out)], monkeypatch)
+        assert encodes[0].points.tobytes() == source.tobytes()
+        assert len(encodes) == 3  # frames 0 to 2; the target's frame 3 is spliced
+        monkeypatch.setattr(cli_module, "spliced_json_bytes", lambda tokens, rows: None)
+        assert main([*argv, "--out-dir", str(tmp_path / "encoded")]) == EXIT_OK
+        assert _dir_bytes(out) == _dir_bytes(tmp_path / "encoded")
+
+
 class TestOtherCommands:
     def test_barycenter_writes_support(self, token_files, tmp_path):
         source_path, target_path = token_files
@@ -438,17 +523,21 @@ class TestOtherCommands:
         inputs = [source_path, target_path]
         if command == "texture-select":
             inputs = [source_path, *inputs]
-        reads = []
+        reads, kept = [], []
 
-        def counted(path):
+        def counted(path, **kwargs):
             reads.append(path)
-            return read_tokens(path)
+            kept.append(kwargs.get("keep_text", False))
+            return read_tokens(path, **kwargs)
 
         monkeypatch.setattr(cli_module, "read_tokens", counted)
         out = tmp_path / "out"
         argv = [command, *map(str, inputs), *extra, "--out-dir", str(out)]
         assert main(argv) == EXIT_OK
         assert reads == [str(path) for path in inputs]
+        # Only inputs whose rows the command may write back keep their text.
+        assert kept == {"morph": [True, True], "texture-select": [True, False, False]}.get(
+            command, [False, False])
         manifest = json.loads((out / "manifest.json").read_text())
         for entry, path in zip(manifest["inputs"].values(), inputs):
             assert entry["file"] == path.name
@@ -699,6 +788,53 @@ class TestErrorPaths:
         assert captured.err == (f"tokenmorph: error[io]: [Errno 13] Permission denied: "
                                 f"'{out / 'ring.json'}'\n")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["morph", "--frames", "2", "--tau", "0.9"],
+        ["sweep-tau", "--frames", "2", "--grid", "0.3,0.9"],
+    ])
+    def test_a_failed_write_leaves_no_stale_manifest(self, command, token_files, tmp_path,
+                                                     monkeypatch, capsys):
+        # The k-th write fails (a full disk) in a directory that holds an
+        # earlier run on other inputs. An earlier run's manifest stayed
+        # beside the new files before, with digests they do not match.
+        source, target = map(str, token_files)
+        out = tmp_path / "out"
+        assert main([command[0], target, source, *command[1:], "--out-dir", str(out)]) == EXIT_OK
+        earlier = _dir_bytes(out)
+        real_write = Path.write_bytes
+        writes = len(earlier)
+        for k in range(writes):
+            for path in out.iterdir():
+                path.unlink()
+            for name, data in earlier.items():
+                (out / name).write_bytes(data)
+            count = [0]
+
+            def full_disk(self, data, _k=k):
+                count[0] += 1
+                if count[0] > _k:  # the disk fills half way through this file
+                    real_write(self, data[:len(data) // 2])
+                    raise OSError(28, "No space left on device", str(self))
+                return real_write(self, data)
+
+            monkeypatch.setattr(Path, "write_bytes", full_disk)
+            code = main([command[0], source, target, *command[1:], "--out-dir", str(out)])
+            monkeypatch.undo()
+            assert code == EXIT_MISSING_FILE
+            err = capsys.readouterr().err
+            assert err.startswith("tokenmorph: error[io]: [Errno 28]") and err.count("\n") == 1
+            if (out / "manifest.json").exists():
+                manifest = json.loads((out / "manifest.json").read_text())
+                listed = [entry for key in ("frames", "texture_frames", "outputs")
+                          for entry in manifest.get(key, [])]
+                assert listed
+                for entry in listed:
+                    data = (out / entry["file"]).read_bytes()
+                    assert hashlib.sha256(data).hexdigest() == entry["sha256"], (k, entry)
+            assert not (out / ".manifest.json.tmp").exists()
+        # The last write is the manifest's: with it failing, none is left.
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("name", ["../escaped", "a/b", ".", ""])
     def test_gen_synthetic_name_outside_the_out_dir(self, name, tmp_path, capsys):

@@ -25,12 +25,15 @@ from tokenmorph.tokenio import (
     MAGIC,
     _canonical_tokens,
     _tokens_from_json_doc,
+    json_row_texts,
+    spliced_json_bytes,
     tokens_from_binary_bytes,
     tokens_from_json_bytes,
     tokens_to_binary_bytes,
     tokens_to_json_bytes,
 )
 from sweep_float_read import midpoint_tokens, random_finite_bits
+from sweep_json_fuzz import near_spellings
 
 
 @pytest.fixture
@@ -457,6 +460,122 @@ class TestJsonFloatReader:
         for q in range(-_floatrepr._K_MAX, -_floatrepr._K_MIN + 1):
             r = (10 ** q).bit_length() - 126 if q >= 0 else -125 - (10 ** -q).bit_length()
             assert ((q * 217706) >> 16) - 125 == r, q
+
+
+def _spelled(tokens: list[bytes]) -> bool:
+    """The reader's verdict: every token is the writer's spelling."""
+    text = b",".join(tokens)
+    read = _floatread.json_numbers(text, 0, len(text), check_spelling=True)
+    return read is not None and read[2] is not None
+
+
+class TestWriterSpelling:
+    """``json_numbers(..., check_spelling=True)`` against ``repr``: it must
+    never pass a token that is not ``repr`` of its double, and must pass
+    ``repr`` of every normal double of at most 15 digits, or of 16 or 17
+    digits that is at least 1e-6 and below 1e16."""
+
+    def test_repr_passes(self):
+        rng = np.random.default_rng(241)
+        values = rng.choice([-1.0, 1.0], size=4000) * rng.uniform(1.0, 10.0, size=4000) \
+            * 10.0 ** rng.integers(-6, 15, size=4000)
+        values = np.concatenate([values, np.round(values, 3), [0.0, -0.0, 1.0, -100.0, 1e15,
+                                 9007199254740993.0, 0.1, 1e-5, 5e-5, 2.0 ** 52, 1e300, 1e-300,
+                                 2.5e-300, 169544618800300.12, 123456789012345.6, 1e-6 / 3]])
+        tokens = [repr(x).encode() for x in values.tolist()]
+        assert _spelled(tokens)
+        # Each alone, as the first, a middle and the last token of a row.
+        for token in tokens[::97]:
+            assert _spelled([token]) and _spelled([b"1.5", token, b"2.0"])
+
+    @pytest.mark.parametrize("token", [
+        b"1.50e+16", b"1.5e16", b"1.5E+16", b"1e+016", b"100.00", b"100", b"-0", b"0",
+        b"0.00", b"0e+00", b"1.0e+16", b"15e+15", b"0.15e+17", b"0.10000000000000001",
+        b"0.30000000000000004e0", b"1e-5", b"1.0E-5", b"0.00001", b"10000000000000000.0",
+        b"1.2345678901234567e-30", b"5e-324", b"0.1000",
+        b"169544618800300.13",  # a tie that repr breaks to the even .12
+    ])
+    def test_other_spellings_fail(self, token):
+        assert not _spelled([b"0.5", token])
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_no_other_spelling_of_a_double_passes(self, x):
+        for token in near_spellings(x):
+            if _spelled([token]):
+                assert repr(float(token)).encode() == token
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(min_value=1e-6, max_value=1e16, exclude_max=True), negative=st.booleans())
+    def test_repr_of_a_double_in_range_passes(self, x, negative):
+        assert _spelled([repr(-x if negative else x).encode()])
+
+
+class TestKeptText:
+    """``read_tokens(..., keep_text=True)`` and the splice: a set whose
+    file text is the writer's keeps its rows' text, and any set of its
+    rows is written from them in ``tokens_to_json_bytes``'s bytes."""
+
+    @staticmethod
+    def _kept(tmp_path, tokens: TokenSet) -> TokenSet:
+        path = tmp_path / "kept.json"
+        write_tokens(tokens, path)
+        return read_tokens(path, keep_text=True)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rows_in_any_order_splice_the_writer_bytes(self, tmp_path, weighted):
+        rng = np.random.default_rng(251)
+        weights = rng.dirichlet(np.ones(128)) if weighted else None
+        kept = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8)), weights))
+        rows = json_row_texts(kept)
+        assert len(rows) == 128
+        for picks in (np.arange(128), rng.permutation(128), rng.integers(0, 128, size=40)):
+            tokens = TokenSet(kept.points[picks], rng.dirichlet(np.ones(len(picks))))
+            assert spliced_json_bytes(tokens, rows) == tokens_to_json_bytes(tokens)
+            tokens = TokenSet(kept.points[picks])
+            assert spliced_json_bytes(tokens, rows) == tokens_to_json_bytes(tokens)
+
+    @pytest.mark.parametrize("block", [1, 2, 25, 97, 4000])
+    def test_any_block_size_keeps_each_rows_text(self, monkeypatch, tmp_path, block):
+        # Blocks are cut at a comma inside a row or, after a "]", at the
+        # next one: every row's text still runs from its "[" to its "]".
+        monkeypatch.setattr(_floatread, "_READ_BLOCK", block)
+        tokens = TokenSet(np.random.default_rng(block).normal(size=(128, 8)))
+        kept = self._kept(tmp_path, tokens)
+        assert list(json_row_texts(kept).values()) == [
+            json.dumps(row).replace(" ", "").strip("[]").encode() for row in tokens.points.tolist()]
+        assert spliced_json_bytes(kept, json_row_texts(kept)) == tokens_to_json_bytes(tokens)
+
+    def test_a_missing_row_writes_nothing(self, tmp_path):
+        rng = np.random.default_rng(252)
+        kept = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8))))
+        rows = json_row_texts(kept)
+        other = kept.points.copy()
+        other[-1, -1] = np.nextafter(other[-1, -1], np.inf)
+        assert spliced_json_bytes(TokenSet(other), rows) is None
+        assert spliced_json_bytes(TokenSet(other[::-1]), rows) is None
+        assert spliced_json_bytes(kept, {}) is None
+
+    def test_sets_that_keep_no_text(self, tmp_path):
+        rng = np.random.default_rng(253)
+        points = rng.normal(size=(128, 8))
+        path = tmp_path / "set.json"
+        write_tokens(TokenSet(points), path)
+        assert json_row_texts(read_tokens(path)) == {}  # no keep_text
+        assert json_row_texts(read_tokens(path, keep_text=True))
+        write_tokens(TokenSet(points), path, "binary")
+        assert json_row_texts(read_tokens(path, keep_text=True)) == {}
+        write_tokens(TokenSet(points[:100]), path)  # fewer than 1 024 values
+        assert json_row_texts(read_tokens(path, keep_text=True)) == {}
+        odd = points.copy()
+        odd[5, 3] = 1.2345678901234567e-30  # 17 digits, too small to check
+        write_tokens(TokenSet(odd), path)
+        assert json_row_texts(read_tokens(path, keep_text=True)) == {}
+        points[0, 0] = 0.5
+        data = tokens_to_json_bytes(TokenSet(points))
+        path.write_bytes(data.replace(b"[[0.5,", b"[[0.50,"))  # 0.5, but not repr's text
+        tokens = read_tokens(path, keep_text=True)
+        assert tokens.points.tobytes() == points.tobytes() and json_row_texts(tokens) == {}
 
 
 class TestReadAllocations:

@@ -712,6 +712,17 @@ class TestSolveAssignment:
                            match="^assignment path length overflows float64$"):
             solve_exact_ot(a, b)
 
+    @pytest.mark.parametrize("values", [
+        [[1.0, np.nan], [2.0, 3.0]],
+        [[np.nan]],
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [2.0, 1.0, np.nan]],
+        [[np.inf, np.nan], [1.0, 2.0]],
+    ])
+    def test_a_nan_cost_raises(self, values):
+        # The first looped forever before: its search never settled a column.
+        with pytest.raises(SolverFailureError, match="^assignment cost matrix holds NaN$"):
+            ot_module._min_cost_matching(np.array(values))
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 40), st.sampled_from(["grid", "duplicated", "zero", "distances"]),
            st.integers(0, 10_000))
