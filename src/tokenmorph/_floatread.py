@@ -142,20 +142,19 @@ def json_numbers(text: bytes, start: int, stop: int, check_spelling: bool = Fals
 
     Returns each number's double, exactly as ``float()`` of its token
     reads it except that an integer token ``-0`` reads as ``+0.0`` (as
-    ``float(int(token))``), and whether a row ends after it (always
-    after the last). Returns None if a token is not a strict JSON number
-    (``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?``), reads as an
-    infinity, or is separated otherwise. With ``check_spelling`` it also
-    returns, third, the offset in ``text`` of each row's end (its "]", or
-    ``stop``) if every token is exactly ``repr`` of its double, the
-    writer's spelling (see ``_spelled_as_repr``), else None, which may
-    also mean that the check could not tell.
+    ``float(int(token))``); whether a row ends after it (always after
+    the last); and, with ``check_spelling``, the offset in ``text`` of
+    each row's end (its "]", or ``stop``) if every token is exactly
+    ``repr`` of its double, the writer's spelling (see
+    ``_spelled_as_repr``), else None, which may also mean that the check
+    could not tell. Returns None instead if a token is not a strict JSON
+    number (``-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?``), reads
+    as an infinity, or is separated otherwise.
 
     The text is read in blocks of about ``_READ_BLOCK`` bytes, cut at a
     ``,`` between two numbers, so that temporaries stay small.
     """
-    values, row_ends = [], []
-    row_stops = [] if check_spelling else None
+    values, row_ends, row_stops = [], [], [] if check_spelling else None
     while True:
         cut = stop
         if start + _READ_BLOCK < stop:
@@ -176,11 +175,9 @@ def json_numbers(text: bytes, start: int, stop: int, check_spelling: bool = Fals
             break
         start = cut + 1
     row_ends[-1][-1] = True
-    if check_spelling:
-        if row_stops is not None:
-            row_stops = np.concatenate([*row_stops, [stop]])
-        return np.concatenate(values), np.concatenate(row_ends), row_stops
-    return np.concatenate(values), np.concatenate(row_ends)
+    if row_stops is not None:
+        row_stops = np.concatenate([*row_stops, [stop]])
+    return np.concatenate(values), np.concatenate(row_ends), row_stops
 
 
 def _read_block(text: bytes, start: int, stop: int, check_spelling: bool):

@@ -16,10 +16,9 @@ every tau of its grid.
 ``morph``'s first and last frames are rows of its source and target, and
 a ``texture-select`` output that copies no token is rows of its blended
 input. ``morph`` reads its source and target, and ``texture-select`` its
-blended input, with ``keep_text``, and ``_token_bytes`` splices a JSON
-file whose every row's text such an input holds
-(``tokenio.spliced_json_bytes``) and encodes any other: the bytes are
-the writer's either way.
+blended input, with ``keep_text``, and passes them as ``like`` to
+``tokens_to_json_bytes``, the one place that splices a JSON file from
+their rows' text or encodes it: the bytes are the writer's either way.
 
 Exit codes: 0 success, 2 usage, 3 missing file or another failed read
 or write, 4 bad file format, 5 dimension mismatch, 6 invalid value,
@@ -58,13 +57,7 @@ from .selective import (
     selective_texture_tokens,
 )
 from .synth import KINDS, gen_synthetic
-from .tokenio import (
-    json_row_texts,
-    read_tokens,
-    spliced_json_bytes,
-    tokens_to_binary_bytes,
-    tokens_to_json_bytes,
-)
+from .tokenio import read_tokens, tokens_to_binary_bytes, tokens_to_json_bytes
 from .tokens import TokenSet, index_lerp
 from .toydemo import decode_tokens_to_shape, render_trajectory_svg
 from .trajectory import INIT_MODES, MorphConfig, morph_geometry
@@ -228,8 +221,9 @@ def _check_paths(args) -> Path | None:
     ``./tokenmorph_out``.
 
     Rejects an empty input path or ``--out-dir``, an output directory at or
-    under an existing file, and a ``--name`` that is not a bare file stem
-    (an empty one would write ``<kind>.json``).
+    under an existing file, a ``--name`` that is not a bare file stem (an
+    empty one would write ``<kind>.json``), and one whose token file would
+    be ``manifest.json``, which the run's manifest would replace.
     """
     for name in ("blended", "source", "target"):
         if getattr(args, name, None) == "":
@@ -250,6 +244,11 @@ def _check_paths(args) -> Path | None:
     if name is not None and (not name or Path(name).name != name):
         raise InvalidParameterError(
             f"--name must be a file stem inside the output directory, got {name!r}")
+    # A pair's files are <name>_source and <name>_target.
+    if (name == "manifest" and args.format == "json"
+            and args.kind != "two_cluster_swap_pair"):
+        raise InvalidParameterError(
+            "--name 'manifest' would write manifest.json, the run's manifest")
     return out
 
 
@@ -262,14 +261,12 @@ def _entry(name: str, data: bytes) -> dict:
     return {"file": name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _token_bytes(fmt: str, tokens: TokenSet, row_texts: dict[bytes, memoryview] | None = None
-                 ) -> bytes:
-    """The token file of ``tokens`` in ``fmt``: in JSON, spliced from
-    ``row_texts`` when it holds every row, else encoded; the same bytes."""
+def _token_bytes(fmt: str, tokens: TokenSet, like: tuple[TokenSet, ...] = ()) -> bytes:
+    """The token file of ``tokens`` in ``fmt``; ``like`` as for
+    ``tokens_to_json_bytes``."""
     if fmt == "binary":
         return tokens_to_binary_bytes(tokens)
-    data = spliced_json_bytes(tokens, row_texts) if row_texts else None
-    return tokens_to_json_bytes(tokens) if data is None else data
+    return tokens_to_json_bytes(tokens, like)
 
 
 def _read_inputs(args, *names: str, keep: tuple[str, ...] = ()
@@ -381,14 +378,13 @@ def _cmd_morph(args, out_dir: Path) -> int:
         reports = morph_texture(trajectory, source, target, args.tau)
 
     ext = _EXTENSIONS[args.format]
-    # The first frame's rows are the source's, the last's the target's.
-    rows = {**json_row_texts(source), **json_row_texts(target)}
     files, frames = {}, []
     for k, (frame, beta, diag) in enumerate(
         zip(trajectory.frames, trajectory.betas, trajectory.frame_diagnostics)
     ):
         name = f"frame_{k:03d}.{ext}"
-        files[name] = _token_bytes(args.format, frame, rows)
+        # The first frame's rows are the source's, the last's the target's.
+        files[name] = _token_bytes(args.format, frame, (source, target))
         frames.append({
             **_entry(name, files[name]),
             "beta": beta,
@@ -427,18 +423,25 @@ def _cmd_texture_select(args, out_dir: Path) -> int:
     tokens, inputs = _read_inputs(args, "blended", "source", "target", keep=("blended",))
     report = selective_texture_tokens(*tokens, args.tau)
 
-    # Spliced when the selection copies no source token.
-    rows = json_row_texts(tokens[0])
+    # Spliced from the blended input when the selection copies no source token.
+    selected = _token_bytes(args.format, report.output, (tokens[0],))
     files = {
-        f"selected.{_EXTENSIONS[args.format]}": _token_bytes(args.format, report.output, rows),
+        f"selected.{_EXTENSIONS[args.format]}": selected,
         "selection_report.json": _report_bytes(args.tau, report.decisions),
     }
     return _write_outputs(args, out_dir, inputs, files,
                           {"outputs": [_entry(*item) for item in files.items()]})
 
 
-# The %-conversion that writes a field of each dtype kind as json does.
-_JSON_CONVERSIONS = {"b": "%s", "i": "%d", "f": "%r"}
+# One decision record, with its fields in sorted order, as json's indented
+# encoder writes it in the report's list.
+_DECISION_TEMPLATE = """    {
+      "kept_barycenter": %s,
+      "nearest_source_index": %d,
+      "nearest_target_index": %d,
+      "sim": %r,
+      "token": %d
+    }"""
 
 
 def _report_bytes(tau: float, decisions: np.recarray) -> bytes:
@@ -448,19 +451,12 @@ def _report_bytes(tau: float, decisions: np.recarray) -> bytes:
     about five times as long on 512 records.
 
     ``tau`` and every ``sim`` must be finite: ``%r`` writes ``nan``
-    where json writes ``NaN``.
+    where json writes ``NaN``. Each record's values come in the field
+    order of ``selective._DECISION_DTYPE``.
     """
-    kinds = {name: decisions.dtype[name].kind for name in decisions.dtype.names}
-    kinds["token"] = "i"
-    names = sorted(kinds)
-    template = "    {\n%s\n    }" % ",\n".join(
-        f"      {json.dumps(name)}: {_JSON_CONVERSIONS[kinds[name]]}" for name in names)
-    columns = dict(zip(decisions.dtype.names, zip(*decisions.tolist())))
-    columns["token"] = range(len(decisions))
-    for name, kind in kinds.items():
-        if kind == "b":
-            columns[name] = [("false", "true")[flag] for flag in columns[name]]
-    records = ",\n".join(template % row for row in zip(*(columns[name] for name in names)))
+    records = ",\n".join(
+        _DECISION_TEMPLATE % ("true" if kept else "false", source, target, sim, k)
+        for k, (source, target, sim, kept) in enumerate(decisions.tolist()))
     return ('{\n  "decisions": [\n%s\n  ],\n  "tau": %r\n}\n' % (records, tau)).encode()
 
 

@@ -36,7 +36,10 @@ overflows reads as infinite, and the solve still ends certified or
 raises SolverFailureError.
 The test suite checks both solvers against independent oracles (brute
 force, sorted 1-D, scipy), and the assignment against a reference
-search that stores every predecessor, bit for bit.
+search that stores every predecessor, bit for bit. The assignment is
+optimal for the float cost matrix within 2^-51 of the optimum: its
+float reduced costs can pick, among near-tied matchings, one that costs
+more by rounding, and the tests bound that excess in exact arithmetic.
 
 A plan is its support: the cells of positive mass, with their masses.
 They are the n matched cells of an assignment, or at most n + n' - 1
@@ -222,8 +225,9 @@ def solve_exact_ot(
             the optimal cost. The assignment route ignores it.
 
     Returns:
-        TransportPlan with the cells of positive mass of an exactly
-        optimal coupling; output is deterministic for fixed inputs and
+        TransportPlan with the cells of positive mass of a coupling
+        optimal for ``cost_matrix(a, b)`` within rounding (see the module
+        docstring); output is deterministic for fixed inputs and
         ``start`` (ties are resolved by a fixed pivot order toward
         smallest index pairs).
 

@@ -19,11 +19,10 @@ The writer spells each number by its bits alone, so a row's text is the
 same in every file that holds that row. ``read_tokens(path,
 keep_text=True)`` has the numpy reader also check that each number of
 the points is spelled exactly as the writer spells it; a set that
-passes keeps its rows' text. ``json_row_texts`` maps the bytes of each
-row of such a set to its text, and ``spliced_json_bytes`` joins those
-texts into the file of any set of such rows: the same bytes as
-``tokens_to_json_bytes``, without the encode. A set that keeps no text,
-or a row whose text is not there, is encoded as usual.
+passes keeps its rows' text. ``tokens_to_json_bytes(tokens, like)`` is
+the one place that splices or encodes: it joins the points of a set
+whose every row is a row of a set in ``like`` that kept its text from
+those rows' text, and encodes any other set, in the same bytes.
 """
 
 from __future__ import annotations
@@ -66,16 +65,16 @@ _KERNEL_MIN_VALUES = 1024
 _CANONICAL_HEAD = re.compile(rb'\{"d":([1-9][0-9]*),"n":([1-9][0-9]*),"points":\[\[')
 
 
-def tokens_to_json_bytes(tokens: TokenSet) -> bytes:
+def tokens_to_json_bytes(tokens: TokenSet, like: tuple[TokenSet, ...] = ()) -> bytes:
     """The JSON token file: the bytes of ``json.dumps`` of ``n``, ``d``,
     ``points.tolist()`` and, unless uniform, ``weights.tolist()``, with
-    sorted keys and compact separators, plus a newline."""
-    return _json_file(tokens, [_json_floats(tokens.points)])
+    sorted keys and compact separators, plus a newline.
 
-
-def _json_file(tokens: TokenSet, points: list[bytes | memoryview]) -> bytes:
-    """The JSON token file whose points array is spelled by ``points``
-    joined, in one join: a file's text is its largest array."""
+    When every row of ``tokens`` is bitwise a row of a set in ``like``
+    that kept its text (``read_tokens``'s ``keep_text``), the points are
+    joined from those rows' text instead of encoded: the same bytes.
+    """
+    points = _spliced_points(tokens.points, like) or [_json_floats(tokens.points)]
     parts = [b'{"d":%d,"n":%d,"points":' % (tokens.m, tokens.n), *points]
     if not _is_exactly_uniform(tokens.weights):
         parts += [b',"weights":', _json_floats(tokens.weights)]
@@ -83,37 +82,35 @@ def _json_file(tokens: TokenSet, points: list[bytes | memoryview]) -> bytes:
     return b"".join(parts)
 
 
-def json_row_texts(tokens: TokenSet) -> dict[bytes, memoryview]:
-    """The text of each of ``tokens``' rows in the JSON token file it was
-    read from with ``keep_text``, by the row's bytes; none if that file's
-    text was not kept."""
-    if tokens._json_text is None:
-        return {}
-    data, stops = tokens._json_text
-    # Each row's text ends at its "]"; the next starts past "],[".
-    starts = [_CANONICAL_HEAD.match(data).end(), *(stop + 3 for stop in stops[:-1])]
-    view = memoryview(data)
-    return dict(zip(_row_keys(tokens.points), [view[a:b] for a, b in zip(starts, stops)]))
-
-
-def spliced_json_bytes(tokens: TokenSet, row_texts: dict[bytes, memoryview]) -> bytes | None:
-    """``tokens_to_json_bytes(tokens)``, joined from each row's text in
-    ``row_texts`` (as ``json_row_texts`` gives them), or None if a row's
-    text is not there.
+def _spliced_points(points: np.ndarray, like: tuple[TokenSet, ...]) -> list | None:
+    """The points array's text as parts to join, each row's text taken
+    from the sets in ``like`` that kept theirs, or None if a row's text
+    is not there.
 
     The writer spells each number by its bits alone, so a row's text is
-    the same in every file that holds the row. A set none of whose rows
-    are there costs one lookup.
+    the same in every file that holds the row. The row table is built
+    only once the first row is found in a kept set, so a set none of
+    whose rows are there costs one vector compare per kept set.
     """
-    if tokens.points[0].tobytes() not in row_texts:
+    kept = [tokens for tokens in like
+            if tokens._json_text is not None and tokens.m == points.shape[1]]
+    first = points[:1].view(np.uint64)
+    if not any((tokens.points.view(np.uint64) == first).all(axis=1).any() for tokens in kept):
         return None
-    parts = [b"],["] * (2 * tokens.n + 1)
+    row_texts = {}
+    for tokens in kept:
+        data, stops = tokens._json_text
+        # Each row's text ends at its "]"; the next starts past "],[".
+        starts = [_CANONICAL_HEAD.match(data).end(), *(stop + 3 for stop in stops[:-1])]
+        view = memoryview(data)
+        row_texts.update(zip(_row_keys(tokens.points), [view[a:b] for a, b in zip(starts, stops)]))
+    parts = [b"],["] * (2 * len(points) + 1)
     parts[0], parts[-1] = b"[[", b"]]"
     try:
-        parts[1::2] = [row_texts[key] for key in _row_keys(tokens.points)]
+        parts[1::2] = [row_texts[key] for key in _row_keys(points)]
     except KeyError:
         return None
-    return _json_file(tokens, parts)
+    return parts
 
 
 def _row_keys(points: np.ndarray) -> list[bytes]:
@@ -178,7 +175,7 @@ def _canonical_tokens(data: bytes, keep_text: bool = False) -> TokenSet | None:
     points = json_numbers(data, head.end(), close, keep_text)
     if points is None:
         return None
-    values, row_ends = points[:2]
+    values, row_ends, row_stops = points
     if len(values) != n * d or not np.array_equal(np.flatnonzero(row_ends),
                                                   np.arange(d - 1, n * d, d)):
         return None
@@ -186,8 +183,8 @@ def _canonical_tokens(data: bytes, keep_text: bool = False) -> TokenSet | None:
     values.shape = (n, d)
     values.setflags(write=False)
     tokens = TokenSet(values, None if weights is None else _validate_file_weights(weights[0], n))
-    if keep_text and points[2] is not None:
-        object.__setattr__(tokens, "_json_text", (data, points[2].tolist()))
+    if row_stops is not None:
+        object.__setattr__(tokens, "_json_text", (data, row_stops.tolist()))
     return tokens
 
 
@@ -271,7 +268,8 @@ def read_tokens(path: str | Path, keep_text: bool = False) -> TokenSet:
 
     With ``keep_text``, a JSON file that the numpy reader reads also has
     each number checked against the writer's spelling, and a set whose
-    every point passes keeps its rows' text for ``json_row_texts``.
+    every point passes keeps its rows' text, for ``tokens_to_json_bytes``'s
+    ``like``.
     """
     data = Path(path).read_bytes()
     if data[:4] == MAGIC:

@@ -71,7 +71,9 @@ class TokenSet:
     points: np.ndarray
     weights: np.ndarray | None = None
     # The JSON file the set was read from and where each of its rows
-    # ends, when the reader kept its text (see ``tokenio.read_tokens``).
+    # ends, when the reader kept its text (see ``tokenio.read_tokens``):
+    # ``tokenio.tokens_to_json_bytes(tokens, like)``, the one place that
+    # splices or encodes, joins rows of a set in ``like`` from it.
     _json_text: tuple[bytes, list[int]] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

@@ -207,6 +207,14 @@ def brute_force_matching(cost: np.ndarray) -> tuple[np.ndarray, float]:
     return best_perm, best_cost
 
 
+def exact_matching_cost(cost: np.ndarray) -> Fraction:
+    """Independent oracle: the least summed cost over every permutation of
+    a square float cost matrix, in exact rational arithmetic (n <= 6)."""
+    exact = [[Fraction(x) for x in row] for row in cost.tolist()]
+    return min(sum((row[j] for row, j in zip(exact, perm)), Fraction(0))
+               for perm in itertools.permutations(range(len(exact))))
+
+
 def sorted_1d_ot(a: TokenSet, b: TokenSet) -> float:
     """Independent oracle: closed-form 1-D OT cost of uniform equal-size
     sets, matching the sorted points in order."""

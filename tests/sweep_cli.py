@@ -187,6 +187,8 @@ def _commands() -> list[tuple[list[str], str | None]]:
          *out],                                                                        # 6
         ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name", "a/b", *out],  # 6
         ["gen-synthetic", "--kind", "ring", "--n", "4", "--d", "2", "--name=", *out],  # 6
+        ["gen-synthetic", "--kind", "gaussian_blob", "--n", "2", "--d", "2", "--name",
+         "manifest", *out],                                                            # 6
         ["gen-synthetic", "--kind", "gaussian_blob", "--n", "0", "--d", "2", *out],    # 6
         ["gen-synthetic", "--kind", "gaussian_blob", "--n", "4", "--d", "2", "--seed", "-1",
          *out],                                                                        # 6

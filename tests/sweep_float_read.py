@@ -88,7 +88,7 @@ def _check(text: bytes, width: int | None = None) -> list[tuple[str, str, str]]:
     expected = np.array([float(t) for t in tokens])
     if read is None:
         return [("(whole chunk)", "None", "")]
-    got, row_ends = read
+    got, row_ends, _ = read
     bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
     if len(bad):
         return [(tokens[i].decode(), repr(got[i]), repr(expected[i])) for i in bad[:10]]

@@ -18,13 +18,14 @@ give the same points and weights bit for bit, or raise the same error
 class with the same message.
 
 Each file is also read with ``keep_text``, which must give the same
-outcome. A set that keeps its rows' text must give exactly
-``tokens_to_json_bytes`` of itself when spliced from that text, with its
-rows in order and shuffled. Then COUNT // 4 more files each take one
-near-canonical spelling of one of their values that reads back to the
-same double (a 17th digit one off, an added trailing zero, "1.50e+16",
-"1.5e16", "1.5E+16", "1e+016", "100.00", "100", ...): read with
-``keep_text``, such a file must give the same bits and keep no text.
+outcome. A set that keeps its rows' text must be spliced from that text
+by ``tokens_to_json_bytes(tokens, like)``, with its rows in order and
+shuffled, to exactly the bytes the writer encodes. Then COUNT // 4
+more files each take one near-canonical spelling of one of their values
+that reads back to the same double (a 17th digit one off, an added
+trailing zero, "1.50e+16", "1.5e16", "1.5E+16", "1e+016", "100.00",
+"100", ...): read with ``keep_text``, such a file must give the same
+bits and keep no text.
 
 Prints the first file on which a check fails and exits 1; else prints
 how many edited files each path read, failed or kept, and exits 0. Not
@@ -42,9 +43,8 @@ import numpy as np
 from tokenmorph import TokenSet
 from tokenmorph.tokenio import (
     _canonical_tokens,
+    _spliced_points,
     _tokens_from_json_doc,
-    json_row_texts,
-    spliced_json_bytes,
     tokens_from_json_bytes,
     tokens_to_json_bytes,
 )
@@ -134,6 +134,11 @@ def _keep_text(data: bytes) -> TokenSet:
     return tokens_from_json_bytes(data, keep_text=True)
 
 
+def _keeps_text(tokens: TokenSet) -> bool:
+    """Whether the writer splices ``tokens`` from its own kept text."""
+    return _spliced_points(tokens.points, (tokens,)) is not None
+
+
 def _splice_miss(rng: np.random.Generator, data: bytes) -> str | None:
     """Why ``data`` read with ``keep_text`` breaks the splice, or None:
     a set that keeps its rows' text must splice to the writer's bytes,
@@ -142,12 +147,12 @@ def _splice_miss(rng: np.random.Generator, data: bytes) -> str | None:
         tokens = _keep_text(data)
     except Exception:
         return None
-    rows = json_row_texts(tokens)
-    if not rows:
+    if not _keeps_text(tokens):
         return None
     for order in (np.arange(tokens.n), rng.permutation(tokens.n)):
         shuffled = TokenSet(tokens.points[order], tokens.weights[order] / tokens.weights.sum())
-        if spliced_json_bytes(shuffled, rows) != tokens_to_json_bytes(shuffled):
+        if _spliced_points(shuffled.points, (tokens,)) is None \
+                or tokens_to_json_bytes(shuffled, (tokens,)) != tokens_to_json_bytes(shuffled):
             return "a set that keeps its rows' text splices to other bytes than the writer's"
     return None
 
@@ -203,7 +208,7 @@ def main(argv: list[str]) -> int:
                                         np.frombuffer(NUMBER_BYTES, np.uint8)))
                  for data in bases]
     for b, data in enumerate(bases):
-        if bool(json_row_texts(_keep_text(data))) != (b >= len(bases) // 2):
+        if _keeps_text(_keep_text(data)) != (b >= len(bases) // 2):
             print(f"base file {b} keeps its rows' text: {b >= len(bases) // 2} expected")
             return 1
     by_kernel = by_loads = failed = kept = 0
@@ -224,7 +229,7 @@ def main(argv: list[str]) -> int:
             failed += 1
         elif _canonical_tokens(data) is not None:
             by_kernel += 1
-            kept += bool(json_row_texts(_keep_text(data)))
+            kept += _keeps_text(_keep_text(data))
         else:
             by_loads += 1
     respelled = 0
@@ -236,7 +241,7 @@ def main(argv: list[str]) -> int:
         respelled += 1
         tokens = _keep_text(data)
         if _outcome(_keep_text, data) != _outcome(tokens_from_json_bytes, bases[b]) \
-                or json_row_texts(tokens):
+                or _keeps_text(tokens):
             print(f"respelling {k} of base file {b}: reads other bits or keeps its text")
             print(f"file: {data!r}"[:4000])
             return 1

@@ -33,6 +33,7 @@ from tokenmorph import (
     write_tokens,
 )
 import tokenmorph.ot as ot_module
+import tokenmorph.tokenio as tokenio_module
 from tokenmorph.tokenio import tokens_to_binary_bytes, tokens_to_json_bytes
 from tokenmorph.cli import (
     EXIT_DIMENSION,
@@ -45,6 +46,21 @@ from tokenmorph.cli import (
     EXIT_USAGE,
     main,
 )
+
+
+def _spy_encodes(monkeypatch) -> list[np.ndarray]:
+    """The points arrays that the JSON writer encodes, not splices, while
+    the test runs, in order."""
+    encoded = []
+    encode = tokenio_module._json_floats
+
+    def spy(values):
+        if values.ndim == 2:
+            encoded.append(values)
+        return encode(values)
+
+    monkeypatch.setattr(tokenio_module, "_json_floats", spy)
+    return encoded
 
 
 @pytest.fixture
@@ -179,14 +195,7 @@ class TestTextureReuse:
         paths = [tmp_path / "source.json", tmp_path / "target.json"]
         write_tokens(source, paths[0])
         write_tokens(target, paths[1])
-        encodes = []
-        writer = cli_module.tokens_to_json_bytes
-
-        def counted(tokens):
-            encodes.append(tokens)
-            return writer(tokens)
-
-        monkeypatch.setattr(cli_module, "tokens_to_json_bytes", counted)
+        encodes = _spy_encodes(monkeypatch)
         self.hashed = []
         sha256 = hashlib.sha256
         monkeypatch.setattr(hashlib, "sha256",
@@ -238,15 +247,8 @@ class TestSplicedOutputs:
     in the same bytes."""
 
     @staticmethod
-    def _encodes(argv, monkeypatch) -> list[TokenSet]:
-        encodes = []
-        writer = cli_module.tokens_to_json_bytes
-
-        def counted(tokens):
-            encodes.append(tokens)
-            return writer(tokens)
-
-        monkeypatch.setattr(cli_module, "tokens_to_json_bytes", counted)
+    def _encodes(argv, monkeypatch) -> list[np.ndarray]:
+        encodes = _spy_encodes(monkeypatch)
         assert main(argv) == EXIT_OK
         monkeypatch.undo()
         return encodes
@@ -275,7 +277,7 @@ class TestSplicedOutputs:
         assert all(t["copied_from_source"] > 0 for t in manifest["texture_frames"])
         written = [read_tokens(out / f"{kind}_{k:03d}.json").points.tobytes()
                    for kind, ks in (("frame", range(1, 7)), ("texture", range(8))) for k in ks]
-        assert [e.points.tobytes() for e in encodes] == written
+        assert [e.tobytes() for e in encodes] == written
         self._assert_writer_bytes(out, [f"{kind}_{k:03d}.json" for kind in ("frame", "texture")
                                         for k in range(8)])
 
@@ -309,9 +311,9 @@ class TestSplicedOutputs:
         argv = ["morph", *paths, "--frames", "2"]
         out = tmp_path / "out"
         encodes = self._encodes([*argv, "--out-dir", str(out)], monkeypatch)
-        assert encodes[0].points.tobytes() == source.tobytes()
+        assert encodes[0].tobytes() == source.tobytes()
         assert len(encodes) == 3  # frames 0 to 2; the target's frame 3 is spliced
-        monkeypatch.setattr(cli_module, "spliced_json_bytes", lambda tokens, rows: None)
+        monkeypatch.setattr(tokenio_module, "_spliced_points", lambda points, like: None)
         assert main([*argv, "--out-dir", str(tmp_path / "encoded")]) == EXIT_OK
         assert _dir_bytes(out) == _dir_bytes(tmp_path / "encoded")
 
@@ -847,6 +849,26 @@ class TestErrorPaths:
             "tokenmorph: error[invalid-value]: --name must be a file stem inside the "
             f"output directory, got {name!r}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_gen_synthetic_name_of_the_manifest(self, tmp_path, capsys):
+        # manifest.json was written and then replaced by the run's manifest,
+        # which listed it under the digest of the token file it replaced.
+        argv = ["gen-synthetic", "--kind", "gaussian_blob", "--n", "2", "--d", "2",
+                "--name", "manifest"]
+        assert main([*argv, "--out-dir", str(tmp_path / "json")]) == EXIT_INVALID_VALUE
+        assert capsys.readouterr().err == (
+            "tokenmorph: error[invalid-value]: --name 'manifest' would write "
+            "manifest.json, the run's manifest\n")
+        assert list(tmp_path.iterdir()) == []
+        # manifest.bmt and a pair's manifest_source.json are not the manifest.
+        for out, extra in (("binary", ["--format", "binary"]),
+                           ("pair", ["--kind", "two_cluster_swap_pair"])):
+            assert main([*argv, *extra, "--out-dir", str(tmp_path / out)]) == EXIT_OK
+            manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+            for entry in manifest["outputs"]:
+                data = (tmp_path / out / entry["file"]).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+            assert len(list((tmp_path / out).iterdir())) == 1 + len(manifest["outputs"])
 
     def test_unknown_flag(self, token_files, capsys):
         source_path, target_path = token_files

@@ -24,9 +24,8 @@ from tokenmorph.tokenio import (
     _KERNEL_MIN_VALUES,
     MAGIC,
     _canonical_tokens,
+    _spliced_points,
     _tokens_from_json_doc,
-    json_row_texts,
-    spliced_json_bytes,
     tokens_from_binary_bytes,
     tokens_from_json_bytes,
     tokens_to_binary_bytes,
@@ -406,7 +405,7 @@ class TestJsonFloatReader:
         if negative:
             tokens = ["-" + t.lstrip("-") for t in tokens]
         text = ",".join(tokens).encode()
-        values, row_ends = _floatread.json_numbers(text, 0, len(text))
+        values, row_ends, _ = _floatread.json_numbers(text, 0, len(text))
         assert values.tobytes() == np.array([float(t) for t in tokens]).tobytes()
         assert row_ends.tolist() == [False] * (len(tokens) - 1) + [True]
 
@@ -434,7 +433,7 @@ class TestJsonFloatReader:
         monkeypatch.setattr(_floatread, "_READ_BLOCK", block)
         rng = np.random.default_rng(block)
         text = b"[[" + self._rows(rng, 40, 3) + b"]]"
-        values, row_ends = _floatread.json_numbers(text, 2, len(text) - 2)
+        values, row_ends, _ = _floatread.json_numbers(text, 2, len(text) - 2)
         expected = np.array(json.loads(text), dtype=np.float64).ravel()
         assert values.tobytes() == expected.tobytes()
         assert row_ends.tolist() == [i % 3 == 2 for i in range(120)]
@@ -451,7 +450,7 @@ class TestJsonFloatReader:
 
     def test_rows_are_marked(self):
         text = b"[1,2],[3,4],[5,6]"
-        values, row_ends = _floatread.json_numbers(text, 1, len(text) - 1)
+        values, row_ends, _ = _floatread.json_numbers(text, 1, len(text) - 1)
         assert values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         assert row_ends.tolist() == [False, True, False, True, False, True]
 
@@ -513,8 +512,9 @@ class TestWriterSpelling:
 
 class TestKeptText:
     """``read_tokens(..., keep_text=True)`` and the splice: a set whose
-    file text is the writer's keeps its rows' text, and any set of its
-    rows is written from them in ``tokens_to_json_bytes``'s bytes."""
+    file text is the writer's keeps its rows' text, and
+    ``tokens_to_json_bytes(tokens, like)`` joins any set of rows of such
+    sets in ``like`` from that text, in the bytes it encodes."""
 
     @staticmethod
     def _kept(tmp_path, tokens: TokenSet) -> TokenSet:
@@ -522,18 +522,33 @@ class TestKeptText:
         write_tokens(tokens, path)
         return read_tokens(path, keep_text=True)
 
+    @staticmethod
+    def _spliced(tokens: TokenSet, like: tuple[TokenSet, ...]) -> list[bytes] | None:
+        """The row texts that the writer joins ``tokens``' points from, or
+        None where it encodes them; its bytes are the encoded ones either way."""
+        assert tokens_to_json_bytes(tokens, like) == tokens_to_json_bytes(tokens)
+        parts = _spliced_points(tokens.points, like)
+        return None if parts is None else [bytes(text) for text in parts[1::2]]
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_rows_in_any_order_splice_the_writer_bytes(self, tmp_path, weighted):
         rng = np.random.default_rng(251)
         weights = rng.dirichlet(np.ones(128)) if weighted else None
         kept = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8)), weights))
-        rows = json_row_texts(kept)
-        assert len(rows) == 128
+        assert len(self._spliced(kept, (kept,))) == 128
         for picks in (np.arange(128), rng.permutation(128), rng.integers(0, 128, size=40)):
             tokens = TokenSet(kept.points[picks], rng.dirichlet(np.ones(len(picks))))
-            assert spliced_json_bytes(tokens, rows) == tokens_to_json_bytes(tokens)
+            assert self._spliced(tokens, (kept,)) is not None
             tokens = TokenSet(kept.points[picks])
-            assert spliced_json_bytes(tokens, rows) == tokens_to_json_bytes(tokens)
+            assert self._spliced(tokens, (kept,)) is not None
+
+    def test_rows_of_two_kept_sets_splice_together(self, tmp_path):
+        rng = np.random.default_rng(254)
+        a = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8))))
+        b = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8))))
+        mixed = TokenSet(np.vstack([b.points[:64], a.points[64:]]))
+        assert self._spliced(mixed, (a, b)) is not None
+        assert self._spliced(mixed, (a,)) is None and self._spliced(mixed, (b,)) is None
 
     @pytest.mark.parametrize("block", [1, 2, 25, 97, 4000])
     def test_any_block_size_keeps_each_rows_text(self, monkeypatch, tmp_path, block):
@@ -542,40 +557,46 @@ class TestKeptText:
         monkeypatch.setattr(_floatread, "_READ_BLOCK", block)
         tokens = TokenSet(np.random.default_rng(block).normal(size=(128, 8)))
         kept = self._kept(tmp_path, tokens)
-        assert list(json_row_texts(kept).values()) == [
+        assert self._spliced(kept, (kept,)) == [
             json.dumps(row).replace(" ", "").strip("[]").encode() for row in tokens.points.tolist()]
-        assert spliced_json_bytes(kept, json_row_texts(kept)) == tokens_to_json_bytes(tokens)
+        assert tokens_to_json_bytes(kept, (kept,)) == tokens_to_json_bytes(tokens)
 
     def test_a_missing_row_writes_nothing(self, tmp_path):
         rng = np.random.default_rng(252)
         kept = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8))))
-        rows = json_row_texts(kept)
         other = kept.points.copy()
         other[-1, -1] = np.nextafter(other[-1, -1], np.inf)
-        assert spliced_json_bytes(TokenSet(other), rows) is None
-        assert spliced_json_bytes(TokenSet(other[::-1]), rows) is None
-        assert spliced_json_bytes(kept, {}) is None
+        assert self._spliced(TokenSet(other), (kept,)) is None
+        assert self._spliced(TokenSet(other[::-1]), (kept,)) is None
+        assert self._spliced(kept, ()) is None
+        # A kept set of another dimension holds none of the rows.
+        wide = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 9))))
+        assert self._spliced(kept, (wide,)) is None
 
     def test_sets_that_keep_no_text(self, tmp_path):
         rng = np.random.default_rng(253)
         points = rng.normal(size=(128, 8))
         path = tmp_path / "set.json"
+
+        def keeps(tokens):
+            return self._spliced(tokens, (tokens,)) is not None
+
         write_tokens(TokenSet(points), path)
-        assert json_row_texts(read_tokens(path)) == {}  # no keep_text
-        assert json_row_texts(read_tokens(path, keep_text=True))
+        assert not keeps(read_tokens(path))  # no keep_text
+        assert keeps(read_tokens(path, keep_text=True))
         write_tokens(TokenSet(points), path, "binary")
-        assert json_row_texts(read_tokens(path, keep_text=True)) == {}
+        assert not keeps(read_tokens(path, keep_text=True))
         write_tokens(TokenSet(points[:100]), path)  # fewer than 1 024 values
-        assert json_row_texts(read_tokens(path, keep_text=True)) == {}
+        assert not keeps(read_tokens(path, keep_text=True))
         odd = points.copy()
         odd[5, 3] = 1.2345678901234567e-30  # 17 digits, too small to check
         write_tokens(TokenSet(odd), path)
-        assert json_row_texts(read_tokens(path, keep_text=True)) == {}
+        assert not keeps(read_tokens(path, keep_text=True))
         points[0, 0] = 0.5
         data = tokens_to_json_bytes(TokenSet(points))
         path.write_bytes(data.replace(b"[[0.5,", b"[[0.50,"))  # 0.5, but not repr's text
         tokens = read_tokens(path, keep_text=True)
-        assert tokens.points.tobytes() == points.tobytes() and json_row_texts(tokens) == {}
+        assert tokens.points.tobytes() == points.tobytes() and not keeps(tokens)
 
 
 class TestReadAllocations:

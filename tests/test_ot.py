@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from conftest import (
     brute_force_permutation,
     dense,
     dirichlet_tokenset,
+    exact_matching_cost,
     exact_plan_cost,
     linprog_plan,
     random_tokenset,
@@ -862,6 +864,61 @@ def _tree_state(tree):
     _assert_consistent(tree)
     return (tree.parent[:], [kids[:] for kids in tree.children], tree.flow[:],
             tree.pot.tobytes())
+
+
+# How far the assignment route's matching may cost above the exact optimum
+# over the float cost matrix it solves, relative to that optimum. README's
+# Exact OT entry and the ot docstring state this bound.
+_EXCESS_BOUND = Fraction(2) ** -51
+
+
+def _square(n: int, elements) -> st.SearchStrategy:
+    return st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _nudged(values, steps) -> np.ndarray:
+    """Each nonzero value moved by its step, in units in the last place."""
+    values = np.array(values, dtype=np.float64)
+    return (values.view(np.int64) + np.array(steps) * (values != 0)).view(np.float64)
+
+
+class TestExactOptimality:
+    """The assignment route against ``exact_matching_cost``, the exact
+    optimum over the float cost matrix that it solves. Near ties, rounding
+    can make it pick a matching that costs more, but never by more than
+    ``_EXCESS_BOUND`` of the optimum."""
+
+    _SCALES = st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3])
+
+    @staticmethod
+    def _assert_near_optimal(values: np.ndarray, perm: np.ndarray) -> None:
+        optimum = exact_matching_cost(values)
+        matched = sum(map(Fraction, values[np.arange(len(perm)), perm].tolist()), Fraction(0))
+        assert optimum <= matched <= optimum * (1 + _EXCESS_BOUND)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        _square(n, st.integers(0, 3)), _square(n, st.integers(-3, 3)))), _SCALES)
+    def test_matrices_with_near_ties(self, entries, scale):
+        # Integer entries tie; moving each by up to 3 ulps makes near ties.
+        base, steps = entries
+        values = _nudged(scale * np.array(base, dtype=np.float64), steps)
+        perm, _, _ = ot_module._min_cost_matching(values)
+        self._assert_near_optimal(values, perm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 2), st.data(), _SCALES)
+    def test_jittered_integer_grids(self, n, m, data, scale):
+        grid = st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                        min_size=n, max_size=n)
+        steps = st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                         min_size=n, max_size=n)
+        a, b = (TokenSet(_nudged(scale * np.array(data.draw(grid), dtype=np.float64),
+                                 data.draw(steps))) for _ in range(2))
+        plan = solve_exact_ot(a, b)
+        perm = np.empty(n, dtype=np.int64)
+        perm[plan.rows] = plan.cols
+        self._assert_near_optimal(cost_matrix(a, b).values, perm)
 
 
 class TestBasisTree:
