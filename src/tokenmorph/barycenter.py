@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    _BOOLS,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidWeightsError,
@@ -25,7 +24,7 @@ from .errors import (
     require_threshold,
 )
 from .ot import solve_exact_ot
-from .tokens import WEIGHT_SUM_TOL, TokenSet
+from .tokens import WEIGHT_SUM_TOL, TokenSet, holds_bool
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def free_support_barycenter(
                 f"got shape {lam.shape}"
             )
         # True and False would read as the weights 1 and 0.
-        if any(isinstance(w, _BOOLS) for w in weights):
+        if holds_bool(weights):
             raise InvalidWeightsError("measure weights must be numbers, not booleans")
         if np.any(lam < 0.0) or not np.all(np.isfinite(lam)):
             raise InvalidWeightsError("measure weights must be finite and >= 0")

@@ -16,9 +16,9 @@ every tau of its grid.
 ``morph``'s first and last frames are rows of its source and target, and
 a ``texture-select`` output that copies no token is rows of its blended
 input. ``morph`` reads its source and target, and ``texture-select`` its
-blended input, with ``keep_text``, and passes them as ``like`` to
-``tokens_to_json_bytes``, the one place that splices a JSON file from
-their rows' text or encodes it: the bytes are the writer's either way.
+blended input, with ``keep_text`` (one row table each), and passes them
+as ``like`` to ``tokens_to_json_bytes``, which splices a file from the
+one that holds its rows or encodes it, in the writer's bytes either way.
 
 Exit codes: 0 success, 2 usage, 3 missing file or another failed read
 or write, 4 bad file format, 5 dimension mismatch, 6 invalid value,

@@ -40,6 +40,9 @@ search that stores every predecessor, bit for bit. The assignment is
 optimal for the float cost matrix within 2^-51 of the optimum: its
 float reduced costs can pick, among near-tied matchings, one that costs
 more by rounding, and the tests bound that excess in exact arithmetic.
+In exact arithmetic the simplex's final basis prices every cell at or
+above -2^-46 of the largest cost on the tests' near ties, so its plan
+costs at most that share of the largest cost above the optimum.
 
 A plan is its support: the cells of positive mass, with their masses.
 They are the n matched cells of an assignment, or at most n + n' - 1

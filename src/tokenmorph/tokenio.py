@@ -19,10 +19,11 @@ The writer spells each number by its bits alone, so a row's text is the
 same in every file that holds that row. ``read_tokens(path,
 keep_text=True)`` has the numpy reader also check that each number of
 the points is spelled exactly as the writer spells it; a set that
-passes keeps its rows' text. ``tokens_to_json_bytes(tokens, like)`` is
-the one place that splices or encodes: it joins the points of a set
-whose every row is a row of a set in ``like`` that kept its text from
-those rows' text, and encodes any other set, in the same bytes.
+passes keeps its row table: each row's bytes mapped to its text in the
+file. ``tokens_to_json_bytes(tokens, like)`` is the one place that
+splices or encodes: it joins the points from the table of the first set
+in ``like`` that holds the first row, if it holds every row, and encodes
+them otherwise, in the same bytes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     InvalidWeightsError,
     TruncatedPayloadError,
 )
-from .tokens import WEIGHT_SUM_TOL, TokenSet
+from .tokens import WEIGHT_SUM_TOL, TokenSet, holds_bool
 
 MAGIC = b"BMT1"
 FORMATS = ("json", "binary")
@@ -70,7 +71,7 @@ def tokens_to_json_bytes(tokens: TokenSet, like: tuple[TokenSet, ...] = ()) -> b
     ``points.tolist()`` and, unless uniform, ``weights.tolist()``, with
     sorted keys and compact separators, plus a newline.
 
-    When every row of ``tokens`` is bitwise a row of a set in ``like``
+    When every row of ``tokens`` is bitwise a row of one set in ``like``
     that kept its text (``read_tokens``'s ``keep_text``), the points are
     joined from those rows' text instead of encoded: the same bytes.
     """
@@ -84,30 +85,20 @@ def tokens_to_json_bytes(tokens: TokenSet, like: tuple[TokenSet, ...] = ()) -> b
 
 def _spliced_points(points: np.ndarray, like: tuple[TokenSet, ...]) -> list | None:
     """The points array's text as parts to join, each row's text taken
-    from the sets in ``like`` that kept theirs, or None if a row's text
-    is not there.
-
-    The writer spells each number by its bits alone, so a row's text is
-    the same in every file that holds the row. The row table is built
-    only once the first row is found in a kept set, so a set none of
-    whose rows are there costs one vector compare per kept set.
+    from the first set in ``like`` whose row table holds the first row,
+    or None if that set lacks a row or no set holds the first.
     """
-    kept = [tokens for tokens in like
-            if tokens._json_text is not None and tokens.m == points.shape[1]]
-    first = points[:1].view(np.uint64)
-    if not any((tokens.points.view(np.uint64) == first).all(axis=1).any() for tokens in kept):
+    tables = [tokens._json_rows for tokens in like if tokens._json_rows is not None]
+    if not tables:
         return None
-    row_texts = {}
-    for tokens in kept:
-        data, stops = tokens._json_text
-        # Each row's text ends at its "]"; the next starts past "],[".
-        starts = [_CANONICAL_HEAD.match(data).end(), *(stop + 3 for stop in stops[:-1])]
-        view = memoryview(data)
-        row_texts.update(zip(_row_keys(tokens.points), [view[a:b] for a, b in zip(starts, stops)]))
-    parts = [b"],["] * (2 * len(points) + 1)
+    keys = _row_keys(points)
+    rows = next((table for table in tables if keys[0] in table), None)
+    if rows is None:
+        return None
+    parts = [b"],["] * (2 * len(keys) + 1)
     parts[0], parts[-1] = b"[[", b"]]"
     try:
-        parts[1::2] = [row_texts[key] for key in _row_keys(points)]
+        parts[1::2] = [rows[key] for key in keys]
     except KeyError:
         return None
     return parts
@@ -151,7 +142,7 @@ def _canonical_tokens(data: bytes, keep_text: bool = False) -> TokenSet | None:
     token that is not a strict JSON number, has rows or a count that do
     not match n and d, or holds a number beyond float64. With
     ``keep_text``, a set whose every point the reader finds spelled as
-    the writer spells it keeps its rows' text.
+    the writer spells it keeps its row table.
     """
     head = _CANONICAL_HEAD.match(data)
     if head is None:
@@ -184,7 +175,11 @@ def _canonical_tokens(data: bytes, keep_text: bool = False) -> TokenSet | None:
     values.setflags(write=False)
     tokens = TokenSet(values, None if weights is None else _validate_file_weights(weights[0], n))
     if row_stops is not None:
-        object.__setattr__(tokens, "_json_text", (data, row_stops.tolist()))
+        # Each row's text ends at its "]"; the next starts past "],[".
+        stops, view = row_stops.tolist(), memoryview(data)
+        starts = [head.end(), *(stop + 3 for stop in stops[:-1])]
+        object.__setattr__(tokens, "_json_rows", dict(zip(
+            _row_keys(tokens.points), [view[a:b] for a, b in zip(starts, stops)])))
     return tokens
 
 
@@ -268,7 +263,7 @@ def read_tokens(path: str | Path, keep_text: bool = False) -> TokenSet:
 
     With ``keep_text``, a JSON file that the numpy reader reads also has
     each number checked against the writer's spelling, and a set whose
-    every point passes keeps its rows' text, for ``tokens_to_json_bytes``'s
+    every point passes keeps its row table, for ``tokens_to_json_bytes``'s
     ``like``.
     """
     data = Path(path).read_bytes()
@@ -283,7 +278,7 @@ def _json_array(doc: dict, key: str, may_hold_bool: bool) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         # Ragged lists, strings, objects, and integers beyond float64.
         raise FormatError(f"{key!r} is not a rectangular array of float64 numbers") from None
-    if may_hold_bool and _holds_bool(doc[key]):
+    if may_hold_bool and holds_bool(doc[key]):
         raise FormatError(
             f"{key!r} is not a rectangular array of float64 numbers: it holds a JSON true or false"
         )
@@ -293,17 +288,6 @@ def _json_array(doc: dict, key: str, may_hold_bool: bool) -> np.ndarray:
         raise FormatError(f"{key!r} holds NaN, Infinity or a number beyond float64")
     values.setflags(write=False)
     return values
-
-
-def _holds_bool(value) -> bool:
-    """True if a JSON value, or any list nested in it, is a boolean.
-
-    Only called on values np.asarray accepted, so the nesting depth is
-    at most the array's number of dimensions.
-    """
-    if isinstance(value, list):
-        return any(_holds_bool(item) for item in value)
-    return isinstance(value, bool)
 
 
 def _is_exactly_uniform(weights: np.ndarray) -> bool:

@@ -12,7 +12,9 @@ OT solver's support arrays, morph frames, barycenter sweeps and
 selective outputs), so they are adopted without a copy. A read allocates its points once (a BMT1 read
 copies its ``np.frombuffer`` view once), a 1-D ``points`` input is
 copied once, straight into its (n, 1) column, and the frames of a
-sequential morph all share the plan's ``mass`` as their weights.
+sequential morph all share the plan's ``mass`` as their weights. Points
+and weights are numbers, never the booleans np.asarray reads as 1.0 and
+0.0: ``holds_bool`` is the package's one scan for them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    _BOOLS,
     DimensionMismatchError,
     InvalidParameterError,
     InvalidWeightsError,
@@ -53,15 +56,31 @@ def read_only_array(value, dtype=np.float64) -> np.ndarray:
     return array
 
 
+def holds_bool(value) -> bool:
+    """True if ``value`` is a boolean, a boolean array, or a list or tuple
+    that nests one: np.asarray reads True and False as 1.0 and 0.0.
+
+    Called on values np.asarray accepted, so the nesting depth is at
+    most the array's number of dimensions; an array costs one dtype check.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "b"
+    if isinstance(value, (list, tuple)):
+        return any(holds_bool(item) for item in value)
+    return isinstance(value, _BOOLS)
+
+
 @dataclass(frozen=True, eq=False)
 class TokenSet:
     """An immutable set of n embedding tokens in R^m with positive weights.
 
     Args:
         points: array-like of shape (n, m); a 1-D array is treated as n
-            tokens in R^1. Coordinates must be finite.
+            tokens in R^1. Coordinates must be finite numbers, not
+            booleans.
         weights: optional length-n vector of strictly positive reals
-            summing to 1 (within 1e-12). Defaults to uniform 1/n.
+            summing to 1 (within 1e-12), not booleans. Defaults to
+            uniform 1/n.
 
     The stored arrays are read-only float64 arrays that own their memory,
     as ``read_only_array`` makes them, so instances can be shared freely
@@ -70,14 +89,16 @@ class TokenSet:
 
     points: np.ndarray
     weights: np.ndarray | None = None
-    # The JSON file the set was read from and where each of its rows
-    # ends, when the reader kept its text (see ``tokenio.read_tokens``):
-    # ``tokenio.tokens_to_json_bytes(tokens, like)``, the one place that
-    # splices or encodes, joins rows of a set in ``like`` from it.
-    _json_text: tuple[bytes, list[int]] | None = field(default=None, init=False, repr=False)
+    # A set read with ``keep_text`` carries its row table, each row's bytes
+    # mapped to its text in the file, built once by ``tokenio``'s reader:
+    # ``tokens_to_json_bytes`` splices a file from the one table in
+    # ``like`` that holds its first row, if it holds every row.
+    _json_rows: dict[bytes, memoryview] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         pts = read_only_array(self.points)
+        if holds_bool(self.points):
+            raise InvalidParameterError("token coordinates must be numbers, not booleans")
         if pts.ndim == 1:
             # A column in place, not a reshape view, which would be copied
             # again; only a caller's adopted array needs a copy first.
@@ -98,6 +119,8 @@ class TokenSet:
             w = read_only_array(np.broadcast_to(1.0 / n, n))
         else:
             w = read_only_array(self.weights)
+            if holds_bool(self.weights):
+                raise InvalidWeightsError("weights must be numbers, not booleans")
             if w.shape != (n,):
                 raise InvalidWeightsError(
                     f"weights must have shape ({n},), got {w.shape}"

@@ -215,6 +215,35 @@ def exact_matching_cost(cost: np.ndarray) -> Fraction:
                for perm in itertools.permutations(range(len(exact))))
 
 
+def exact_reduced_cost_floor(tree, values: np.ndarray) -> Fraction:
+    """Independent oracle: an exact dual certificate of a simplex basis.
+
+    Potentials in exact rational arithmetic from the basis cells of
+    ``tree`` (a plan's ``_tree``) over the float cost matrix ``values``,
+    with u[0] = 0 and u[i] + v[j] = C[i, j] on every basis cell, found by
+    growing from row 0 across the cells, not from the tree's own walk.
+    Returns the least exact reduced cost C[i, j] - u[i] - v[j] over every
+    cell, relative to max C (or absolute when max C is 0): the basis is
+    exactly optimal if it is >= 0.
+    """
+    n, m = values.shape
+    exact = [[Fraction(x) for x in row] for row in values.tolist()]
+    cells = [divmod(int(flat), m) for flat in tree.cells()]
+    assert len(cells) == n + m - 1
+    pot = {0: Fraction(0)}
+    while len(pot) < n + m:
+        size = len(pot)
+        for i, j in cells:
+            if i in pot and n + j not in pot:
+                pot[n + j] = exact[i][j] - pot[i]
+            elif n + j in pot and i not in pot:
+                pot[i] = exact[i][j] - pot[n + j]
+        assert len(pot) > size, "the basis cells do not span the rows and columns"
+    worst = min(exact[i][j] - pot[i] - pot[n + j] for i in range(n) for j in range(m))
+    largest = max(map(max, exact))
+    return worst / largest if largest > 0 else worst
+
+
 def sorted_1d_ot(a: TokenSet, b: TokenSet) -> float:
     """Independent oracle: closed-form 1-D OT cost of uniform equal-size
     sets, matching the sorted points in order."""

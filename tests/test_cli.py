@@ -281,6 +281,31 @@ class TestSplicedOutputs:
         self._assert_writer_bytes(out, [f"{kind}_{k:03d}.json" for kind in ("frame", "texture")
                                         for k in range(8)])
 
+    def test_each_kept_set_builds_its_row_table_once(self, tmp_path, monkeypatch):
+        # The reader builds each kept input's row table; the writer only
+        # looks the rows of each frame up in one of them.
+        paths = self._write(tmp_path, source=gen_synthetic("gaussian_blob", 256, 64, 101),
+                            target=gen_synthetic("gaussian_blob", 256, 64, 202))
+        keyed, kept = [], []
+        row_keys, read = tokenio_module._row_keys, cli_module.read_tokens
+
+        def spy(points):
+            keyed.append(points)
+            return row_keys(points)
+
+        def reading(path, **kwargs):
+            kept.append(read(path, **kwargs))
+            return kept[-1]
+
+        monkeypatch.setattr(tokenio_module, "_row_keys", spy)
+        monkeypatch.setattr(cli_module, "read_tokens", reading)
+        out = tmp_path / "out"
+        assert main(["morph", *paths, "--tau", "0.9", "--out-dir", str(out)]) == EXIT_OK
+        assert keyed[0] is kept[0].points and keyed[1] is kept[1].points
+        assert not any(np.shares_memory(points, tokens.points)
+                       for points in keyed[2:] for tokens in kept)
+        assert all(tokens._json_rows is not None for tokens in kept)
+
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("tau", [0.0, 0.9])
     def test_a_selection_that_copies_nothing_is_spliced(self, weighted, tau, tmp_path,

@@ -512,9 +512,9 @@ class TestWriterSpelling:
 
 class TestKeptText:
     """``read_tokens(..., keep_text=True)`` and the splice: a set whose
-    file text is the writer's keeps its rows' text, and
-    ``tokens_to_json_bytes(tokens, like)`` joins any set of rows of such
-    sets in ``like`` from that text, in the bytes it encodes."""
+    file text is the writer's keeps its row table, and
+    ``tokens_to_json_bytes(tokens, like)`` joins any set of rows of one
+    such set in ``like`` from that table, in the bytes it encodes."""
 
     @staticmethod
     def _kept(tmp_path, tokens: TokenSet) -> TokenSet:
@@ -542,13 +542,16 @@ class TestKeptText:
             tokens = TokenSet(kept.points[picks])
             assert self._spliced(tokens, (kept,)) is not None
 
-    def test_rows_of_two_kept_sets_splice_together(self, tmp_path):
+    def test_rows_of_two_kept_sets_are_encoded(self, tmp_path):
+        # The writer splices from the one set that holds the first row and
+        # never merges two tables: no command writes rows of two kept sets.
         rng = np.random.default_rng(254)
         a = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8))))
         b = self._kept(tmp_path, TokenSet(rng.normal(size=(128, 8))))
         mixed = TokenSet(np.vstack([b.points[:64], a.points[64:]]))
-        assert self._spliced(mixed, (a, b)) is not None
-        assert self._spliced(mixed, (a,)) is None and self._spliced(mixed, (b,)) is None
+        for like in ((a, b), (b, a), (a,), (b,)):
+            assert self._spliced(mixed, like) is None
+        assert self._spliced(TokenSet(a.points[::-1]), (b, a)) is not None
 
     @pytest.mark.parametrize("block", [1, 2, 25, 97, 4000])
     def test_any_block_size_keeps_each_rows_text(self, monkeypatch, tmp_path, block):

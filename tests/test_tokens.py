@@ -76,6 +76,31 @@ def test_nonfinite_coordinates_rejected():
         TokenSet([[np.inf, 0.0]])
 
 
+@pytest.mark.parametrize("points", [
+    [[True, False]],
+    np.array([[True, False]]),
+    [(0.0, np.True_)],
+    ([0.5], [np.False_]),
+    [np.array([0.0, 1.0]), np.array([True, False])],
+], ids=["bool list", "bool array", "np.True_ in a tuple", "np.False_ in a list",
+        "bool array in a list"])
+def test_boolean_coordinates_rejected(points):
+    # Each read as the numbers 1.0 and 0.0; the JSON reader rejects true
+    # and false in both fields.
+    with pytest.raises(InvalidParameterError,
+                       match="^token coordinates must be numbers, not booleans$"):
+        TokenSet(points)
+
+
+@pytest.mark.parametrize("weights", [
+    [True], np.array([True]), (np.True_,), [0.5, False],
+], ids=["bool list", "bool array", "np.True_ in a tuple", "False in a list"])
+def test_boolean_weights_rejected(weights):
+    points = [[0.0]] if len(weights) == 1 else [[0.0], [1.0]]
+    with pytest.raises(InvalidWeightsError, match="^weights must be numbers, not booleans$"):
+        TokenSet(points, weights)
+
+
 def test_arrays_are_read_only():
     ts = TokenSet(np.zeros((2, 2)))
     with pytest.raises(ValueError):
